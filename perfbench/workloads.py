@@ -8,13 +8,15 @@ invocation does.
 
     python3 perfbench/workloads.py MODE WORKLOAD SEED SCALE [--trace PATH] [--perturb]
 
-MODE is ``setup`` (build the inputs and exit), ``round`` (run every job once,
-timed) or ``oracle`` (compute the reference results).  The last line of
-standard output is one JSON object.
+MODE is ``round`` (run every job once, timed, with a speed probe, see
+``probe_s``, before the first job and after each) or ``oracle`` (compute the
+reference results).  The last line of standard output is one JSON object;
+its ``ready`` is the ``time.time()`` at which the inputs were built.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -30,6 +32,10 @@ CONFIGS = {
     "asymmetric": os.path.join(ROOT, "configs", "asymmetric.json"),
 }
 PERTURBATION = Fraction(1, 997)
+
+# The probe's fastest time seen on the 2-vCPU host of the baseline (Python
+# 3.11); run.py reports times in this unit, see probe_s and run.py.
+PROBE_REF_S = 0.0008
 
 # Imported in main() so that run.py can import this module for the workload
 # names without the program on the path.
@@ -58,25 +64,22 @@ def _gaussian(rng):
     return scalars.Scalar(_rational(rng), im)
 
 
-def _element(rng, grades, letters):
-    """One term per entry of ``grades``, random letters and coefficients."""
-    terms = {}
-    for g in grades:
-        mono = algebra.Monomial.from_indices(rng.choices(letters, k=g))
-        terms[mono] = terms.get(mono, scalars.ZERO) + _gaussian(rng)
-    return algebra.Element(terms)
+def _one_term(rng, indices):
+    """A random coefficient times the monomial of ``indices``."""
+    return _gaussian(rng) * _monomial(indices)
 
 
-def _patterned(rng, patterns, letters):
-    """One term per multiplicity pattern, e.g. (2, 1, 1) = a v a v b v c with
-    distinct random letters a, b, c; so the shape, and with it the work, is
-    the same for every seed."""
-    terms = {}
-    for pattern in patterns:
-        chosen = rng.sample(letters, len(pattern))
-        mono = algebra.Monomial(dict(zip(chosen, pattern)))
-        terms[mono] = terms.get(mono, scalars.ZERO) + _gaussian(rng)
-    return algebra.Element(terms)
+def _shaped(rng, templates, letters):
+    """One term per template of letter slots, e.g. (0, 0, 1, 2) = a v a v b v c.
+
+    The slots take distinct random letters, so the shape, which letters
+    repeat and which terms share them, and with it the work, is the same
+    for every seed.
+    """
+    chosen = rng.sample(letters, 1 + max(max(t) for t in templates))
+    return algebra.Element({
+        algebra.Monomial.from_indices([chosen[slot] for slot in t]): _gaussian(rng)
+        for t in templates})
 
 
 def _monomial(indices):
@@ -92,7 +95,9 @@ def _even_sizes():
     count of each random element uniformly; at a few trials per law the
     work of the suite then varies by a quarter from seed to seed.  Here
     sizes run through their range in turn, so every seed asks for the same
-    sizes; letters and coefficients stay random.
+    sizes.  Apart from the size draw, both methods are the bodies of
+    ``CheckEnv``'s: letters and coefficients stay random and are drawn in
+    the same order, and elements are summed through ``Element.__add__``.
     """
 
     class EvenEnv(checks.CheckEnv):
@@ -106,18 +111,18 @@ def _even_sizes():
             return lo + k % (hi - lo + 1)
 
         def random_monomial(self, max_grade=None, min_grade=0):
+            rng = self.rng
             if max_grade is None:
                 max_grade = self.max_grade
             g = self._next(min_grade, max_grade)
-            return algebra.Monomial.from_indices(
-                self.rng.choices(range(1, self.d + 1), k=g))
+            return algebra.Monomial.from_indices(rng.choices(range(1, self.d + 1), k=g))
 
         def random_element(self, max_grade=None, terms=3):
-            out = {}
+            out = algebra.Element.zero()
             for _ in range(self._next(1, terms)):
-                mono = self.random_monomial(max_grade)
-                out[mono] = out.get(mono, scalars.ZERO) + self.random_scalar()
-            return algebra.Element(out)
+                c = self.random_scalar()
+                out = out + c * algebra.Element.from_monomial(self.random_monomial(max_grade))
+            return out
 
     return EvenEnv
 
@@ -164,22 +169,31 @@ class GreenBare:
     """Two-point Green series ``series.green`` through the bare T map.
 
     Lagrangians: e1^4, e1 v e2 v e3, mass plus cubic, and random elements
-    a v a v b v c + a v b with seeded letters, each at growing order.
-    Orders stop where one job still takes well under a second: T through
+    of grade <= 4 with seeded letters, each at growing order.  Orders stop
+    where one job still takes well under a second: T through
     ``wick_expand`` enumerates every partial matching of up to
-    order x (Lagrangian grade) positions.  Couplings and external legs are
-    seeded.  Each job parses the config and builds a fresh ``TContext``, as
-    ``wickalg green`` does, so no memo carries over from one job to the next.
+    order x (Lagrangian grade) positions, so grade 4 stops at order 2 and
+    grade 3 at order 3.  The random shapes a v a v a v b, a v a v b v b and
+    a v a v b + c v c have few distinct letters, so the T output has few
+    coproduct splits and the circle product that attaches the external legs
+    stays a small share; T takes most of the time.  Couplings and external
+    legs are seeded.  Each job parses the config and builds a fresh
+    ``TContext``, as ``wickalg green`` does, so no memo carries over from one
+    job to the next.
     """
 
     RENORMALISED = False
-    # (kind, orders) per named Lagrangian, copies of that list, the number
-    # of random elements and their orders.
+    # (kind, orders) per named Lagrangian, copies of that list, the random
+    # shapes (templates for _shaped, orders), cycled, and the number of
+    # random elements.
     PLAN = {
         "full": ([("e1^4", (1, 2)), ("e1 v e2 v e3", (1, 2, 3)),
-                  ("mass+cubic", (1, 2, 3))], 1, 16, (2,)),
+                  ("mass+cubic", (1, 2, 3))], 1,
+                 [(((0, 0, 0, 1),), (2,)), (((0, 0, 1, 1),), (2,)),
+                  (((0, 0, 1), (2, 2)), (3,))], 15),
         "tiny": ([("e1^4", (1,)), ("e1 v e2 v e3", (1, 2)),
-                  ("mass+cubic", (1, 2))], 1, 8, (1, 2)),
+                  ("mass+cubic", (1, 2))], 1,
+                 [(((0, 0, 1, 2), (2, 3)), (1, 2))], 8),
     }
 
     def __init__(self, seed, scale):
@@ -188,7 +202,7 @@ class GreenBare:
             self.config_data = json.load(fh)
         cfg = config.parse_config(self.config_data)
         d = cfg.dimension
-        named, copies, n_random, random_orders = self.PLAN[scale]
+        named, copies, shapes, n_random = self.PLAN[scale]
         lagrangians = []
         for _ in range(copies):
             for kind, orders in named:
@@ -201,9 +215,10 @@ class GreenBare:
                     a = rng.randint(1, d)
                     u = c * _monomial((a, a)) + _gaussian(rng) * _monomial((a, a, a))
                 lagrangians.append((kind, u, orders))
-        for _ in range(n_random):
-            u = _patterned(rng, ((2, 1, 1), (1, 1)), range(1, d + 1))
-            lagrangians.append(("random", u, random_orders))
+        for k in range(n_random):
+            templates, orders = shapes[k % len(shapes)]
+            u = _shaped(rng, templates, range(1, d + 1))
+            lagrangians.append(("random", u, orders))
         self.jobs = []
         for kind, u, orders in lagrangians:
             for order in orders:
@@ -230,15 +245,17 @@ class GreenRenorm(GreenBare):
     Orders are higher than for the bare series, because Tbar is already a
     memoised recursion; time goes to the renormalised circle product and its
     coupling and modified pairings, and to ``laplace.circle`` for the
-    external legs.
+    external legs.  The random elements are a v a v b v c + c v d.
     """
 
     RENORMALISED = True
     PLAN = {
         "full": ([("e1^4", (3, 4)), ("e1 v e2 v e3", (2, 3)),
-                  ("mass+cubic", (3, 4))], 2, 12, (2,)),
+                  ("mass+cubic", (3, 4))], 2,
+                 [(((0, 0, 1, 2), (2, 3)), (2,))], 12),
         "tiny": ([("e1^4", (2,)), ("e1 v e2 v e3", (2,)),
-                  ("mass+cubic", (2,))], 1, 9, (1, 2)),
+                  ("mass+cubic", (2,))], 1,
+                 [(((0, 0, 1, 2), (2, 3)), (1, 2))], 9),
     }
 
 
@@ -295,8 +312,9 @@ class PairingsCold:
     elements of the same grade, so it computes one permanent; the grades
     cycle through 6, 7 and 8.  Even jobs use a 2-letter alphabet (every
     permanent has repeated rows and columns), odd jobs an 8-letter one
-    (mostly distinct).  Jobs are small so that a run repeats each of them
-    many times.
+    with no letter repeated in a monomial (distinct rows and columns), so
+    ``laplace.repeat_share`` is one half.  Jobs are small so that a run
+    repeats each of them many times.
     """
 
     PLAN = {"full": (48, (6, 7, 8)), "tiny": (24, (3, 4))}
@@ -310,8 +328,11 @@ class PairingsCold:
             g = grades[k // 2 % len(grades)]
             rows = [[_gaussian(rng) for _ in range(d)] for _ in range(d)]
             L = laplace.PairingMatrix(rows)
-            u = _element(rng, (g,), range(1, d + 1))
-            v = _element(rng, (g,), range(1, d + 1))
+            # 2 letters: drawn with replacement, so letters repeat.
+            # 8 letters: drawn without, so every letter is distinct (g <= 8).
+            draw = rng.choices if d == 2 else rng.sample
+            u = _one_term(rng, draw(range(1, d + 1), k=g))
+            v = _one_term(rng, draw(range(1, d + 1), k=g))
             self.jobs.append((f"grade {g}, {d} letters", u, v, L, rows))
 
     def run(self, k):
@@ -362,6 +383,35 @@ WORKLOADS = {
 
 # -- worker ------------------------------------------------------------------
 
+def probe_s():
+    """How long this machine takes just now for a fixed piece of Python work.
+
+    The work is stdlib ``Fraction`` products and sums stored in a dict, the
+    kind of work the program spends its time on, but none of the program's
+    code, so no change to the program moves it.  It is the fastest of three
+    runs, with the garbage collector off so that the program's heap does
+    not count.  On a shared machine the speed of a vCPU swings by up to 2x
+    within seconds; a job's time divided by the probes taken around it does
+    not.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            table = {}
+            for i in range(1, 120):
+                table[i % 16] = (Fraction(i % 7 + 1, i % 11 + 2)
+                                 * Fraction(i % 5 + 1, i % 13 + 3)
+                                 + Fraction(i % 3 + 1, i % 4 + 1))
+            best = min(best, time.perf_counter() - t0)
+    finally:
+        if was_enabled:
+            gc.enable()
+    return best
+
+
 def _perturb(result):
     """Add 1/997 to the first coefficient of a result (self-test only)."""
     if isinstance(result, list):
@@ -391,7 +441,7 @@ def _run_round(work, trace_path, perturb):
     if perturb and isinstance(work, Laws):
         _break_circle()
     clock = time.perf_counter
-    times, results = [], []
+    times, results, probes = [], [], [probe_s()]
     start = clock()
     for k in range(len(work.jobs)):
         if tracer:
@@ -407,10 +457,12 @@ def _run_round(work, trace_path, perturb):
         if perturb and k == 0 and not isinstance(work, Laws):
             result = _perturb(result)
         results.append(result)
+        probes.append(probe_s())
     round_s = clock() - start
     out = {
         "round_s": round_s,
         "job_s": times,
+        "probe_s": probes,
         "results": results,
         "rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
@@ -426,14 +478,14 @@ def main(argv):
     perturb = "--perturb" in argv
     _import_program()
     work = WORKLOADS[name](int(seed), scale)
-    if mode == "setup":
-        out = {"jobs": len(work.jobs)}
-    elif mode == "round":
+    ready = time.time()
+    if mode == "round":
         out = _run_round(work, trace_path, perturb)
     elif mode == "oracle":
         out = {"results": [work.expected(k) for k in range(len(work.jobs))]}
     else:
         raise SystemExit(f"unknown mode {mode!r}")
+    out["ready"] = ready
     out["labels"] = [job[0] for job in work.jobs]
     print(json.dumps(out))
 
