@@ -22,7 +22,7 @@ from .algebra import (
     iterated_coproduct,
     sweedler,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, common_denominator
 
 
 class PairingMatrix:
@@ -72,6 +72,8 @@ class PairingMatrix:
 def permanent(matrix) -> Scalar:
     """Exact permanent by Ryser's inclusion-exclusion, O(2^n * n) arithmetic.
 
+    The entries are brought to one denominator D, so the 2^n * n loop runs
+    on Gaussian integers (pairs of ints) and the result is total / D^n.
     Column subsets are walked in Gray-code order so each step updates the
     running row sums by a single column.
     """
@@ -81,31 +83,37 @@ def permanent(matrix) -> Scalar:
     for row in matrix:
         if len(row) != n:
             raise ValueError("permanent needs a square matrix")
-    sums = [ZERO] * n
-    total = ZERO
+    D, rows = common_denominator(matrix)
+    columns = list(zip(*rows))
+    sums_re = [0] * n
+    sums_im = [0] * n
+    total_re = total_im = 0
     gray = 0
     for k in range(1, 1 << n):
         next_gray = k ^ (k >> 1)
         flipped = next_gray ^ gray
-        col = flipped.bit_length() - 1
+        column = columns[flipped.bit_length() - 1]
         if next_gray & flipped:
-            for i in range(n):
-                sums[i] = sums[i] + matrix[i][col]
+            for i, (a, b) in enumerate(column):
+                sums_re[i] += a
+                sums_im[i] += b
         else:
-            for i in range(n):
-                sums[i] = sums[i] - matrix[i][col]
+            for i, (a, b) in enumerate(column):
+                sums_re[i] -= a
+                sums_im[i] -= b
         gray = next_gray
-        prod = ONE
-        for s in sums:
-            prod = prod * s
-            if not prod:
+        p_re, p_im = 1, 0
+        for a, b in zip(sums_re, sums_im):
+            p_re, p_im = p_re * a - p_im * b, p_re * b + p_im * a
+            if not (p_re or p_im):
                 break
-        if prod:
-            if (n - gray.bit_count()) % 2:
-                total = total - prod
-            else:
-                total = total + prod
-    return total
+        if (n - gray.bit_count()) % 2:
+            total_re -= p_re
+            total_im -= p_im
+        else:
+            total_re += p_re
+            total_im += p_im
+    return Scalar.from_integers(total_re, total_im, D**n)
 
 
 def permanent_by_permutations(matrix) -> Scalar:

@@ -150,6 +150,24 @@ class TestCheckCommand:
         assert "skip  T-map routes agree" in out
         assert "ok    circle commutativity criterion" in out
 
+    @pytest.mark.parametrize(
+        "section,value",
+        [
+            ("pairing", [["1/0", "1"], ["1", "0"]]),
+            ("pairing", [["1/2+1/0i", "1"], ["1", "0"]]),
+            ("zeta", {"1,2": "1/0"}),
+            ("zeta", {"1,2": "1/2-3/0i"}),
+        ],
+    )
+    def test_zero_denominator_literal_exits_2(self, capsys, tmp_path, section, value):
+        cfg = {"dimension": 2, "pairing": [["0", "1"], ["1", "0"]], section: value}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "check", "--config", str(path), "--trials", "1")
+        assert code == 2
+        assert "zero denominator" in err
+        assert out == ""
+
     def test_corrupted_permanent_kernel_is_caught(self, capsys, monkeypatch):
         real = laplace_mod.permanent
 

@@ -49,6 +49,45 @@ def naive_permanent(matrix):
     return total
 
 
+def permanent_cases(rng):
+    """Random n x n matrices for n <= 6, then the shapes an integer kernel
+    must get right: mixed denominators, purely imaginary entries, a zero
+    row, repeated rows and columns, and numerators above 2^64."""
+
+    def draw(n, entry):
+        return [[entry() for _ in range(n)] for _ in range(n)]
+
+    def mixed():
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        im = Fraction(rng.randint(-3, 3), rng.randint(1, 12)) if rng.random() < 0.5 else 0
+        return Scalar(re, im)
+
+    def imaginary():
+        return Scalar(0, Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+
+    def huge():
+        sign = rng.choice([-1, 1])
+        re = Fraction(sign * rng.randint(2**64, 2**70), rng.randint(1, 2**66))
+        im = Fraction(rng.randint(2**64, 2**70), rng.randint(1, 9)) if rng.random() < 0.5 else 0
+        return Scalar(re, im)
+
+    for n in range(7):
+        for _ in range(4):
+            yield draw(n, lambda: rand_scalar(rng))
+    for n in range(1, 7):
+        yield draw(n, mixed)
+        yield draw(n, imaginary)
+        yield draw(n, huge)
+        m = draw(n, lambda: rand_scalar(rng))
+        m[rng.randrange(n)] = [Scalar(0)] * n
+        yield m
+        m = draw(n, mixed)
+        for row in m:
+            row[-1] = row[0]
+        m[-1] = list(m[0])
+        yield m
+
+
 class TestPermanent:
     def test_empty_and_identity(self):
         assert permanent([]) == 1
@@ -64,12 +103,30 @@ class TestPermanent:
             permanent([[Scalar(1), Scalar(2)]])
 
     def test_matches_naive_oracle(self, rng):
-        for n in range(7):
-            for _ in range(4):
-                m = [[rand_scalar(rng) for _ in range(n)] for _ in range(n)]
-                expected = naive_permanent(m)
-                assert permanent(m) == expected
-                assert permanent_by_permutations(m) == expected
+        for m in permanent_cases(rng):
+            expected = naive_permanent(m)
+            assert permanent(m) == expected
+            assert permanent_by_permutations(m) == expected
+
+    def test_matches_sympy_per(self, rng):
+        sympy = pytest.importorskip("sympy")
+
+        def to_sympy(s):
+            return sympy.Rational(s.re) + sympy.I * sympy.Rational(s.im)
+
+        # sympy's per() simplifies symbolic sums, seconds per complex 6x6
+        # matrix: every case up to n = 3, then the first of each larger size.
+        seen = set()
+        for m in permanent_cases(rng):
+            n = len(m)
+            if n == 0 or (n > 3 and n in seen):
+                continue
+            seen.add(n)
+            per = sympy.expand(sympy.Matrix([[to_sympy(x) for x in row] for row in m]).per())
+            re, im = per.as_real_imag()
+            got = permanent(m)
+            assert got.re == Fraction(int(re.p), int(re.q))
+            assert got.im == Fraction(int(im.p), int(im.q))
 
 
 class TestPairing:
