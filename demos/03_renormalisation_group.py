@@ -14,7 +14,6 @@ from wickalg import (
     circle,
     circle_renorm,
     convolve,
-    counit_functional,
     modified_pairing,
     PairingMatrix,
     vee,
@@ -39,7 +38,7 @@ print("zeta(a v b)       =", zeta(m((1, 2))))
 print("zeta^-1(a v b)    =", inv(m((1, 2))))
 conv = convolve(zeta, inv)
 print("(zeta * zeta^-1) on a v b v c =", conv(m((1, 2, 3))), " (counit value 0)")
-eps = counit_functional()
+eps = Scheme()
 print("(zeta * eps) on a v b          =", convolve(zeta, eps)(m((1, 2))))
 
 # the symmetric coupling pairing built from the scheme

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as _iterproduct
 from math import comb, factorial
+from types import MethodType
+from weakref import ref
 
 from .scalars import ONE, ZERO, Scalar, display_negative
 
@@ -131,16 +133,40 @@ class Monomial:
 
 _UNIT = Monomial()
 
-# Monomial coproducts recur in every pairing/convolution; cache the split lists.
-_SPLIT_CACHE: dict[Monomial, tuple] = {}
+
+class Memo(dict):
+    """A dict that computes, stores and returns ``compute(key)`` for a missing key.
+
+    The package's one caching mechanism.  Its owner creates it (in
+    ``__init__``, or at module level) and it lives as long as the owner.  A
+    bound-method ``compute`` holds its owner weakly, so dropping the owner
+    frees its memos by reference counting alone.
+    """
+
+    __slots__ = ("_function", "_owner")
+
+    def __init__(self, compute):
+        super().__init__()
+        if isinstance(compute, MethodType):
+            self._function, self._owner = compute.__func__, ref(compute.__self__)
+        else:
+            self._function, self._owner = compute, None
+
+    def __missing__(self, key):
+        if self._owner is None:
+            value = self[key] = self._function(key)
+        else:
+            value = self[key] = self._function(self._owner(), key)
+        return value
+
+
+# Monomial coproducts recur in every pairing and convolution.  A split list
+# depends on the monomial alone, so this memo lives for the process.
+_SPLITS = Memo(lambda m: tuple(m.splits()))
 
 
 def monomial_splits(m: Monomial):
-    cached = _SPLIT_CACHE.get(m)
-    if cached is None:
-        cached = tuple(m.splits())
-        _SPLIT_CACHE[m] = cached
-    return cached
+    return _SPLITS[m]
 
 
 class Element:

@@ -26,7 +26,7 @@ from .algebra import (
     tensor_product,
     vee,
 )
-from .config import Config
+from .config import Config, check_int
 from .fock import involute, phi, project_minus, project_plus, vacuum_expectation
 from .laplace import (
     PairingMatrix,
@@ -43,7 +43,6 @@ from .renorm import (
     Scheme,
     circle_renorm,
     convolve,
-    counit_functional,
     modified_pairing,
     z_pairing,
 )
@@ -78,6 +77,56 @@ class LawReport:
     detail: str = ""
 
 
+# Seeded random data; CheckEnv's methods and the pytest suite both draw here.
+def rand_scalar(rng, allow_imag=True) -> Scalar:
+    re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    im = Fraction(0)
+    if allow_imag and rng.random() < 0.25:
+        im = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+    return Scalar(re, im)
+
+
+def rand_monomial(rng, d, max_grade, min_grade=0) -> Monomial:
+    g = rng.randint(min_grade, max_grade)
+    return Monomial.from_indices(rng.choices(range(1, d + 1), k=g))
+
+
+def rand_element(rng, d, max_grade, terms=3) -> Element:
+    out = Element.zero()
+    for _ in range(rng.randint(1, terms)):
+        c = rand_scalar(rng)
+        out = out + c * Element.from_monomial(rand_monomial(rng, d, max_grade))
+    return out
+
+
+def rand_pairing(rng, d, symmetric: bool) -> PairingMatrix:
+    rows = [[rand_scalar(rng) for _ in range(d)] for _ in range(d)]
+    if symmetric:
+        for i in range(d):
+            for j in range(i + 1, d):
+                rows[j][i] = rows[i][j]
+    return PairingMatrix(rows, symmetric=symmetric)
+
+
+def monomials_upto(d, max_grade):
+    """All monomials over 1..d with grading <= max_grade."""
+    out = [Monomial.unit()]
+    frontier = [Monomial.unit()]
+    for _ in range(max_grade):
+        nxt = []
+        seen = set()
+        for m in frontier:
+            start = m.counts[-1][0] if m.counts else 1
+            for i in range(start, d + 1):
+                mm = m.vee(Monomial.generator(i))
+                if mm not in seen:
+                    seen.add(mm)
+                    nxt.append(mm)
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
 class CheckEnv:
     """Shared state for one suite run: config data plus a seeded RNG."""
 
@@ -94,35 +143,20 @@ class CheckEnv:
     # -- random data ---------------------------------------------------------
 
     def random_scalar(self, allow_imag=True) -> Scalar:
-        rng = self.rng
-        re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        im = Fraction(0)
-        if allow_imag and rng.random() < 0.25:
-            im = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-        return Scalar(re, im)
+        return rand_scalar(self.rng, allow_imag)
 
     def random_monomial(self, max_grade=None, min_grade=0) -> Monomial:
-        rng = self.rng
         if max_grade is None:
             max_grade = self.max_grade
-        g = rng.randint(min_grade, max_grade)
-        return Monomial.from_indices(rng.choices(range(1, self.d + 1), k=g))
+        return rand_monomial(self.rng, self.d, max_grade, min_grade)
 
     def random_element(self, max_grade=None, terms=3) -> Element:
-        out = Element.zero()
-        for _ in range(self.rng.randint(1, terms)):
-            c = self.random_scalar()
-            out = out + c * Element.from_monomial(self.random_monomial(max_grade))
-        return out
+        if max_grade is None:
+            max_grade = self.max_grade
+        return rand_element(self.rng, self.d, max_grade, terms)
 
     def random_pairing(self, symmetric: bool) -> PairingMatrix:
-        d = self.d
-        rows = [[self.random_scalar() for _ in range(d)] for _ in range(d)]
-        if symmetric:
-            for i in range(d):
-                for j in range(i + 1, d):
-                    rows[j][i] = rows[i][j]
-        return PairingMatrix(rows, symmetric=symmetric)
+        return rand_pairing(self.rng, self.d, symmetric)
 
     def random_scheme(self, max_grade=None) -> Scheme:
         if max_grade is None:
@@ -137,24 +171,6 @@ class CheckEnv:
         if self._tcontext is None:
             self._tcontext = TContext(self.L, self.scheme)
         return self._tcontext
-
-    def monomials_upto(self, max_grade: int):
-        """All monomials over 1..d with grading <= max_grade."""
-        out = [Monomial.unit()]
-        frontier = [Monomial.unit()]
-        for _ in range(max_grade):
-            nxt = []
-            seen = set()
-            for m in frontier:
-                start = m.counts[-1][0] if m.counts else 1
-                for i in range(start, self.d + 1):
-                    mm = m.vee(Monomial.generator(i))
-                    if mm not in seen:
-                        seen.add(mm)
-                        nxt.append(mm)
-            out.extend(nxt)
-            frontier = nxt
-        return out
 
 
 def _apply_counit_side(t: TensorElement, left: bool) -> Element:
@@ -184,7 +200,7 @@ def law_vee_ring(env: CheckEnv):
 
 
 def law_coassociativity(env: CheckEnv):
-    for m in env.monomials_upto(min(5, env.max_grade + 2)):
+    for m in monomials_upto(env.d, min(5, env.max_grade + 2)):
         u = Element.from_monomial(m)
         t = coproduct(u)
         if t.expand_slot(0) != t.expand_slot(1):
@@ -444,14 +460,14 @@ def law_convolution_group(env: CheckEnv):
     z1 = env.random_scheme()
     z2 = env.random_scheme()
     z3 = env.random_scheme()
-    eps = counit_functional()
+    eps = Scheme()
     lhs = convolve(convolve(z1, z2), z3)
     rhs = convolve(z1, convolve(z2, z3))
     comm1 = convolve(z1, z2)
     comm2 = convolve(z2, z1)
     unit = convolve(z1, eps)
     inv = convolve(z1, z1.inverse())
-    for m in env.monomials_upto(min(6, env.max_grade + 2)):
+    for m in monomials_upto(env.d, min(6, env.max_grade + 2)):
         if lhs(m) != rhs(m):
             return f"associativity at {m}"
         if comm1(m) != comm2(m):
@@ -602,7 +618,7 @@ def law_circle_renorm_coproduct(env: CheckEnv):
 
 def law_t_routes(env: CheckEnv):
     ctx = env.tcontext()
-    for m in env.monomials_upto(min(5, env.max_grade + 1)):
+    for m in monomials_upto(env.d, min(5, env.max_grade + 1)):
         u = Element.from_monomial(m)
         a = t_map(u, ctx)
         b = t_map_by_circle_fold(u, ctx)
@@ -699,7 +715,7 @@ def law_tbar_identities(env: CheckEnv):
     ctx = env.tcontext()
     z = ctx.scheme
     conv = convolve(z, _t_functional(ctx))
-    for m in env.monomials_upto(min(4, env.max_grade))[:40]:
+    for m in monomials_upto(env.d, min(4, env.max_grade))[:40]:
         u = Element.from_monomial(m)
         if tbar_map(u, ctx) != tbar_map_by_twist(u, ctx):
             return f"twist route at {m}"
@@ -917,12 +933,16 @@ LAWS = [
 
 
 def run_checks(config: Config, max_grade=None, trials=None, seed=None):
-    """Run every applicable law; returns a list of LawReport."""
+    """Run every applicable law; returns a list of LawReport.
+
+    An override must meet the minimum of the config field it replaces, else
+    ConfigError is raised before any law runs.
+    """
     env = CheckEnv(
         config,
-        max_grade if max_grade is not None else config.max_grade,
-        trials if trials is not None else config.trials,
-        seed if seed is not None else config.seed,
+        config.max_grade if max_grade is None else check_int("max_grade", max_grade),
+        config.trials if trials is None else check_int("trials", trials),
+        config.seed if seed is None else check_int("seed", seed),
     )
     reports = []
     for name, fn, needs_symmetric, needs_fock in LAWS:

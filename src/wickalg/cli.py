@@ -11,9 +11,16 @@ import sys
 
 from .checks import run_checks
 from .config import ConfigError, load_config
-from .expr import EvalEnv, EvalError, ExprSyntaxError, evaluate, format_value, parse_expr
+from .expr import (
+    EvalEnv,
+    EvalError,
+    ExprSyntaxError,
+    as_element,
+    evaluate,
+    format_value,
+    parse_expr,
+)
 from .series import green
-from .tmaps import TContext
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,16 +101,9 @@ def _cmd_green(args) -> int:
     env = EvalEnv(config.dimension, config.pairing, config.scheme)
     if not (1 <= args.i <= config.dimension and 1 <= args.j <= config.dimension):
         raise EvalError(f"generator indices must lie in 1..{config.dimension}")
-    node = parse_expr(args.lagrangian)
-    u = evaluate(node, env)
-    from .expr import _as_element
-
-    try:
-        ctx = TContext(config.pairing, config.scheme)
-    except ValueError as exc:
-        raise EvalError(str(exc)) from exc
+    u = as_element(evaluate(parse_expr(args.lagrangian), env))
     result = green(
-        args.i, args.j, _as_element(u), ctx, args.order, renormalised=args.renormalised
+        args.i, args.j, u, env.tcontext(), args.order, renormalised=args.renormalised
     )
     for k, coeff in enumerate(result.coeffs):
         print(f"lambda^{k}: {coeff.scalar_part()}")

@@ -23,6 +23,19 @@ class ConfigError(ValueError):
 
 _ZETA_KEY_RE = re.compile(r"^\d+(,\d+)*$")
 
+# The least value of each integer setting, whether it comes from a config
+# file or from a command-line override.
+_MINIMUMS = {"dimension": 1, "seed": 0, "max_grade": 1, "trials": 1}
+
+
+def check_int(name: str, value) -> int:
+    """``value`` if it is an integer (not a bool) >= the minimum for ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"'{name}' must be an integer")
+    if value < _MINIMUMS[name]:
+        raise ConfigError(f"'{name}' must be >= {_MINIMUMS[name]}")
+    return value
+
 
 @dataclass
 class Config:
@@ -50,19 +63,16 @@ def parse_config(data: dict) -> Config:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
 
-    try:
-        dimension = int(data["dimension"])
-    except KeyError:
-        raise ConfigError("config needs a 'dimension'") from None
-    except (TypeError, ValueError):
-        raise ConfigError("'dimension' must be an integer") from None
-    if dimension < 1:
-        raise ConfigError("'dimension' must be >= 1")
+    if "dimension" not in data:
+        raise ConfigError("config needs a 'dimension'")
+    dimension = check_int("dimension", data["dimension"])
 
     rows = data.get("pairing")
     if not isinstance(rows, list) or len(rows) != dimension:
         raise ConfigError(f"'pairing' must be a {dimension}x{dimension} matrix of scalar strings")
-    symmetric = bool(data.get("symmetric", False))
+    symmetric = data.get("symmetric", False)
+    if not isinstance(symmetric, bool):
+        raise ConfigError("'symmetric' must be true or false")
     parsed_rows = []
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dimension:
@@ -113,26 +123,12 @@ def parse_config(data: dict) -> Config:
         if not fock.covers(dimension):
             raise ConfigError("fock creation+annihilation sets must cover 1..dimension")
 
-    def _int_field(name, default, minimum):
-        raw = data.get(name, default)
-        try:
-            value = int(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"'{name}' must be an integer") from None
-        if value < minimum:
-            raise ConfigError(f"'{name}' must be >= {minimum}")
-        return value
-
-    seed = _int_field("seed", 0, 0)
-    max_grade = _int_field("max_grade", 4, 1)
-    trials = _int_field("trials", 100, 1)
-
     return Config(
         dimension=dimension,
         pairing=pairing,
         scheme=scheme,
         fock=fock,
-        seed=seed,
-        max_grade=max_grade,
-        trials=trials,
+        seed=check_int("seed", data.get("seed", 0)),
+        max_grade=check_int("max_grade", data.get("max_grade", 4)),
+        trials=check_int("trials", data.get("trials", 100)),
     )

@@ -276,7 +276,8 @@ class EvalEnv:
         return self._tcontext
 
 
-def _as_element(value) -> Element:
+def as_element(value) -> Element:
+    """An evaluator result as an algebra element; scalars become multiples of 1."""
     if isinstance(value, Element):
         return value
     if isinstance(value, Scalar):
@@ -325,9 +326,9 @@ def evaluate(node, env: EvalEnv):
                 return left + right if node.op == "+" else left - right
             if isinstance(left, Scalar) and isinstance(right, Scalar):
                 return left + right if node.op == "+" else left - right
-            left, right = _as_element(left), _as_element(right)
+            left, right = as_element(left), as_element(right)
             return left + right if node.op == "+" else left - right
-        left, right = _as_element(left), _as_element(right)
+        left, right = as_element(left), as_element(right)
         if node.op == "v":
             return left.vee(right)
         if node.op == "o":
@@ -344,40 +345,40 @@ def _call(node: Call, env: EvalEnv):
     name = node.name
     args = [evaluate(a, env) for a in node.args]
     if name == "eps":
-        return counit(_as_element(args[0]))
+        return counit(as_element(args[0]))
     if name == "antipode":
-        return antipode(_as_element(args[0]))
+        return antipode(as_element(args[0]))
     if name == "pair":
-        return pairing(_as_element(args[0]), _as_element(args[1]), env.pairing)
+        return pairing(as_element(args[0]), as_element(args[1]), env.pairing)
     if name == "Z":
-        return z_pairing(_as_element(args[0]), _as_element(args[1]), env.scheme)
+        return z_pairing(as_element(args[0]), as_element(args[1]), env.scheme)
     if name == "mpair":
         return modified_pairing(
-            _as_element(args[0]), _as_element(args[1]), env.scheme, env.pairing
+            as_element(args[0]), as_element(args[1]), env.scheme, env.pairing
         )
     if name == "T":
-        return t_map(_as_element(args[0]), env.tcontext())
+        return t_map(as_element(args[0]), env.tcontext())
     if name == "Tbar":
-        return tbar_map(_as_element(args[0]), env.tcontext())
+        return tbar_map(as_element(args[0]), env.tcontext())
     if name == "t":
-        return t_scalar(_as_element(args[0]), env.tcontext())
+        return t_scalar(as_element(args[0]), env.tcontext())
     if name == "tbar":
-        return tbar_scalar(_as_element(args[0]), env.tcontext())
+        return tbar_scalar(as_element(args[0]), env.tcontext())
     if name == "Sigma":
-        return sigma_apply(_as_element(args[0]), env.tcontext())
+        return sigma_apply(as_element(args[0]), env.tcontext())
     if name == "expSigma":
-        return exp_sigma(_as_element(args[0]), env.tcontext())
+        return exp_sigma(as_element(args[0]), env.tcontext())
     if name == "delta":
-        return derivation(_as_generator_index(args[0]), _as_element(args[1]))
+        return derivation(_as_generator_index(args[0]), as_element(args[1]))
     if name == "dp":
         return divided_power(
             _as_generator_index(args[0]), _as_scalar_order(args[1])
         )
     if name == "expv":
-        return vee_exp(_as_element(args[0]), _as_scalar_order(args[1]))
+        return vee_exp(as_element(args[0]), _as_scalar_order(args[1]))
     if name == "S":
         return series_mod.smatrix(
-            _as_element(args[0]),
+            as_element(args[0]),
             env.tcontext(),
             _as_scalar_order(args[1]),
             renormalised=env.renormalised,
@@ -386,7 +387,7 @@ def _call(node: Call, env: EvalEnv):
         return series_mod.green(
             _as_generator_index(args[0]),
             _as_generator_index(args[1]),
-            _as_element(args[2]),
+            as_element(args[2]),
             env.tcontext(),
             _as_scalar_order(args[3]),
             renormalised=env.renormalised,

@@ -8,7 +8,7 @@ multisets.
 
 from __future__ import annotations
 
-from .algebra import Element, Monomial, TensorElement, _accumulate, counit, sweedler
+from .algebra import Element, Monomial, TensorElement, _accumulate, _wrap, counit, sweedler
 from .scalars import Scalar
 
 
@@ -53,9 +53,7 @@ def _project(u: Element, keep: frozenset) -> Element:
     for mono, coeff in u.items():
         if all(idx in keep for idx, _ in mono.counts):
             _accumulate(out, mono, coeff)
-    e = Element.__new__(Element)
-    e.terms = out
-    return e
+    return _wrap(out)
 
 
 def project_plus(u: Element, f: FockStructure) -> Element:
@@ -92,9 +90,7 @@ def involute(u: Element, f: FockStructure) -> Element:
     for mono, coeff in u.items():
         swapped = Monomial({f.partner[idx]: mult for idx, mult in mono.counts})
         _accumulate(out, swapped, coeff.conjugate())
-    e = Element.__new__(Element)
-    e.terms = out
-    return e
+    return _wrap(out)
 
 
 def vacuum_expectation(u: Element) -> Scalar:

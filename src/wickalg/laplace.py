@@ -29,11 +29,13 @@ class PairingMatrix:
     """d x d matrix of generator pairings, entry[i][j] = (e_i|e_j), 1-based.
 
     No symmetry is assumed unless declared; a declared symmetric matrix is
-    validated at construction.
+    validated at construction.  The matrix is an immutable value: rows are
+    tuples, and equal entries and ``symmetric`` flag mean equal matrices
+    with equal hashes, so a memo keyed on a matrix is keyed on its value.
     """
 
     def __init__(self, entries, symmetric: bool = False):
-        rows = [[Scalar.coerce(x) for x in row] for row in entries]
+        rows = tuple(tuple(Scalar.coerce(x) for x in row) for row in entries)
         d = len(rows)
         for row in rows:
             if len(row) != d:
@@ -49,6 +51,7 @@ class PairingMatrix:
         self.rows = rows
         self.dim = d
         self.symmetric = symmetric
+        self._hash = hash((rows, symmetric))
 
     @classmethod
     def from_strings(cls, rows, symmetric: bool = False) -> "PairingMatrix":
@@ -64,6 +67,14 @@ class PairingMatrix:
         return PairingMatrix(
             [[factor * x for x in row] for row in self.rows], self.symmetric
         )
+
+    def __eq__(self, other):
+        if not isinstance(other, PairingMatrix):
+            return NotImplemented
+        return self.symmetric == other.symmetric and self.rows == other.rows
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"PairingMatrix(dim={self.dim}, symmetric={self.symmetric})"

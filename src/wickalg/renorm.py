@@ -5,11 +5,17 @@ form a commutative group under convolution through the coproduct.  Out of a
 scheme we build the symmetric coupling pairing, the modified Laplace pairing,
 and the renormalised circle product -- an associative deformation of the
 symmetric product with one free parameter per monomial of grading >= 2.
+
+Each pair of a Laplace pairing and a scheme gives one deformed product, so
+the functional owns the memos of the pairings built from it: its values per
+monomial, its convolution inverse, the coupling pairing per monomial pair
+and the modified pairing per (monomial, monomial, pairing matrix).  They
+live as long as the functional; the matrix enters the key by value.
 """
 
 from __future__ import annotations
 
-from .algebra import Element, Monomial, _accumulate, _wrap, monomial_splits, sweedler
+from .algebra import Element, Memo, Monomial, _accumulate, _wrap, monomial_splits, sweedler
 from .laplace import PairingMatrix, pairing_monomials
 from .scalars import ONE, ZERO, Scalar
 
@@ -17,12 +23,16 @@ from .scalars import ONE, ZERO, Scalar
 class LinearFunctional:
     """A linear functional on the symmetric algebra with zeta(1)=1, zeta(a)=0.
 
-    Values on gradings 0 and 1 are structural; subclasses provide the rest.
-    Evaluation is memoized per monomial (observationally pure).
+    Values on gradings 0 and 1 are structural; subclasses provide the rest
+    through ``_value``.  ``__init__`` declares every memo the functional
+    owns (see the module docstring); all are observationally pure.
     """
 
     def __init__(self):
-        self._memo: dict[Monomial, Scalar] = {}
+        self._memo = Memo(self._value)
+        self._inverse = Memo(self._invert)
+        self._coupling = Memo(self._coupling_value)
+        self._modified = Memo(self._modified_value)
 
     def _value(self, m: Monomial) -> Scalar:
         raise NotImplementedError
@@ -32,11 +42,7 @@ class LinearFunctional:
             return ONE
         if m.grading == 1:
             return ZERO
-        cached = self._memo.get(m)
-        if cached is None:
-            cached = self._value(m)
-            self._memo[m] = cached
-        return cached
+        return self._memo[m]
 
     def on_element(self, u: Element) -> Scalar:
         total = ZERO
@@ -47,12 +53,19 @@ class LinearFunctional:
         return total
 
     def inverse(self) -> "LinearFunctional":
-        """Convolution inverse, cached on the functional."""
-        inv = getattr(self, "_inverse", None)
-        if inv is None:
-            inv = convolution_inverse(self)
-            self._inverse = inv
-        return inv
+        """Convolution inverse, built once per functional."""
+        return self._inverse[None]
+
+    def _invert(self, _key) -> "LinearFunctional":
+        return convolution_inverse(self)
+
+    def _coupling_value(self, key) -> Scalar:
+        m1, m2 = key
+        return z_pairing(Element.from_monomial(m1), Element.from_monomial(m2), self)
+
+    def _modified_value(self, key) -> Scalar:
+        m1, m2, L = key
+        return modified_pairing(Element.from_monomial(m1), Element.from_monomial(m2), self, L)
 
 
 class Scheme(LinearFunctional):
@@ -91,18 +104,6 @@ class Functional(LinearFunctional):
         return self._rule(m)
 
 
-TRIVIAL_SCHEME = Scheme()
-
-
-def counit_functional() -> Scheme:
-    """The convolution unit: 1 on the empty monomial, 0 elsewhere."""
-    return Scheme()
-
-
-def scheme_eval(z: LinearFunctional, u: Element) -> Scalar:
-    return z.on_element(u)
-
-
 def convolve(z1: LinearFunctional, z2: LinearFunctional) -> Functional:
     """(z1 * z2)(u) = sum z1(u_(1)) z2(u_(2)); associative and commutative."""
 
@@ -127,11 +128,9 @@ def convolution_inverse(z: LinearFunctional) -> Functional:
     sum drops the two trivial splits.  Memoization lives in the returned
     functional, so repeated coupling-pairing calls share subresults.
     """
-    box: list[Functional] = []
 
     def rule(m: Monomial) -> Scalar:
         total = -z(m)
-        inv = box[0]
         for left, right, weight in monomial_splits(m):
             if left.grading == 0 or right.grading == 0:
                 continue
@@ -144,7 +143,6 @@ def convolution_inverse(z: LinearFunctional) -> Functional:
         return total
 
     inv = Functional(rule)
-    box.append(inv)
     return inv
 
 
@@ -167,19 +165,6 @@ def z_pairing(u: Element, v: Element, z: LinearFunctional) -> Scalar:
     return total
 
 
-def _z_monomials(m1: Monomial, m2: Monomial, z: LinearFunctional) -> Scalar:
-    memo = getattr(z, "_z_memo", None)
-    if memo is None:
-        memo = {}
-        z._z_memo = memo
-    key = (m1, m2)
-    cached = memo.get(key)
-    if cached is None:
-        cached = z_pairing(Element.from_monomial(m1), Element.from_monomial(m2), z)
-        memo[key] = cached
-    return cached
-
-
 def modified_pairing(
     u: Element, v: Element, z: LinearFunctional, L: PairingMatrix
 ) -> Scalar:
@@ -193,27 +178,10 @@ def modified_pairing(
             p = pairing_monomials(u2, v2, L)
             if not p:
                 continue
-            zz = _z_monomials(u1, v1, z)
+            zz = z._coupling[u1, v1]
             if zz:
                 total = total + cu * cv * (zz * p)
     return total
-
-
-def _modified_monomials(
-    m1: Monomial, m2: Monomial, z: LinearFunctional, L: PairingMatrix
-) -> Scalar:
-    memo = getattr(z, "_mod_memo", None)
-    if memo is None:
-        memo = {}
-        z._mod_memo = memo
-    key = (m1, m2, L)
-    cached = memo.get(key)
-    if cached is None:
-        cached = modified_pairing(
-            Element.from_monomial(m1), Element.from_monomial(m2), z, L
-        )
-        memo[key] = cached
-    return cached
 
 
 def circle_renorm(
@@ -224,7 +192,7 @@ def circle_renorm(
     v_splits = list(sweedler(v))
     for u1, u2, cu in sweedler(u):
         for v1, v2, cv in v_splits:
-            p = _modified_monomials(u2, v2, z, L)
+            p = z._modified[u2, v2, L]
             if not p:
                 continue
             _accumulate(out, u1.vee(v1), cu * cv * p)

@@ -14,19 +14,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import Element, Monomial, derivation, sweedler
+from .algebra import Element, Memo, Monomial, derivation, sweedler
 from .laplace import (
     PairingMatrix,
     circle,
     circle_fold,
     wick_expand,
 )
-from .renorm import (
-    LinearFunctional,
-    _modified_monomials,
-    _z_monomials,
-    circle_renorm,
-)
+from .renorm import LinearFunctional, circle_renorm
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -34,22 +29,64 @@ class TContext:
     """A symmetric pairing plus an optional renormalisation scheme.
 
     Time-ordered maps need the circle product to be commutative, which holds
-    exactly when the pairing matrix is symmetric.
+    exactly when the pairing matrix is symmetric.  The context owns four
+    memos keyed by monomial: T, Tbar, and their scalar parts.  They live as
+    long as the context, so build one context per pairing and scheme and
+    pass it around.
     """
 
     def __init__(self, pairing: PairingMatrix, scheme: LinearFunctional | None = None):
         require_symmetric(pairing)
         self.pairing = pairing
         self.scheme = scheme
-        self._t_memo: dict[Monomial, Element] = {}
-        self._tbar_memo: dict[Monomial, Element] = {}
-        self._ts_memo: dict[Monomial, Scalar] = {}
-        self._tbars_memo: dict[Monomial, Scalar] = {}
+        self._t = Memo(self._t_monomial)
+        self._tbar = Memo(self._tbar_monomial)
+        self._t_scalar = Memo(self._t_scalar_monomial)
+        self._tbar_scalar = Memo(self._tbar_scalar_monomial)
 
     def require_scheme(self) -> LinearFunctional:
         if self.scheme is None:
             raise ValueError("renormalised time-ordering needs a scheme in the context")
         return self.scheme
+
+    def _t_monomial(self, m: Monomial) -> Element:
+        return wick_expand(m.indices(), self.pairing)
+
+    def _tbar_monomial(self, m: Monomial) -> Element:
+        t = Element.one()
+        for i in m.indices():
+            t = circle_renorm(t, Element.generator(i), self.scheme, self.pairing)
+        return t
+
+    def _t_scalar_monomial(self, m: Monomial) -> Scalar:
+        if m.grading % 2:
+            return ZERO
+        if m.grading == 0:
+            return ONE
+        a = m.counts[0][0]
+        rest = m.remove_one(a)
+        total = ZERO
+        for idx, mult in rest.counts:
+            f = self.pairing.entry(a, idx)
+            if not f:
+                continue
+            total = total + mult * f * self._t_scalar[rest.remove_one(idx)]
+        return total
+
+    def _tbar_scalar_monomial(self, m: Monomial) -> Scalar:
+        if m.grading == 0:
+            return ONE
+        if m.grading == 1:
+            return ZERO
+        a = Monomial.generator(m.counts[0][0])
+        rest = m.remove_one(m.counts[0][0])
+        total = ZERO
+        for rest1, rest2, weight in rest.splits():
+            f = self.scheme._modified[a, rest2, self.pairing]
+            if not f:
+                continue
+            total = total + weight * f * self._tbar_scalar[rest1]
+        return total
 
     def __repr__(self):
         return f"TContext(pairing={self.pairing!r}, scheme={self.scheme!r})"
@@ -71,11 +108,7 @@ def t_map(u: Element, ctx: TContext) -> Element:
     """
     out = Element.zero()
     for mono, coeff in u.items():
-        t = ctx._t_memo.get(mono)
-        if t is None:
-            t = wick_expand(mono.indices(), ctx.pairing)
-            ctx._t_memo[mono] = t
-        out = out + coeff * t
+        out = out + coeff * ctx._t[mono]
     return out
 
 
@@ -130,30 +163,9 @@ def t_scalar(u: Element, ctx: TContext) -> Scalar:
     """
     total = ZERO
     for mono, coeff in u.items():
-        v = _t_scalar_monomial(mono, ctx)
+        v = ctx._t_scalar[mono]
         if v:
             total = total + coeff * v
-    return total
-
-
-def _t_scalar_monomial(m: Monomial, ctx: TContext) -> Scalar:
-    n = m.grading
-    if n == 0:
-        return ONE
-    if n % 2:
-        return ZERO
-    cached = ctx._ts_memo.get(m)
-    if cached is not None:
-        return cached
-    a = m.counts[0][0]
-    rest = m.remove_one(a)
-    total = ZERO
-    for idx, mult in rest.counts:
-        f = ctx.pairing.entry(a, idx)
-        if not f:
-            continue
-        total = total + mult * f * _t_scalar_monomial(rest.remove_one(idx), ctx)
-    ctx._ts_memo[m] = total
     return total
 
 
@@ -207,16 +219,10 @@ def t_permutation_form(generators, ctx: TContext) -> Scalar:
 def tbar_map(u: Element, ctx: TContext) -> Element:
     """Renormalised T: multiplicative from the symmetric product to the
     renormalised circle product."""
-    z = ctx.require_scheme()
+    ctx.require_scheme()
     out = Element.zero()
     for mono, coeff in u.items():
-        t = ctx._tbar_memo.get(mono)
-        if t is None:
-            t = Element.one()
-            for i in mono.indices():
-                t = circle_renorm(t, Element.generator(i), z, ctx.pairing)
-            ctx._tbar_memo[mono] = t
-        out = out + coeff * t
+        out = out + coeff * ctx._tbar[mono]
     return out
 
 
@@ -238,33 +244,12 @@ def tbar_map_by_twist(u: Element, ctx: TContext) -> Element:
 def tbar_scalar(u: Element, ctx: TContext) -> Scalar:
     """Scalar part of the renormalised time ordering (splitting recursion
     with the modified pairing)."""
-    z = ctx.require_scheme()
+    ctx.require_scheme()
     total = ZERO
     for mono, coeff in u.items():
-        v = _tbar_scalar_monomial(mono, ctx, z)
+        v = ctx._tbar_scalar[mono]
         if v:
             total = total + coeff * v
-    return total
-
-
-def _tbar_scalar_monomial(m: Monomial, ctx: TContext, z: LinearFunctional) -> Scalar:
-    n = m.grading
-    if n == 0:
-        return ONE
-    if n == 1:
-        return ZERO
-    cached = ctx._tbars_memo.get(m)
-    if cached is not None:
-        return cached
-    a = Monomial.generator(m.counts[0][0])
-    rest = m.remove_one(m.counts[0][0])
-    total = ZERO
-    for rest1, rest2, weight in rest.splits():
-        f = _modified_monomials(a, rest2, z, ctx.pairing)
-        if not f:
-            continue
-        total = total + weight * f * _tbar_scalar_monomial(rest1, ctx, z)
-    ctx._tbars_memo[m] = total
     return total
 
 
@@ -276,7 +261,7 @@ def first_identity_check(u: Element, v: Element, ctx: TContext):
     v_splits = list(sweedler(v))
     for u1, u2, cu in sweedler(u):
         for v1, v2, cv in v_splits:
-            f = _z_monomials(u1, v1, z)
+            f = z._coupling[u1, v1]
             if not f:
                 continue
             rhs = rhs + (cu * cv * f) * circle(

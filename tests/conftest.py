@@ -3,42 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from wickalg import Element, Monomial, PairingMatrix, Scalar, Scheme
+from wickalg import PairingMatrix, Scalar, Scheme
+from wickalg.checks import (  # noqa: F401  (re-exported to the tests)
+    monomials_upto,
+    rand_element,
+    rand_monomial,
+    rand_pairing,
+    rand_scalar,
+)
 
 
 def rational(p, q=1):
     return Scalar(Fraction(p, q))
-
-
-def rand_scalar(rng, allow_imag=True):
-    re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    im = Fraction(0)
-    if allow_imag and rng.random() < 0.25:
-        im = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-    return Scalar(re, im)
-
-
-def rand_monomial(rng, dim, max_grade, min_grade=0):
-    g = rng.randint(min_grade, max_grade)
-    return Monomial.from_indices(rng.choices(range(1, dim + 1), k=g))
-
-
-def rand_element(rng, dim, max_grade, terms=3):
-    out = Element.zero()
-    for _ in range(rng.randint(1, terms)):
-        out = out + rand_scalar(rng) * Element.from_monomial(
-            rand_monomial(rng, dim, max_grade)
-        )
-    return out
-
-
-def rand_pairing(rng, dim, symmetric):
-    rows = [[rand_scalar(rng) for _ in range(dim)] for _ in range(dim)]
-    if symmetric:
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                rows[j][i] = rows[i][j]
-    return PairingMatrix(rows, symmetric=symmetric)
 
 
 def rand_scheme(rng, dim, max_grade=4):
@@ -47,24 +23,6 @@ def rand_scheme(rng, dim, max_grade=4):
         m = rand_monomial(rng, dim, max_grade, min_grade=2)
         values[m] = rand_scalar(rng)
     return Scheme(values)
-
-
-def monomials_upto(dim, max_grade):
-    """Every monomial over 1..dim with grading <= max_grade."""
-    out = [Monomial.unit()]
-    frontier = [Monomial.unit()]
-    for _ in range(max_grade):
-        nxt, seen = [], set()
-        for m in frontier:
-            start = m.counts[-1][0] if m.counts else 1
-            for i in range(start, dim + 1):
-                mm = m.vee(Monomial.generator(i))
-                if mm not in seen:
-                    seen.add(mm)
-                    nxt.append(mm)
-        out.extend(nxt)
-        frontier = nxt
-    return out
 
 
 @pytest.fixture

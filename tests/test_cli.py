@@ -168,6 +168,30 @@ class TestCheckCommand:
         assert "zero denominator" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "overrides,argv,message",
+        [
+            ({}, ["--trials", "0"], "'trials' must be >= 1"),
+            ({}, ["--trials", "-3"], "'trials' must be >= 1"),
+            ({}, ["--max-grade", "-1"], "'max_grade' must be >= 1"),
+            ({}, ["--seed", "-1"], "'seed' must be >= 0"),
+            ({"symmetric": "false"}, [], "'symmetric' must be true or false"),
+            ({"dimension": 2.5}, [], "'dimension' must be an integer"),
+            ({"dimension": True}, [], "'dimension' must be an integer"),
+            ({"trials": 2.7}, [], "'trials' must be an integer"),
+            ({"seed": "1"}, [], "'seed' must be an integer"),
+        ],
+    )
+    def test_bad_setting_exits_2(self, capsys, tmp_path, overrides, argv, message):
+        with open(ASYMMETRIC) as fh:
+            cfg = {**json.load(fh), **overrides}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "check", "--config", str(path), *argv)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
     def test_corrupted_permanent_kernel_is_caught(self, capsys, monkeypatch):
         real = laplace_mod.permanent
 

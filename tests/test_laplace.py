@@ -437,3 +437,16 @@ def test_symmetric_flag_validation():
         PairingMatrix([[Scalar(0), Scalar(1)], [Scalar(2), Scalar(0)]], symmetric=True)
     ok = PairingMatrix.from_strings([["1", "1/2"], ["1/2", "1"]], symmetric=True)
     assert ok.entry(1, 2) == Scalar(Fraction(1, 2))
+
+
+def test_value_semantics(rng):
+    rows = [[rand_scalar(rng) for _ in range(3)] for _ in range(3)]
+    a = PairingMatrix(rows)
+    b = PairingMatrix([list(row) for row in rows])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "hit"}[b] == "hit"
+    assert a.scaled(1) == a and a.scaled(2) != a
+    assert isinstance(a.rows, tuple) and all(isinstance(row, tuple) for row in a.rows)
+    sym = PairingMatrix.from_strings([["1", "1/2"], ["1/2", "1"]], symmetric=True)
+    plain = PairingMatrix.from_strings([["1", "1/2"], ["1/2", "1"]])
+    assert sym != plain

@@ -1,11 +1,14 @@
 import pytest
 
+import wickalg.renorm as renorm_mod
 from conftest import monomials_upto, rand_element, rand_pairing, rand_scheme
 from wickalg import (
     Element,
     Monomial,
+    PairingMatrix,
     Scalar,
     Scheme,
+    TContext,
     TensorElement,
     circle,
     circle_renorm,
@@ -13,11 +16,10 @@ from wickalg import (
     convolve,
     coproduct,
     counit,
-    counit_functional,
     modified_pairing,
     pairing,
-    scheme_eval,
     sweedler,
+    tbar_map,
     tensor_product,
     vee,
     z_pairing,
@@ -49,7 +51,7 @@ class TestScheme:
         z = rand_scheme(rng, 3)
         m1, m2 = mono(1, 2), mono(1, 2, 3)
         u = 2 * Element.from_monomial(m1) + 3 * Element.from_monomial(m2)
-        assert scheme_eval(z, u) == 2 * z(m1) + 3 * z(m2)
+        assert z.on_element(u) == 2 * z(m1) + 3 * z(m2)
 
     def test_unstored_default_zero(self):
         z = Scheme({mono(1, 2): Scalar(5)})
@@ -60,7 +62,7 @@ class TestScheme:
 class TestConvolution:
     def test_counit_is_unit(self, rng):
         z = rand_scheme(rng, 3)
-        eps = counit_functional()
+        eps = Scheme()
         conv = convolve(z, eps)
         for m in monomials_upto(3, 4):
             assert conv(m) == z(m)
@@ -352,3 +354,41 @@ class TestRenormalisedCircle:
                         ),
                     )
             assert lhs == rhs
+
+
+class TestMemoKeys:
+    """A scheme's pairing memos are keyed on the pairing matrix by value."""
+
+    def test_shared_scheme_matches_fresh_scheme_per_pairing(self, rng):
+        values = rand_scheme(rng, 3).values
+        L = rand_pairing(rng, 3, symmetric=True)
+        data = [(rand_element(rng, 3, 3), rand_element(rng, 3, 2)) for _ in range(4)]
+        shared = Scheme(values)
+        for M in (L, L.scaled(2)):
+            fresh = Scheme(values)
+            ctx_shared, ctx_fresh = TContext(M, shared), TContext(M, fresh)
+            for u, v in data:
+                assert circle_renorm(u, v, shared, M) == circle_renorm(u, v, fresh, M)
+                assert modified_pairing(u, v, shared, M) == modified_pairing(u, v, fresh, M)
+                assert tbar_map(u, ctx_shared) == tbar_map(u, ctx_fresh)
+
+    def test_equal_pairing_hits_the_memo(self, rng, monkeypatch):
+        # The memo calls the module-level modified_pairing when it runs, so a
+        # rebound name sees every computation.
+        calls = []
+        real = renorm_mod.modified_pairing
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(renorm_mod, "modified_pairing", counting)
+        z = rand_scheme(rng, 3)
+        L = rand_pairing(rng, 3, symmetric=True)
+        u, v = Element.from_monomial(mono(1, 2, 3)), vee(e(1), e(2))
+        first = circle_renorm(u, v, z, L)
+        computed = len(calls)
+        assert computed > 0
+        again = circle_renorm(u, v, z, PairingMatrix(L.rows, symmetric=True))
+        assert again == first
+        assert len(calls) == computed

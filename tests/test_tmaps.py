@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import permutations
 
 import pytest
@@ -84,6 +86,22 @@ class TestTContext:
         ctx = TContext(L)
         with pytest.raises(ValueError):
             tbar_map(e(1), ctx)
+
+    def test_freed_without_the_cycle_collector(self, rng):
+        # The context's memos hold it weakly, so reference counting frees it.
+        ctx = TContext(rand_pairing(rng, 3, symmetric=True), rand_scheme(rng, 3))
+        u = rand_element(rng, 3, 4)
+        gc.disable()
+        try:
+            t_map(u, ctx)
+            t_scalar(u, ctx)
+            tbar_map(u, ctx)
+            tbar_scalar(u, ctx)
+            ref = weakref.ref(ctx)
+            del ctx
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestTMap:
