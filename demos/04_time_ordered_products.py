@@ -1,7 +1,8 @@
 """Time ordering three ways, and its renormalised cousin.
 
-T sends a basis word to the circle product of its letters.  The same map is
-computed as a contraction sum, as an iterated circle product, and as the
+T sends a basis word to the circle product of its letters.  The library
+computes it by Wick's recursion T(m) = T(m - e_a) o e_a; the same map comes
+out as a contraction sum, as an iterated circle product, and as the
 exponential of the contraction Laplacian; the scalar part is a sum over
 perfect matchings (a hafnian)."""
 
@@ -23,6 +24,7 @@ from wickalg import (
     tbar_map,
     tbar_map_by_twist,
     tbar_scalar,
+    wick_expand,
 )
 
 m = Monomial.from_indices
@@ -34,7 +36,8 @@ zeta = Scheme({m((1, 2)): Scalar(Fraction(1, 7)), m((1, 1)): Scalar(Fraction(1, 
 ctx = TContext(L, zeta)
 
 word = Element.from_monomial(m((1, 1, 2, 2)))
-print("T(a v a v b v b), contraction sum :", t_map(word, ctx))
+print("T(a v a v b v b), Wick recursion  :", t_map(word, ctx))
+print("   same via contraction sum       :", wick_expand((1, 1, 2, 2), L))
 print("   same via circle fold           :", t_map_by_circle_fold(word, ctx))
 print("   same via exp(Sigma)            :", exp_sigma(word, ctx))
 

@@ -479,21 +479,26 @@ def law_convolution_group(env: CheckEnv):
     return None
 
 
+def _four_letters(d: int):
+    """Letters of the worked four-point instances, (1, 2, 3, 4) when d >= 4.
+    With fewer generators letters repeat; the formulas, sums over labelled
+    positions, hold verbatim."""
+    return tuple(1 + k % d for k in range(4))
+
+
 def law_inverse_four_point(env: CheckEnv):
-    if env.d < 4:
-        return None
     z = env.random_scheme()
 
     def zz(*idx):
         return z(Monomial.from_indices(idx))
 
-    m = Monomial.from_indices((1, 2, 3, 4))
-    got = z.inverse()(m)
+    i, j, k, l = _four_letters(env.d)
+    got = z.inverse()(Monomial.from_indices((i, j, k, l)))
     expected = (
-        -zz(1, 2, 3, 4)
-        + Scalar(2) * zz(1, 2) * zz(3, 4)
-        + Scalar(2) * zz(1, 3) * zz(2, 4)
-        + Scalar(2) * zz(1, 4) * zz(2, 3)
+        -zz(i, j, k, l)
+        + Scalar(2) * zz(i, j) * zz(k, l)
+        + Scalar(2) * zz(i, k) * zz(j, l)
+        + Scalar(2) * zz(i, l) * zz(j, k)
     )
     if got != expected:
         return f"got {got}, expected {expected}"
@@ -540,16 +545,15 @@ def law_z_coupling_identity(env: CheckEnv):
         if not _coupling_check(pf, env, u, v, w):
             return f"u={u}, v={v}, w={w}"
     # the worked 2+2 instance
-    if env.d >= 4:
-        a, b, c, d = (Element.generator(i) for i in range(1, 5))
-        lhs = z_pairing(vee(a, b), vee(c, d), z)
-        rhs = (
-            z_pairing(a, vee(b, vee(c, d)), z)
-            + z_pairing(a, c, z) * z_pairing(b, d, z)
-            + z_pairing(b, c, z) * z_pairing(a, d, z)
-        )
-        if lhs != rhs:
-            return f"worked instance: lhs={lhs}, rhs={rhs}"
+    a, b, c, d = (Element.generator(i) for i in _four_letters(env.d))
+    lhs = z_pairing(vee(a, b), vee(c, d), z)
+    rhs = (
+        z_pairing(a, vee(b, vee(c, d)), z)
+        + z_pairing(a, c, z) * z_pairing(b, d, z)
+        + z_pairing(b, c, z) * z_pairing(a, d, z)
+    )
+    if lhs != rhs:
+        return f"worked instance: lhs={lhs}, rhs={rhs}"
     return None
 
 
@@ -754,32 +758,30 @@ def _t_functional(ctx: TContext):
 
 
 def law_tbar_examples(env: CheckEnv):
-    if env.d < 4:
-        return None
     ctx = env.tcontext()
     z = ctx.scheme
     L = env.L
-    gens = [1, 2, 3, 4]
-    a, b, c, d = (Element.generator(i) for i in gens)
+    i, j, k, l = _four_letters(env.d)
+    a, b, c, d = (Element.generator(x) for x in (i, j, k, l))
 
     def zz(*idx):
         return z(Monomial.from_indices(idx))
 
-    def p(i, j):
-        return L.entry(i, j)
+    def p(x, y):
+        return L.entry(x, y)
 
     two = tbar_scalar(vee(a, b), ctx)
-    if two != p(1, 2) + zz(1, 2):
+    if two != p(i, j) + zz(i, j):
         return f"grading 2: got {two}"
     three = tbar_scalar(vee(vee(a, b), c), ctx)
-    if three != zz(1, 2, 3):
+    if three != zz(i, j, k):
         return f"grading 3: got {three}"
     four = tbar_scalar(vee(vee(a, b), vee(c, d)), ctx)
     expected = (
-        zz(1, 2, 3, 4)
-        + zz(1, 2) * p(3, 4) + zz(1, 3) * p(2, 4) + zz(1, 4) * p(2, 3)
-        + zz(2, 3) * p(1, 4) + zz(2, 4) * p(1, 3) + zz(3, 4) * p(1, 2)
-        + p(1, 2) * p(3, 4) + p(1, 3) * p(2, 4) + p(1, 4) * p(2, 3)
+        zz(i, j, k, l)
+        + zz(i, j) * p(k, l) + zz(i, k) * p(j, l) + zz(i, l) * p(j, k)
+        + zz(j, k) * p(i, l) + zz(j, l) * p(i, k) + zz(k, l) * p(i, j)
+        + p(i, j) * p(k, l) + p(i, k) * p(j, l) + p(i, l) * p(j, k)
     )
     if four != expected:
         return f"grading 4: got {four}, expected {expected}"

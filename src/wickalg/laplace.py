@@ -4,9 +4,10 @@ A bilinear form on the generators extends uniquely to the whole symmetric
 algebra: it vanishes across gradings and is a permanent within a grading.
 The circle product deforms the symmetric product by this pairing; with a
 symmetric form it is the time-ordered product, with an antisymmetric one the
-operator product.  Two independent code paths compute it (coproduct formula
-here, contraction enumeration in :func:`wick_expand`) so each validates the
-other.
+operator product.  The coproduct formula (:func:`circle`) multiplies any two
+elements and Wick's recursion (:func:`wick_step`) multiplies by one
+generator; the contraction enumeration :func:`wick_expand` is kept as an
+independent oracle for both.
 """
 
 from __future__ import annotations
@@ -206,51 +207,38 @@ def wick_step(u: Element, generator: int, L: PairingMatrix) -> Element:
     return _wrap(out)
 
 
-def _contraction_terms(indices, L: PairingMatrix, max_pairs):
-    """Yield (npairs, coeff, untouched) over all sets of disjoint pair choices.
+def _contraction_terms(indices, L: PairingMatrix):
+    """Yield (coeff, untouched) over all sets of disjoint pair choices.
 
     The leftmost position is either left alone or contracted against one later
     position; pair factors are taken in position order (i<j), so the expansion
     is well defined for asymmetric pairings too.
     """
     if not indices:
-        yield 0, ONE, ()
+        yield ONE, ()
         return
     first, rest = indices[0], indices[1:]
-    for k, coeff, left in _contraction_terms(rest, L, max_pairs):
-        yield k, coeff, (first,) + left
-    if max_pairs == 0:
-        return
-    budget = None if max_pairs is None else max_pairs - 1
+    for coeff, left in _contraction_terms(rest, L):
+        yield coeff, (first,) + left
     for pos, other in enumerate(rest):
         f = L.entry(first, other)
         if not f:
             continue
-        for k, coeff, left in _contraction_terms(rest[:pos] + rest[pos + 1:], L, budget):
-            yield k + 1, f * coeff, left
-
-
-def contraction_buckets(indices, L: PairingMatrix, max_pairs=None):
-    """Partial-contraction expansion of an ordered generator list, by pair count.
-
-    Returns ``{k: Element}`` where bucket k collects all ways of choosing k
-    disjoint position pairs, each contributing prod (a_i|a_j) times the
-    symmetric product of the untouched generators.  ``max_pairs`` truncates
-    the contraction count (used by the contraction-graded S-matrix identities).
-    """
-    buckets: dict[int, dict[Monomial, Scalar]] = {}
-    for k, coeff, left in _contraction_terms(tuple(indices), L, max_pairs):
-        _accumulate(buckets.setdefault(k, {}), Monomial.from_indices(left), coeff)
-    return {k: _wrap(table) for k, table in buckets.items()}
+        for coeff, left in _contraction_terms(rest[:pos] + rest[pos + 1:], L):
+            yield f * coeff, left
 
 
 def wick_expand(generators, L: PairingMatrix) -> Element:
-    """The n-fold circle product as a sum over sets of disjoint contractions."""
-    buckets = contraction_buckets(tuple(generators), L)
+    """Oracle: the n-fold circle product as a sum over sets of disjoint contractions.
+
+    Each set of k disjoint position pairs contributes prod (a_i|a_j) times the
+    symmetric product of the untouched generators.  The enumeration visits
+    every partial matching of the positions, so it is exponential in the
+    length; :func:`wick_step` builds the same product one letter at a time.
+    """
     out: dict[Monomial, Scalar] = {}
-    for table in buckets.values():
-        for mono, coeff in table.items():
-            _accumulate(out, mono, coeff)
+    for coeff, left in _contraction_terms(tuple(generators), L):
+        _accumulate(out, Monomial.from_indices(left), coeff)
     return _wrap(out)
 
 

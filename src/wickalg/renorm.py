@@ -8,9 +8,11 @@ symmetric product with one free parameter per monomial of grading >= 2.
 
 Each pair of a Laplace pairing and a scheme gives one deformed product, so
 the functional owns the memos of the pairings built from it: its values per
-monomial, its convolution inverse, the coupling pairing per monomial pair
-and the modified pairing per (monomial, monomial, pairing matrix).  They
-live as long as the functional; the matrix enters the key by value.
+monomial, the values of its convolution inverse per monomial, the coupling
+pairing per monomial pair and the modified pairing per (monomial, monomial,
+pairing matrix).  They live as long as the functional; the matrix enters the
+key by value.  An inverse returned by :meth:`LinearFunctional.inverse` holds
+the functional and reads its memo, so there is no reference cycle.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class LinearFunctional:
 
     def __init__(self):
         self._memo = Memo(self._value)
-        self._inverse = Memo(self._invert)
+        self._inverse_values = Memo(self._inverse_value)
         self._coupling = Memo(self._coupling_value)
         self._modified = Memo(self._modified_value)
 
@@ -52,12 +54,26 @@ class LinearFunctional:
                 total = total + c * v
         return total
 
-    def inverse(self) -> "LinearFunctional":
-        """Convolution inverse, built once per functional."""
-        return self._inverse[None]
-
-    def _invert(self, _key) -> "LinearFunctional":
+    def inverse(self) -> "Functional":
+        """Convolution inverse; its values are memoised in this functional."""
         return convolution_inverse(self)
+
+    def _inverse_value(self, m: Monomial) -> Scalar:
+        """inv(1)=1 and inv(u) = -z(u) - sum' z(u_(1)) inv(u_(2)), where the
+        primed sum drops the two trivial splits."""
+        if m.grading == 0:
+            return ONE
+        total = -self(m)
+        for left, right, weight in monomial_splits(m):
+            if left.grading == 0 or right.grading == 0:
+                continue
+            a = self(left)
+            if not a:
+                continue
+            b = self._inverse_values[right]
+            if b:
+                total = total - weight * (a * b)
+        return total
 
     def _coupling_value(self, key) -> Scalar:
         m1, m2 = key
@@ -122,41 +138,22 @@ def convolve(z1: LinearFunctional, z2: LinearFunctional) -> Functional:
 
 
 def convolution_inverse(z: LinearFunctional) -> Functional:
-    """The group inverse, by the reduced-coproduct recursion.
-
-    inv(1)=1 and inv(u) = -z(u) - sum' z(u_(1)) inv(u_(2)) where the primed
-    sum drops the two trivial splits.  Memoization lives in the returned
-    functional, so repeated coupling-pairing calls share subresults.
-    """
-
-    def rule(m: Monomial) -> Scalar:
-        total = -z(m)
-        for left, right, weight in monomial_splits(m):
-            if left.grading == 0 or right.grading == 0:
-                continue
-            a = z(left)
-            if not a:
-                continue
-            b = inv(right)
-            if b:
-                total = total - weight * (a * b)
-        return total
-
-    inv = Functional(rule)
-    return inv
+    """The group inverse, by the reduced-coproduct recursion.  It holds ``z``
+    and reads the values from ``z``'s memo (``LinearFunctional._inverse_value``)."""
+    return Functional(lambda m: z._inverse_values[m])
 
 
 def z_pairing(u: Element, v: Element, z: LinearFunctional) -> Scalar:
     """The coupling pairing built from a scheme and its inverse; symmetric."""
     total = ZERO
     v_splits = list(sweedler(v))
-    zinv = z.inverse()
+    zinv = z._inverse_values
     for u1, u2, cu in sweedler(u):
-        a = zinv(u1)
+        a = zinv[u1]
         if not a:
             continue
         for v1, v2, cv in v_splits:
-            b = zinv(v1)
+            b = zinv[v1]
             if not b:
                 continue
             c = z(u2.vee(v2))

@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import Element, Monomial
-from .laplace import circle, contraction_buckets
+from .algebra import Element, Monomial, _accumulate, _wrap
+from .laplace import circle
 from .scalars import ONE, ZERO, Scalar
 from .tmaps import TContext, t_map, tbar_map
 
@@ -270,24 +270,22 @@ def gaussian_closed_form_check(ctx: TContext, order: int, max_grading: int):
     L = ctx.pairing
     d = L.dim
 
-    # Left side: sum_n (1/n!) sum_k lambda^k [k-contraction part of u^{v n}].
-    u = Element.zero()
-    for i in range(1, d + 1):
-        u = u + Element.from_monomial(Monomial(((i, 2),)))
-    lhs_coeffs = [Element.zero() for _ in range(order + 1)]
+    # Left side: sum_n (1/n!) sum_k lambda^k [k-contraction part of T(u^{v n})].
+    # u is homogeneous of grading 2 and each contraction lowers the grading
+    # by 2, so the k-contraction part of T(u^{v n}) is its grading 2n-2k part.
+    u = Element({Monomial(((i, 2),)): ONE for i in range(1, d + 1)})
+    lhs_terms: list[dict[Monomial, Scalar]] = [{} for _ in range(order + 1)]
     n_max = (max_grading + 2 * order) // 2
     power = Element.one()
     for n in range(0, n_max + 1):
         if n:
             power = power.vee(u)
         inv_fact = Scalar(Fraction(1, factorial(n)))
-        for mono, coeff in power.items():
-            buckets = contraction_buckets(mono.indices(), L, max_pairs=order)
-            for k, part in buckets.items():
-                kept = part.grade_truncate(max_grading)
-                if kept:
-                    lhs_coeffs[k] = lhs_coeffs[k] + (coeff * inv_fact) * kept
-    lhs = FormalSeries(lhs_coeffs, order)
+        for mono, coeff in t_map(power, ctx).items():
+            k = n - mono.grading // 2
+            if k <= order and mono.grading <= max_grading:
+                _accumulate(lhs_terms[k], mono, coeff * inv_fact)
+    lhs = FormalSeries([_wrap(terms) for terms in lhs_terms], order)
 
     # Right side: det(1 - 2 lambda M)^(-1/2) * exp_v(sum (2 lambda)^k M^k quadratic).
     entries = [

@@ -4,9 +4,12 @@ renormalised versions.
 T sends a basis word to the circle product of its letters, so it is only well
 defined when the circle product is commutative, i.e. when the pairing is
 symmetric; asymmetric pairings are a hard error here, never a silent choice
-of factor order.  Three independently coded routes compute T (contraction
-sum, circle fold, exp of the contraction Laplacian) so drift in any one of
-them is caught by the others.
+of factor order.  T and Tbar are computed by one memoised recursion, Wick's
+T(m) = T(m - e_a) o e_a for the largest letter a of m, with the renormalised
+circle product in place of the circle product for Tbar.  The circle fold,
+the exponential of the contraction Laplacian (:func:`exp_sigma`) and the
+contraction sum (:func:`laplace.wick_expand`) are independent oracles for T,
+and the convolution twist (:func:`tbar_map_by_twist`) is one for Tbar.
 """
 
 from __future__ import annotations
@@ -15,12 +18,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import Element, Memo, Monomial, derivation, sweedler
-from .laplace import (
-    PairingMatrix,
-    circle,
-    circle_fold,
-    wick_expand,
-)
+from .laplace import PairingMatrix, circle, circle_fold, wick_step
 from .renorm import LinearFunctional, circle_renorm
 from .scalars import ONE, ZERO, Scalar
 
@@ -30,9 +28,10 @@ class TContext:
 
     Time-ordered maps need the circle product to be commutative, which holds
     exactly when the pairing matrix is symmetric.  The context owns four
-    memos keyed by monomial: T, Tbar, and their scalar parts.  They live as
-    long as the context, so build one context per pairing and scheme and
-    pass it around.
+    memos keyed by monomial: T, Tbar, and their scalar parts; T and Tbar hold
+    every prefix (largest letter removed) of the monomials asked for.  They
+    live as long as the context, so build one context per pairing and scheme
+    and pass it around.
     """
 
     def __init__(self, pairing: PairingMatrix, scheme: LinearFunctional | None = None):
@@ -50,13 +49,20 @@ class TContext:
         return self.scheme
 
     def _t_monomial(self, m: Monomial) -> Element:
-        return wick_expand(m.indices(), self.pairing)
+        return self._wick(self._t, m, wick_step)
 
     def _tbar_monomial(self, m: Monomial) -> Element:
-        t = Element.one()
-        for i in m.indices():
-            t = circle_renorm(t, Element.generator(i), self.scheme, self.pairing)
-        return t
+        z = self.scheme
+        return self._wick(
+            self._tbar, m, lambda u, a, L: circle_renorm(u, Element.generator(a), z, L)
+        )
+
+    def _wick(self, memo: Memo, m: Monomial, step) -> Element:
+        """Wick's recursion: X(m) = step(X(m - e_a), a, L), a the largest letter."""
+        if m.grading == 0:
+            return Element.one()
+        a = m.counts[-1][0]
+        return step(memo[m.remove_one(a)], a, self.pairing)
 
     def _t_scalar_monomial(self, m: Monomial) -> Scalar:
         if m.grading % 2:
@@ -104,7 +110,9 @@ def require_symmetric(L: PairingMatrix) -> None:
 def t_map(u: Element, ctx: TContext) -> Element:
     """T(u): each monomial becomes the circle product of its generators.
 
-    Default route: sum over sets of disjoint pairwise contractions.
+    Production route: Wick's recursion T(m) = T(m - e_a) o e_a, memoised per
+    monomial in the context.  :func:`t_map_by_circle_fold`,
+    :func:`exp_sigma` and :func:`laplace.wick_expand` are its oracles.
     """
     out = Element.zero()
     for mono, coeff in u.items():
@@ -113,7 +121,7 @@ def t_map(u: Element, ctx: TContext) -> Element:
 
 
 def t_map_by_circle_fold(u: Element, ctx: TContext) -> Element:
-    """Second route for T: left fold of the circle product."""
+    """Oracle for T: left fold of the circle product."""
     out = Element.zero()
     for mono, coeff in u.items():
         gens = [Element.generator(i) for i in mono.indices()]
@@ -140,7 +148,7 @@ def sigma_apply(u: Element, ctx: TContext) -> Element:
 
 
 def exp_sigma(u: Element, ctx: TContext) -> Element:
-    """Third route for T: the exponential series of Sigma.
+    """Oracle for T: the exponential series of Sigma.
 
     Sigma lowers grading by two, so the series terminates after at most
     floor(n/2)+1 terms on grading n.
@@ -218,7 +226,11 @@ def t_permutation_form(generators, ctx: TContext) -> Scalar:
 
 def tbar_map(u: Element, ctx: TContext) -> Element:
     """Renormalised T: multiplicative from the symmetric product to the
-    renormalised circle product."""
+    renormalised circle product.
+
+    Same recursion as :func:`t_map`, Tbar(m) = Tbar(m - e_a) ro e_a, memoised
+    per monomial in the context; :func:`tbar_map_by_twist` is its oracle.
+    """
     ctx.require_scheme()
     out = Element.zero()
     for mono, coeff in u.items():
@@ -227,7 +239,7 @@ def tbar_map(u: Element, ctx: TContext) -> Element:
 
 
 def tbar_map_by_twist(u: Element, ctx: TContext) -> Element:
-    """Second route for the renormalised T: convolution twist of the bare T.
+    """Oracle for the renormalised T: convolution twist of the bare T.
 
     Tbar(u) = sum zeta(u_(1)) T(u_(2)).
     """

@@ -1,12 +1,23 @@
 import json
 import os
+import random
 
 import pytest
 
 import wickalg.laplace as laplace_mod
-from wickalg.checks import CheckEnv, law_circle_associative
+import wickalg.renorm as renorm_mod
+from conftest import rand_scheme
+from wickalg.checks import (
+    CheckEnv,
+    law_circle_associative,
+    law_inverse_four_point,
+    law_tbar_examples,
+    law_z_coupling_identity,
+    rand_pairing,
+)
 from wickalg.cli import main
-from wickalg.config import ConfigError, load_config, parse_config
+from wickalg.config import Config, ConfigError, load_config, parse_config
+from wickalg.renorm import Functional
 from wickalg.scalars import Scalar
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -222,6 +233,29 @@ class TestCheckCommand:
         monkeypatch.setattr(laplace_mod, "permanent", corrupted)
         env = CheckEnv(cfg, 3, 20, 0)
         assert law_circle_associative(env) is not None
+
+    def test_corrupted_inverse_is_caught_with_two_generators(self, capsys, monkeypatch):
+        # asymmetric.json has d = 2, so the four-point formula runs on e1 v e2 v e1 v e2.
+        real = renorm_mod.convolution_inverse
+
+        def corrupted(z):
+            inv = real(z)
+            return Functional(lambda m: inv(m) + (Scalar(1) if m.grading == 4 else Scalar(0)))
+
+        monkeypatch.setattr(renorm_mod, "convolution_inverse", corrupted)
+        code, out, _ = run_cli(
+            capsys, "check", "--config", ASYMMETRIC, "--trials", "8", "--max-grade", "3"
+        )
+        assert code == 1
+        assert "FAIL  convolution inverse four-point formula" in out
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_four_point_laws_hold_with_repeated_letters(self, d):
+        rng = random.Random(d)
+        cfg = Config(d, rand_pairing(rng, d, True), rand_scheme(rng, d), None, 0, 3, 8)
+        env = CheckEnv(cfg, 3, 8, 0)
+        for law in (law_inverse_four_point, law_z_coupling_identity, law_tbar_examples):
+            assert law(env) is None, law.__name__
 
 
 class TestGreenCommand:

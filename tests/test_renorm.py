@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 import wickalg.renorm as renorm_mod
@@ -392,3 +395,39 @@ class TestMemoKeys:
         again = circle_renorm(u, v, z, PairingMatrix(L.rows, symmetric=True))
         assert again == first
         assert len(calls) == computed
+
+
+class TestLifetime:
+    """A scheme and its inverse form no reference cycle."""
+
+    def test_scheme_freed_without_the_cycle_collector(self, rng):
+        L = rand_pairing(rng, 3, symmetric=True)
+        u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
+        gc.disable()
+        try:
+            z = rand_scheme(rng, 3)
+            z_pairing(u, v, z)
+            circle_renorm(u, v, z, L)
+            tbar_map(u, TContext(L, z))
+            ref = weakref.ref(z)
+            del z
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_held_inverse_outlives_its_scheme(self, rng):
+        values = rand_scheme(rng, 3).values
+        expected = convolution_inverse(Scheme(values))
+        gc.disable()
+        try:
+            z = Scheme(values)
+            z_pairing(e(1) + vee(e(2), e(3)), vee(e(1), e(3)), z)
+            inv = z.inverse()
+            ref = weakref.ref(z)
+            del z
+            for m in monomials_upto(3, 5):
+                assert inv(m) == expected(m), m
+            del inv
+            assert ref() is None
+        finally:
+            gc.enable()

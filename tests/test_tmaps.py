@@ -154,6 +154,31 @@ class TestTMap:
             assert lhs == rhs2
 
 
+class TestWickRecursionOracles:
+    """The production T and Tbar (Wick's recursion) against their oracles."""
+
+    def test_t_matches_wick_expand_and_exp_sigma(self, rng):
+        ctx = TContext(rand_pairing(rng, 3, symmetric=True))
+        monomials = monomials_upto(3, 6) + [mono(1, 1, 1, 1, 2, 2, 2, 2)]
+        for m in monomials:
+            u = Element.from_monomial(m)
+            got = t_map(u, ctx)
+            assert got == wick_expand(m.indices(), ctx.pairing), m
+            assert got == exp_sigma(u, ctx), m
+
+    def test_memo_holds_one_entry_per_prefix(self, rng):
+        ctx = TContext(rand_pairing(rng, 2, symmetric=True))
+        u = Element.from_monomial(mono(*(1,) * 6 + (2,) * 6))
+        assert t_map(u, ctx) == exp_sigma(u, ctx)
+        assert len(ctx._t) == 13
+
+    def test_tbar_matches_twist_to_grading_five(self, rng):
+        ctx = TContext(rand_pairing(rng, 3, symmetric=True), rand_scheme(rng, 3, max_grade=5))
+        for m in monomials_upto(3, 5):
+            u = Element.from_monomial(m)
+            assert tbar_map(u, ctx) == tbar_map_by_twist(u, ctx), m
+
+
 class TestSigma:
     def test_kills_low_grading(self, ctx):
         assert sigma_apply(Element.one(), ctx) == Element.zero()
