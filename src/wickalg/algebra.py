@@ -140,23 +140,25 @@ class Memo(dict):
     The package's one caching mechanism.  Its owner creates it (in
     ``__init__``, or at module level) and it lives as long as the owner.  A
     bound-method ``compute`` holds its owner weakly, so dropping the owner
-    frees its memos by reference counting alone.
+    frees its memos by reference counting alone.  ``Memo(compute, *args)``
+    computes ``compute(*args, key)`` and holds ``args`` strongly.
     """
 
-    __slots__ = ("_function", "_owner")
+    __slots__ = ("_function", "_owner", "_args")
 
-    def __init__(self, compute):
+    def __init__(self, compute, *args):
         super().__init__()
         if isinstance(compute, MethodType):
             self._function, self._owner = compute.__func__, ref(compute.__self__)
         else:
             self._function, self._owner = compute, None
+        self._args = args
 
     def __missing__(self, key):
         if self._owner is None:
-            value = self[key] = self._function(key)
+            value = self[key] = self._function(*self._args, key)
         else:
-            value = self[key] = self._function(self._owner(), key)
+            value = self[key] = self._function(self._owner(), *self._args, key)
         return value
 
 

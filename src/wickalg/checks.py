@@ -416,21 +416,7 @@ def law_wick(env: CheckEnv):
 def law_laplace_coupling(env: CheckEnv):
     for _ in range(env.trials):
         u, v, w = (env.random_element(max_grade=2) for _ in range(3))
-        lhs = ZERO
-        for u1, u2, cu in sweedler(u):
-            for v1, v2, cv in sweedler(v):
-                lhs = lhs + cu * cv * (
-                    pairing(Element.from_monomial(u1.vee(v1)), w, env.L)
-                    * laplace.pairing_monomials(u2, v2, env.L)
-                )
-        rhs = ZERO
-        for v1, v2, cv in sweedler(v):
-            for w1, w2, cw in sweedler(w):
-                rhs = rhs + cv * cw * (
-                    pairing(u, Element.from_monomial(v1.vee(w1)), env.L)
-                    * laplace.pairing_monomials(v2, w2, env.L)
-                )
-        if lhs != rhs:
+        if not _coupling_check(lambda a, b: pairing(a, b, env.L), env, u, v, w):
             return f"u={u}, v={v}, w={w}"
     return None
 

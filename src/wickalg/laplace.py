@@ -2,12 +2,13 @@
 
 A bilinear form on the generators extends uniquely to the whole symmetric
 algebra: it vanishes across gradings and is a permanent within a grading.
-The circle product deforms the symmetric product by this pairing; with a
-symmetric form it is the time-ordered product, with an antisymmetric one the
-operator product.  The coproduct formula (:func:`circle`) multiplies any two
-elements and Wick's recursion (:func:`wick_step`) multiplies by one
-generator; the contraction enumeration :func:`wick_expand` is kept as an
-independent oracle for both.
+The circle product u o v = sum u_(1) v v_(1) (u_(2)|v_(2)) deforms the
+symmetric product by a pairing; with a symmetric form it is the time-ordered
+product, with an antisymmetric one the operator product.  One Sweedler loop
+serves this Laplace pairing and a scheme's modified pairing
+(``renorm.circle_renorm``).  Wick's recursion (:func:`wick_step`) multiplies
+by one generator; the contraction enumeration :func:`wick_expand` is kept as
+an independent oracle for both.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from itertools import permutations
 
 from .algebra import (
     Element,
+    Memo,
     Monomial,
     _accumulate,
     _wrap,
@@ -33,6 +35,7 @@ class PairingMatrix:
     validated at construction.  The matrix is an immutable value: rows are
     tuples, and equal entries and ``symmetric`` flag mean equal matrices
     with equal hashes, so a memo keyed on a matrix is keyed on its value.
+    The matrix owns its Laplace pairing as a memo keyed ``(m1, m2)``.
     """
 
     def __init__(self, entries, symmetric: bool = False):
@@ -53,6 +56,11 @@ class PairingMatrix:
         self.dim = d
         self.symmetric = symmetric
         self._hash = hash((rows, symmetric))
+        self._laplace = Memo(self._laplace_value)
+
+    def _laplace_value(self, key) -> Scalar:
+        m1, m2 = key
+        return pairing_monomials(m1, m2, self)
 
     @classmethod
     def from_strings(cls, rows, symmetric: bool = False) -> "PairingMatrix":
@@ -161,25 +169,31 @@ def pairing(u: Element, v: Element, L: PairingMatrix) -> Scalar:
         for m2, c2 in v.items():
             if m1.grading != m2.grading:
                 continue
-            p = pairing_monomials(m1, m2, L)
+            p = L._laplace[m1, m2]
             if p:
                 total = total + c1 * c2 * p
     return total
 
 
-def circle(u: Element, v: Element, L: PairingMatrix) -> Element:
-    """The circle product: sum of u_(1) v v_(1) weighted by (u_(2)|v_(2))."""
+def _sweedler_product(u: Element, v: Element, pair: Memo, graded: bool) -> Element:
+    """sum u_(1) v v_(1) (u_(2)|v_(2)) for a pairing memo keyed (m1, m2); a
+    ``graded`` pairing vanishes across gradings, so those keys are skipped."""
     out: dict[Monomial, Scalar] = {}
     v_splits = list(sweedler(v))
     for u1, u2, cu in sweedler(u):
         for v1, v2, cv in v_splits:
-            if u2.grading != v2.grading:
+            if graded and u2.grading != v2.grading:
                 continue
-            p = pairing_monomials(u2, v2, L)
+            p = pair[u2, v2]
             if not p:
                 continue
             _accumulate(out, u1.vee(v1), cu * cv * p)
     return _wrap(out)
+
+
+def circle(u: Element, v: Element, L: PairingMatrix) -> Element:
+    """The circle product: sum of u_(1) v v_(1) weighted by (u_(2)|v_(2))."""
+    return _sweedler_product(u, v, L._laplace, True)
 
 
 def circle_fold(factors, L: PairingMatrix) -> Element:
@@ -249,7 +263,9 @@ def recover_vee(u: Element, v: Element, L: PairingMatrix) -> Element:
     for u1, u2, cu in sweedler(u):
         sign = antipode_sign(u1)
         for v1, v2, cv in v_splits:
-            p = pairing_monomials(u1, v1, L)
+            if u1.grading != v1.grading:
+                continue
+            p = L._laplace[u1, v1]
             if not p:
                 continue
             coeff = cu * cv * p * sign

@@ -3,22 +3,24 @@
 A scheme is a unital linear functional vanishing on the generators; schemes
 form a commutative group under convolution through the coproduct.  Out of a
 scheme we build the symmetric coupling pairing, the modified Laplace pairing,
-and the renormalised circle product -- an associative deformation of the
-symmetric product with one free parameter per monomial of grading >= 2.
+and the renormalised circle product -- the circle product's Sweedler loop
+over the modified pairing, an associative deformation of the symmetric
+product with one free parameter per monomial of grading >= 2.
 
 Each pair of a Laplace pairing and a scheme gives one deformed product, so
 the functional owns the memos of the pairings built from it: its values per
 monomial, the values of its convolution inverse per monomial, the coupling
-pairing per monomial pair and the modified pairing per (monomial, monomial,
-pairing matrix).  They live as long as the functional; the matrix enters the
-key by value.  An inverse returned by :meth:`LinearFunctional.inverse` holds
-the functional and reads its memo, so there is no reference cycle.
+pairing per monomial pair, and per pairing matrix (keyed by value) a memo
+of the modified pairing per monomial pair.  They live as long as the
+functional and hold it weakly.  An inverse returned by
+:meth:`LinearFunctional.inverse` holds the functional and reads its memo, so
+there is no reference cycle.
 """
 
 from __future__ import annotations
 
-from .algebra import Element, Memo, Monomial, _accumulate, _wrap, monomial_splits, sweedler
-from .laplace import PairingMatrix, pairing_monomials
+from .algebra import Element, Memo, Monomial, monomial_splits, sweedler
+from .laplace import PairingMatrix, _sweedler_product
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -34,7 +36,7 @@ class LinearFunctional:
         self._memo = Memo(self._value)
         self._inverse_values = Memo(self._inverse_value)
         self._coupling = Memo(self._coupling_value)
-        self._modified = Memo(self._modified_value)
+        self._modified = Memo(self._modified_memo)
 
     def _value(self, m: Monomial) -> Scalar:
         raise NotImplementedError
@@ -79,8 +81,11 @@ class LinearFunctional:
         m1, m2 = key
         return z_pairing(Element.from_monomial(m1), Element.from_monomial(m2), self)
 
-    def _modified_value(self, key) -> Scalar:
-        m1, m2, L = key
+    def _modified_memo(self, L: PairingMatrix) -> Memo:
+        return Memo(self._modified_value, L)
+
+    def _modified_value(self, L: PairingMatrix, key) -> Scalar:
+        m1, m2 = key
         return modified_pairing(Element.from_monomial(m1), Element.from_monomial(m2), self, L)
 
 
@@ -172,7 +177,7 @@ def modified_pairing(
         for v1, v2, cv in v_splits:
             if u2.grading != v2.grading:
                 continue
-            p = pairing_monomials(u2, v2, L)
+            p = L._laplace[u2, v2]
             if not p:
                 continue
             zz = z._coupling[u1, v1]
@@ -185,12 +190,4 @@ def circle_renorm(
     u: Element, v: Element, z: LinearFunctional, L: PairingMatrix
 ) -> Element:
     """The renormalised circle product: modified pairing in place of the bare one."""
-    out: dict[Monomial, Scalar] = {}
-    v_splits = list(sweedler(v))
-    for u1, u2, cu in sweedler(u):
-        for v1, v2, cv in v_splits:
-            p = z._modified[u2, v2, L]
-            if not p:
-                continue
-            _accumulate(out, u1.vee(v1), cu * cv * p)
-    return _wrap(out)
+    return _sweedler_product(u, v, z._modified[L], False)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import Element, Monomial, _accumulate, _wrap
-from .laplace import circle
+from .laplace import circle, pairing
 from .scalars import ONE, ZERO, Scalar
 from .tmaps import TContext, t_map, tbar_map
 
@@ -228,18 +228,17 @@ def green(
     """Two-point Green function as a scalar series: contracted time-ordered
     exponential normalized by the vacuum amplitude.
 
-    The external legs are attached with the bare circle product in both the
-    bare and the renormalised variant; renormalisation enters through the
-    time-ordering of the exponential.
+    The external legs x = e_i o e_j are attached with the bare circle product
+    in both the bare and the renormalised variant; renormalisation enters
+    through the time-ordering of the exponential.  The numerator, the scalar
+    part of x o c, is the pairing (x|c).
     """
     ts = smatrix(u, ctx, order, renormalised)
-    ei = Element.generator(i)
-    ej = Element.generator(j)
+    legs = circle(Element.generator(i), Element.generator(j), ctx.pairing)
     num = []
     den = []
     for c in ts.coeffs:
-        contracted = circle(circle(ei, ej, ctx.pairing), c, ctx.pairing)
-        num.append(Element.from_scalar(contracted.scalar_part()))
+        num.append(Element.from_scalar(pairing(legs, c, ctx.pairing)))
         den.append(Element.from_scalar(c.scalar_part()))
     return FormalSeries(num, order).divide(FormalSeries(den, order))
 

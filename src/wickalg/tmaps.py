@@ -10,6 +10,8 @@ circle product in place of the circle product for Tbar.  The circle fold,
 the exponential of the contraction Laplacian (:func:`exp_sigma`) and the
 contraction sum (:func:`laplace.wick_expand`) are independent oracles for T,
 and the convolution twist (:func:`tbar_map_by_twist`) is one for Tbar.
+The scalar parts t and tbar are one splitting recursion over the Laplace
+and the modified pairing; :func:`t_closed_form` is an oracle for t.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import Element, Memo, Monomial, derivation, sweedler
+from .algebra import Element, Memo, Monomial, derivation, monomial_splits, sweedler
 from .laplace import PairingMatrix, circle, circle_fold, wick_step
 from .renorm import LinearFunctional, circle_renorm
 from .scalars import ONE, ZERO, Scalar
@@ -65,33 +67,25 @@ class TContext:
         return step(memo[m.remove_one(a)], a, self.pairing)
 
     def _t_scalar_monomial(self, m: Monomial) -> Scalar:
-        if m.grading % 2:
-            return ZERO
+        return self._split(self._t_scalar, self.pairing._laplace, True, m)
+
+    def _tbar_scalar_monomial(self, m: Monomial) -> Scalar:
+        return self._split(self._tbar_scalar, self.scheme._modified[self.pairing], False, m)
+
+    def _split(self, memo: Memo, pair: Memo, graded: bool, m: Monomial) -> Scalar:
+        """x(e_a v rest) = sum over rest = r1 v r2 of w (e_a|r2) x(r1), a the
+        smallest letter of m; a ``graded`` pairing needs r2 of grading 1."""
         if m.grading == 0:
             return ONE
         a = m.counts[0][0]
-        rest = m.remove_one(a)
+        head = Monomial.generator(a)
         total = ZERO
-        for idx, mult in rest.counts:
-            f = self.pairing.entry(a, idx)
-            if not f:
+        for r1, r2, weight in monomial_splits(m.remove_one(a)):
+            if graded and r2.grading != 1:
                 continue
-            total = total + mult * f * self._t_scalar[rest.remove_one(idx)]
-        return total
-
-    def _tbar_scalar_monomial(self, m: Monomial) -> Scalar:
-        if m.grading == 0:
-            return ONE
-        if m.grading == 1:
-            return ZERO
-        a = Monomial.generator(m.counts[0][0])
-        rest = m.remove_one(m.counts[0][0])
-        total = ZERO
-        for rest1, rest2, weight in rest.splits():
-            f = self.scheme._modified[a, rest2, self.pairing]
-            if not f:
-                continue
-            total = total + weight * f * self._tbar_scalar[rest1]
+            f = pair[head, r2]
+            if f:
+                total = total + weight * f * memo[r1]
         return total
 
     def __repr__(self):
@@ -167,7 +161,7 @@ def t_scalar(u: Element, ctx: TContext) -> Scalar:
     """The scalar part of time ordering, by the splitting recursion.
 
     t(1)=1, t(a)=0 and t(a v rest) contracts a against one factor of rest.
-    Vanishes in odd gradings.
+    Vanishes in odd gradings.  :func:`t_closed_form` is its oracle.
     """
     total = ZERO
     for mono, coeff in u.items():

@@ -161,6 +161,20 @@ class TestCheckCommand:
         assert "skip  T-map routes agree" in out
         assert "ok    circle commutativity criterion" in out
 
+    @pytest.mark.parametrize("path,summary,skips", [
+        (DEFAULT, "44/44 laws passed", 0),
+        (ASYMMETRIC, "30/30 laws passed", 14),
+    ])
+    def test_check_summary_counts(self, capsys, path, summary, skips):
+        # A law that silently became a skip would change these counts.
+        code, out, _ = run_cli(
+            capsys, "check", "--config", path, "--trials", "8", "--max-grade", "3"
+        )
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[-1] == summary
+        assert sum(line.startswith("skip") for line in lines) == skips
+
     @pytest.mark.parametrize(
         "section,value",
         [

@@ -396,9 +396,37 @@ class TestMemoKeys:
         assert again == first
         assert len(calls) == computed
 
+    def test_one_modified_memo_per_matrix_value(self, rng):
+        z = rand_scheme(rng, 3)
+        L = rand_pairing(rng, 3, symmetric=True)
+        u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
+        for M in (L, PairingMatrix(L.rows, symmetric=True), L.scaled(2)):
+            circle_renorm(u, v, z, M)
+            modified_pairing(u, v, z, M)
+            tbar_map(u, TContext(M, z))
+        assert len(z._modified) == 2
+
 
 class TestLifetime:
     """A scheme and its inverse form no reference cycle."""
+
+    def test_matrix_and_scheme_freed_without_the_cycle_collector(self, rng):
+        # The matrix's Laplace memo and the scheme's modified-pairing memos
+        # hold their owners weakly, so reference counting frees both.
+        u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
+        L = rand_pairing(rng, 3, symmetric=True)
+        z = rand_scheme(rng, 3)
+        gc.disable()
+        try:
+            circle(u, v, L)
+            pairing(u, v, L)
+            circle_renorm(u, v, z, L)
+            tbar_map(u, TContext(L, z))
+            refs = weakref.ref(L), weakref.ref(z)
+            del L, z
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_scheme_freed_without_the_cycle_collector(self, rng):
         L = rand_pairing(rng, 3, symmetric=True)

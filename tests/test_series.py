@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from math import factorial
 
@@ -22,6 +23,9 @@ from wickalg import (
     t_map,
     vee_exp,
 )
+from wickalg.config import load_config
+
+DEFAULT = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json")
 
 
 def e(i):
@@ -222,6 +226,35 @@ class TestGreen:
         ctx = TContext(L, Scheme())
         u = rand_element(rng, 2, 2)
         assert green(1, 2, u, ctx, 2, renormalised=True) == green(1, 2, u, ctx, 2)
+
+
+class TestGreenNumeratorAsPairing:
+    """green reads its numerator as the pairing (e_i o e_j | c); the oracle
+    takes the scalar part of the full circle product."""
+
+    @staticmethod
+    def green_by_circle(i, j, u, ctx, order, renormalised):
+        L = ctx.pairing
+        num, den = [], []
+        for c in smatrix(u, ctx, order, renormalised).coeffs:
+            num.append(circle(circle(e(i), e(j), L), c, L).scalar_part())
+            den.append(c.scalar_part())
+        return FormalSeries.from_scalars(num).divide(FormalSeries.from_scalars(den))
+
+    @pytest.mark.parametrize("renormalised", [False, True])
+    @pytest.mark.parametrize("u", [
+        Element.from_monomial(mono(1, 1, 1, 1)),
+        Element.from_monomial(mono(1, 2, 3)),
+        Scalar(Fraction(1, 2)) * Element.from_monomial(mono(2, 2))
+        + Scalar(Fraction(-1, 3)) * Element.from_monomial(mono(2, 2, 2)),
+    ], ids=["e1^4", "e1e2e3", "mass+cubic"])
+    def test_matches_scalar_part_of_circle(self, u, renormalised):
+        cfg = load_config(DEFAULT)
+        ctx = TContext(cfg.pairing, cfg.scheme)
+        for order in range(4):
+            for i, j in ((1, 2), (3, 3)):
+                expected = self.green_by_circle(i, j, u, ctx, order, renormalised)
+                assert green(i, j, u, ctx, order, renormalised) == expected, (order, i, j)
 
 
 class TestSimplestLagrangian:

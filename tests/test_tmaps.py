@@ -179,6 +179,21 @@ class TestWickRecursionOracles:
             assert tbar_map(u, ctx) == tbar_map_by_twist(u, ctx), m
 
 
+class TestSplittingRecursionOracles:
+    """t and tbar share one splitting recursion; each against its oracle."""
+
+    def test_t_scalar_matches_perfect_matchings(self, rng):
+        ctx = TContext(rand_pairing(rng, 3, symmetric=True))
+        for m in monomials_upto(3, 6):
+            assert t_scalar(Element.from_monomial(m), ctx) == t_closed_form(m.indices(), ctx), m
+
+    def test_tbar_scalar_matches_twist_to_grading_five(self, rng):
+        ctx = TContext(rand_pairing(rng, 3, symmetric=True), rand_scheme(rng, 3, max_grade=5))
+        for m in monomials_upto(3, 5):
+            u = Element.from_monomial(m)
+            assert tbar_scalar(u, ctx) == counit(tbar_map_by_twist(u, ctx)), m
+
+
 class TestSigma:
     def test_kills_low_grading(self, ctx):
         assert sigma_apply(Element.one(), ctx) == Element.zero()
