@@ -81,15 +81,16 @@ class Monomial:
         merged = dict(self.counts)
         for idx, mult in other.counts:
             merged[idx] = merged.get(idx, 0) + mult
-        return Monomial(merged)
+        return _canonical(tuple(sorted(merged.items())), self.grading + other.grading)
 
     def remove_one(self, index: int) -> "Monomial":
         """The monomial with one copy of ``index`` deleted (must be present)."""
-        merged = dict(self.counts)
-        if index not in merged:
-            raise ValueError(f"generator {index} not in monomial {self}")
-        merged[index] -= 1
-        return Monomial(merged)
+        counts = self.counts
+        for k, (idx, mult) in enumerate(counts):
+            if idx == index:
+                kept = ((idx, mult - 1),) if mult > 1 else ()
+                return _canonical(counts[:k] + kept + counts[k + 1:], self.grading - 1)
+        raise ValueError(f"generator {index} not in monomial {self}")
 
     def splits(self):
         """All ways of cutting the multiset in two, with binomial weights.
@@ -109,7 +110,8 @@ class Monomial:
                     left.append((idx, j))
                 if mult - j:
                     right.append((idx, mult - j))
-            yield Monomial(left), Monomial(right), weight
+            g = sum(choice)
+            yield _canonical(tuple(left), g), _canonical(tuple(right), self.grading - g), weight
 
     def sort_key(self):
         return (-self.grading, self.indices())
@@ -129,6 +131,13 @@ class Monomial:
 
     def __repr__(self):
         return f"Monomial({dict(self.counts)!r})"
+
+
+def _canonical(counts: tuple, grading: int) -> Monomial:
+    """Trusted constructor: ``counts`` is canonical and sums to ``grading``."""
+    m = object.__new__(Monomial)
+    m.counts, m.grading, m._hash = counts, grading, hash(counts)
+    return m
 
 
 _UNIT = Monomial()

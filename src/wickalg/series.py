@@ -12,9 +12,8 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import Element, Monomial, _accumulate, _wrap
-from .laplace import circle, pairing
 from .scalars import ONE, ZERO, Scalar
-from .tmaps import TContext, t_map, tbar_map
+from .tmaps import TContext, t_map, t_scalar, tbar_map, twist
 
 
 class FormalSeries:
@@ -228,19 +227,20 @@ def green(
     """Two-point Green function as a scalar series: contracted time-ordered
     exponential normalized by the vacuum amplitude.
 
-    The external legs x = e_i o e_j are attached with the bare circle product
-    in both the bare and the renormalised variant; renormalisation enters
-    through the time-ordering of the exponential.  The numerator, the scalar
-    part of x o c, is the pairing (x|c).
+    T is multiplicative and T(e_i v e_j) = e_i o e_j, so for a coefficient c
+    of exp_v(u) the numerator (e_i o e_j | T(c)) is t(e_i v e_j v c) and the
+    denominator is t(c).  Renormalised, Tbar(c) = T(twist(c, zeta)), so both
+    read t of the twisted c; the legs stay bare.  No T or Tbar element is
+    built; the tests keep the legs paired with :func:`smatrix` as the oracle.
     """
-    ts = smatrix(u, ctx, order, renormalised)
-    legs = circle(Element.generator(i), Element.generator(j), ctx.pairing)
-    num = []
-    den = []
-    for c in ts.coeffs:
-        num.append(Element.from_scalar(pairing(legs, c, ctx.pairing)))
-        den.append(Element.from_scalar(c.scalar_part()))
-    return FormalSeries(num, order).divide(FormalSeries(den, order))
+    z = ctx.require_scheme() if renormalised else None
+    legs = Element.from_monomial(Monomial.from_indices((i, j)))
+    num, den = [], []
+    for c in vee_exp(u, order).coeffs:
+        c = c if z is None else twist(c, z)
+        num.append(t_scalar(legs.vee(c), ctx))
+        den.append(t_scalar(c, ctx))
+    return FormalSeries.from_scalars(num, order).divide(FormalSeries.from_scalars(den, order))
 
 
 def simplest_lagrangian_check(generator: int, ctx: TContext, order: int):

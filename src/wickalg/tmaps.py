@@ -4,14 +4,14 @@ renormalised versions.
 T sends a basis word to the circle product of its letters, so it is only well
 defined when the circle product is commutative, i.e. when the pairing is
 symmetric; asymmetric pairings are a hard error here, never a silent choice
-of factor order.  T and Tbar are computed by one memoised recursion, Wick's
+of factor order.  T and Tbar are one memoised recursion, Wick's
 T(m) = T(m - e_a) o e_a for the largest letter a of m, with the renormalised
-circle product in place of the circle product for Tbar.  The circle fold,
-the exponential of the contraction Laplacian (:func:`exp_sigma`) and the
-contraction sum (:func:`laplace.wick_expand`) are independent oracles for T,
-and the convolution twist (:func:`tbar_map_by_twist`) is one for Tbar.
-The scalar parts t and tbar are one splitting recursion over the Laplace
-and the modified pairing; :func:`t_closed_form` is an oracle for t.
+circle product for Tbar; the circle fold, :func:`exp_sigma` and
+:func:`laplace.wick_expand` are oracles for T, T of the zeta twist
+(:func:`tbar_map_by_twist`) for Tbar.  The scalar t is the letter loop
+t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b), with oracle
+:func:`t_closed_form`; tbar is the zeta twist of t, sum w zeta(m_(1)) t(m_(2)),
+with the modified-pairing recursion as oracle.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ class TContext:
     """A symmetric pairing plus an optional renormalisation scheme.
 
     Time-ordered maps need the circle product to be commutative, which holds
-    exactly when the pairing matrix is symmetric.  The context owns four
-    memos keyed by monomial: T, Tbar, and their scalar parts; T and Tbar hold
-    every prefix (largest letter removed) of the monomials asked for.  They
-    live as long as the context, so build one context per pairing and scheme
-    and pass it around.
+    exactly when the pairing matrix is symmetric.  The context owns three
+    memos keyed by monomial: T, Tbar and t (tbar is t of the zeta twist);
+    T and Tbar hold every prefix (largest letter removed) of the monomials
+    asked for, and t every monomial its letter loop reached.  They live as
+    long as the context, so build one context per pairing and scheme and
+    pass it around.
     """
 
     def __init__(self, pairing: PairingMatrix, scheme: LinearFunctional | None = None):
@@ -43,7 +44,7 @@ class TContext:
         self._t = Memo(self._t_monomial)
         self._tbar = Memo(self._tbar_monomial)
         self._t_scalar = Memo(self._t_scalar_monomial)
-        self._tbar_scalar = Memo(self._tbar_scalar_monomial)
+        self._t_scalar[Monomial.unit()] = ONE
 
     def require_scheme(self) -> LinearFunctional:
         if self.scheme is None:
@@ -67,26 +68,25 @@ class TContext:
         return step(memo[m.remove_one(a)], a, self.pairing)
 
     def _t_scalar_monomial(self, m: Monomial) -> Scalar:
-        return self._split(self._t_scalar, self.pairing._laplace, True, m)
-
-    def _tbar_scalar_monomial(self, m: Monomial) -> Scalar:
-        return self._split(self._tbar_scalar, self.scheme._modified[self.pairing], False, m)
-
-    def _split(self, memo: Memo, pair: Memo, graded: bool, m: Monomial) -> Scalar:
-        """x(e_a v rest) = sum over rest = r1 v r2 of w (e_a|r2) x(r1), a the
-        smallest letter of m; a ``graded`` pairing needs r2 of grading 1."""
-        if m.grading == 0:
-            return ONE
-        a = m.counts[0][0]
-        head = Monomial.generator(a)
-        total = ZERO
-        for r1, r2, weight in monomial_splits(m.remove_one(a)):
-            if graded and r2.grading != 1:
+        """The letter loop t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b),
+        a the smallest letter: an explicit stack collects the words it reaches
+        and they are filled in by grading, so no Python frame nests per letter."""
+        if m.grading % 2:
+            return ZERO
+        memo, entry = self._t_scalar, self.pairing.entry
+        terms, todo = {}, [m]
+        while todo:
+            x = todo.pop()
+            if x in memo or x in terms:
                 continue
-            f = pair[head, r2]
-            if f:
-                total = total + weight * f * memo[r1]
-        return total
+            a = x.counts[0][0]
+            rest = x.remove_one(a)
+            terms[x] = [(mult * f, rest.remove_one(b))
+                        for b, mult in rest.counts if (f := entry(a, b))]
+            todo.extend(r for _, r in terms[x])
+        for x in sorted(terms, key=lambda y: y.grading):
+            memo[x] = sum((w * memo[r] for w, r in terms[x]), ZERO)
+        return memo[m]
 
     def __repr__(self):
         return f"TContext(pairing={self.pairing!r}, scheme={self.scheme!r})"
@@ -108,10 +108,7 @@ def t_map(u: Element, ctx: TContext) -> Element:
     monomial in the context.  :func:`t_map_by_circle_fold`,
     :func:`exp_sigma` and :func:`laplace.wick_expand` are its oracles.
     """
-    out = Element.zero()
-    for mono, coeff in u.items():
-        out = out + coeff * ctx._t[mono]
-    return out
+    return sum((coeff * ctx._t[mono] for mono, coeff in u.items()), Element.zero())
 
 
 def t_map_by_circle_fold(u: Element, ctx: TContext) -> Element:
@@ -158,17 +155,12 @@ def exp_sigma(u: Element, ctx: TContext) -> Element:
 
 
 def t_scalar(u: Element, ctx: TContext) -> Scalar:
-    """The scalar part of time ordering, by the splitting recursion.
+    """The scalar part of time ordering, by the letter loop.
 
-    t(1)=1, t(a)=0 and t(a v rest) contracts a against one factor of rest.
+    t(1)=1, t(a)=0 and t(a v rest) contracts a against one letter of rest.
     Vanishes in odd gradings.  :func:`t_closed_form` is its oracle.
     """
-    total = ZERO
-    for mono, coeff in u.items():
-        v = ctx._t_scalar[mono]
-        if v:
-            total = total + coeff * v
-    return total
+    return sum((coeff * ctx._t_scalar[mono] for mono, coeff in u.items()), ZERO)
 
 
 def t_closed_form(generators, ctx: TContext) -> Scalar:
@@ -226,37 +218,52 @@ def tbar_map(u: Element, ctx: TContext) -> Element:
     per monomial in the context; :func:`tbar_map_by_twist` is its oracle.
     """
     ctx.require_scheme()
-    out = Element.zero()
-    for mono, coeff in u.items():
-        out = out + coeff * ctx._tbar[mono]
-    return out
+    return sum((coeff * ctx._tbar[mono] for mono, coeff in u.items()), Element.zero())
+
+
+def twist(u: Element, f) -> Element:
+    """sum f(u_(1)) u_(2), for ``f`` a scalar function on monomials.  By a
+    scheme zeta: Tbar(u) = T(twist(u, zeta)) and tbar(u) = t(twist(u, zeta));
+    by t itself: T(u) = twist(u, t)."""
+    out: dict[Monomial, Scalar] = {}
+    for u1, u2, coeff in sweedler(u):
+        x = f(u1)
+        if x:
+            out[u2] = out.get(u2, ZERO) + coeff * x
+    return Element(out)
 
 
 def tbar_map_by_twist(u: Element, ctx: TContext) -> Element:
-    """Oracle for the renormalised T: convolution twist of the bare T.
-
-    Tbar(u) = sum zeta(u_(1)) T(u_(2)).
-    """
-    z = ctx.require_scheme()
-    out = Element.zero()
-    for u1, u2, coeff in sweedler(u):
-        f = z(u1)
-        if not f:
-            continue
-        out = out + (coeff * f) * t_map(Element.from_monomial(u2), ctx)
-    return out
+    """Oracle for the renormalised T: T of the zeta twist,
+    Tbar(u) = sum zeta(u_(1)) T(u_(2))."""
+    return t_map(twist(u, ctx.require_scheme()), ctx)
 
 
 def tbar_scalar(u: Element, ctx: TContext) -> Scalar:
-    """Scalar part of the renormalised time ordering (splitting recursion
-    with the modified pairing)."""
-    ctx.require_scheme()
-    total = ZERO
-    for mono, coeff in u.items():
-        v = ctx._tbar_scalar[mono]
-        if v:
-            total = total + coeff * v
-    return total
+    """Scalar part of the renormalised time ordering: t of the zeta twist,
+    tbar(m) = sum w zeta(m_(1)) t(m_(2)); it reads t's memo and keeps none of
+    its own.  :func:`tbar_scalar_by_modified_pairing` is its oracle."""
+    return t_scalar(twist(u, ctx.require_scheme()), ctx)
+
+
+def tbar_scalar_by_modified_pairing(u: Element, ctx: TContext) -> Scalar:
+    """Oracle for tbar: the splitting recursion over the modified pairing,
+    x(e_a v rest) = sum over rest = r1 v r2 of w (e_a|r2) x(r1), a the
+    smallest letter; unmemoised, for small gradings."""
+    pair = ctx.require_scheme()._modified[ctx.pairing]
+
+    def x(m: Monomial) -> Scalar:
+        if m.grading == 0:
+            return ONE
+        a = m.counts[0][0]
+        total = ZERO
+        for r1, r2, weight in monomial_splits(m.remove_one(a)):
+            f = pair[Monomial.generator(a), r2]
+            if f:
+                total = total + weight * f * x(r1)
+        return total
+
+    return sum((coeff * x(mono) for mono, coeff in u.items()), ZERO)
 
 
 def first_identity_check(u: Element, v: Element, ctx: TContext):

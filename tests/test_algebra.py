@@ -303,3 +303,29 @@ class TestDisplay:
 
     def test_zero(self):
         assert str(Element.zero()) == "0"
+
+
+class TestTrustedConstructor:
+    """remove_one, vee and splits build their monomials without validation;
+    each result equals the validated constructor's on the same letters."""
+
+    @staticmethod
+    def assert_same(got, indices):
+        want = Monomial.from_indices(indices)
+        assert got.counts == want.counts
+        assert got.grading == want.grading
+        assert got == want and hash(got) == hash(want)
+
+    def test_results_equal_validated_monomials(self):
+        monos = monomials_upto(3, 6)
+        for m in monos:
+            for idx, _ in m.counts:
+                rest = list(m.indices())
+                rest.remove(idx)
+                self.assert_same(m.remove_one(idx), rest)
+            for other in monos:
+                self.assert_same(m.vee(other), m.indices() + other.indices())
+            for left, right, _ in m.splits():
+                self.assert_same(left, left.indices())
+                self.assert_same(right, right.indices())
+                self.assert_same(left.vee(right), m.indices())

@@ -1,6 +1,13 @@
+import ast
+import importlib.util
+import inspect
 import json
 import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -20,6 +27,7 @@ from wickalg.config import Config, ConfigError, load_config, parse_config
 from wickalg.renorm import Functional
 from wickalg.scalars import Scalar
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 DEFAULT = os.path.join(CONFIG_DIR, "default.json")
 ASYMMETRIC = os.path.join(CONFIG_DIR, "asymmetric.json")
@@ -324,3 +332,91 @@ class TestGreenCommand:
             capsys, "green", "--config", DEFAULT, "9", "1", "e1", "--order", "1"
         )
         assert code == 2
+
+
+class TestDeepWords:
+    """t's letter loop runs on an explicit stack: a word of 2000 letters
+    needs no Python frame per letter.  On default.json (e1|e1) = 1/2 and
+    zeta(e1 v e1) = 1/2 is the only zeta value on powers of e1, so
+    t(e1^2n)/(2n)! = 1/(4^n n!) and tbar adds 1/(4^n (n-1)!)."""
+
+    @pytest.mark.parametrize("expression, numerator", [
+        ("t(dp(e1, 2000))", 1),
+        ("tbar(dp(e1, 2000))", 1001),
+    ])
+    def test_prints_the_value(self, capsys, expression, numerator):
+        code, out, err = run_cli(capsys, "eval", "--config", DEFAULT, expression)
+        assert code == 0, err
+        assert Scalar.parse(out.strip()) == Scalar(Fraction(numerator, 4**1000 * factorial(1000)))
+
+
+def test_python_dash_m_wickalg_runs_the_cli(capsys):
+    argv = ["green", "--config", DEFAULT, "1", "2", "e1 v e2", "--order", "2"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "wickalg", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, out, _ = run_cli(capsys, *argv)
+    assert proc.returncode == 0 == code, proc.stderr
+    assert proc.stdout == out
+    assert out.count("lambda^") == 3
+
+
+class TestBenchmarkNames:
+    """Every wickalg name that perfbench/ reads or wraps still resolves, so a
+    rename in the library fails here before it breaks the benchmark.  The
+    benchmark files are read, never changed."""
+
+    PERFBENCH = os.path.join(ROOT, "perfbench")
+
+    @pytest.fixture(scope="class")
+    def tracer(self):
+        path = os.path.join(self.PERFBENCH, "tracer.py")
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_workload_attributes_resolve(self):
+        with open(os.path.join(self.PERFBENCH, "workloads.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        modules = {"algebra", "checks", "config", "laplace", "scalars", "series", "tmaps"}
+        seen = set()
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in modules:
+                seen.add((node.id, tuple(chain)))
+        assert {("series", ("green",)), ("tmaps", ("TContext",))} <= seen
+        for mod, chain in seen:
+            obj = importlib.import_module(f"wickalg.{mod}")
+            for attr in chain:
+                assert hasattr(obj, attr), f"{mod}.{'.'.join(chain)}"
+                obj = getattr(obj, attr)
+
+    def test_traced_names_are_wrappable(self, tracer):
+        methods = {(cls, attr) for pairs in tracer.METHODS.values() for cls, attr in pairs}
+        names = set(tracer.Tracer.COUNTERS) | set(tracer.Tracer().inclusive)
+        assert {"smatrix", "circle_renorm", "green"} <= names
+        layers = [importlib.import_module(f"wickalg.{layer}") for layer in tracer.LAYERS]
+        for name in sorted(names):
+            if "." in name:
+                cls_name, attr = name.split(".")
+                assert (cls_name, attr) in methods, name
+                owners = [getattr(mod, cls_name) for mod in layers if hasattr(mod, cls_name)]
+                assert any(attr in vars(cls) for cls in owners), name
+            else:
+                # The tracer wraps public, non-generator functions of a layer
+                # where they are defined.
+                assert any(
+                    inspect.isfunction(fn := vars(mod).get(name))
+                    and fn.__module__ == mod.__name__
+                    and not inspect.isgeneratorfunction(fn)
+                    for mod in layers
+                ), name
+        for cls_name, attr in methods:
+            owners = [getattr(mod, cls_name) for mod in layers if hasattr(mod, cls_name)]
+            assert any(attr in vars(cls) for cls in owners), f"{cls_name}.{attr}"

@@ -1,10 +1,11 @@
 import os
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from conftest import rand_element, rand_pairing, rand_scalar
+from conftest import rand_element, rand_monomial, rand_pairing, rand_scalar, rand_scheme
 from wickalg import (
     Element,
     FormalSeries,
@@ -17,6 +18,7 @@ from wickalg import (
     counit,
     gaussian_closed_form_check,
     green,
+    pairing,
     series_vee_exp,
     simplest_lagrangian_check,
     smatrix,
@@ -229,8 +231,10 @@ class TestGreen:
 
 
 class TestGreenNumeratorAsPairing:
-    """green reads its numerator as the pairing (e_i o e_j | c); the oracle
-    takes the scalar part of the full circle product."""
+    """green reads t of legs v c (or of the zeta twist of c) and builds no T
+    element.  Oracles: the scalar part of the full circle product, and the
+    earlier production route, the legs e_i o e_j paired with each
+    coefficient of smatrix."""
 
     @staticmethod
     def green_by_circle(i, j, u, ctx, order, renormalised):
@@ -255,6 +259,27 @@ class TestGreenNumeratorAsPairing:
             for i, j in ((1, 2), (3, 3)):
                 expected = self.green_by_circle(i, j, u, ctx, order, renormalised)
                 assert green(i, j, u, ctx, order, renormalised) == expected, (order, i, j)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_random_lagrangians_match_smatrix_paired_with_the_legs(self, d):
+        rng = random.Random(6000 + d)
+        L = rand_pairing(rng, d, symmetric=True)
+        for _ in range(2):
+            ctx = TContext(L, rand_scheme(rng, d))
+            u = Element.zero()
+            while len(u.terms) < 3 or u.max_grading() < 3:
+                u = u + rand_scalar(rng) * Element.from_monomial(rand_monomial(rng, d, 3))
+            for renormalised in (False, True):
+                s = smatrix(u, ctx, 4, renormalised).coeffs
+                den = FormalSeries.from_scalars([c.scalar_part() for c in s])
+                for i in range(1, d + 1):
+                    for j in range(1, d + 1):
+                        legs = circle(e(i), e(j), L)
+                        num = FormalSeries.from_scalars([pairing(legs, c, L) for c in s])
+                        expected = num.divide(den).coeffs
+                        for order in range(5):
+                            got = green(i, j, u, ctx, order, renormalised)
+                            assert got == FormalSeries(expected[: order + 1]), (u, i, j, order)
 
 
 class TestSimplestLagrangian:

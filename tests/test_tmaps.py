@@ -37,6 +37,7 @@ from wickalg import (
     wick_expand,
 )
 from wickalg.renorm import Functional
+from wickalg.tmaps import tbar_scalar_by_modified_pairing
 
 
 def e(i):
@@ -180,12 +181,26 @@ class TestWickRecursionOracles:
 
 
 class TestSplittingRecursionOracles:
-    """t and tbar share one splitting recursion; each against its oracle."""
+    """t (the letter loop) and tbar (the zeta twist of t), each against an
+    oracle that shares no code with it."""
 
     def test_t_scalar_matches_perfect_matchings(self, rng):
         ctx = TContext(rand_pairing(rng, 3, symmetric=True))
-        for m in monomials_upto(3, 6):
+        for m in monomials_upto(3, 8):
             assert t_scalar(Element.from_monomial(m), ctx) == t_closed_form(m.indices(), ctx), m
+
+    def test_odd_grading_returns_zero_at_once(self, rng):
+        ctx = TContext(rand_pairing(rng, 3, symmetric=True))
+        m = mono(1, 1, 2, 3, 3)
+        assert t_scalar(Element.from_monomial(m), ctx) == 0
+        assert set(ctx._t_scalar) == {Monomial.unit(), m}
+
+    def test_tbar_scalar_matches_modified_pairing_recursion(self, rng):
+        for d in (1, 2, 3):
+            ctx = TContext(rand_pairing(rng, d, symmetric=True), rand_scheme(rng, d, max_grade=5))
+            for m in monomials_upto(d, 5):
+                u = Element.from_monomial(m)
+                assert tbar_scalar(u, ctx) == tbar_scalar_by_modified_pairing(u, ctx), m
 
     def test_tbar_scalar_matches_twist_to_grading_five(self, rng):
         ctx = TContext(rand_pairing(rng, 3, symmetric=True), rand_scheme(rng, 3, max_grade=5))
