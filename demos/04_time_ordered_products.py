@@ -1,10 +1,10 @@
 """Time ordering three ways, and its renormalised cousin.
 
 T sends a basis word to the circle product of its letters.  The library
-computes it by Wick's recursion T(m) = T(m - e_a) o e_a; the same map comes
-out as a contraction sum, as an iterated circle product, and as the
-exponential of the contraction Laplacian; the scalar part is a sum over
-perfect matchings (a hafnian)."""
+computes it as the twist of the scalar t, T(u) = sum t(u_(1)) u_(2); the
+same map comes out as a contraction sum, as an iterated circle product, and
+as the exponential of the contraction Laplacian; the scalar part t is a sum
+over perfect matchings (a hafnian)."""
 
 from fractions import Fraction
 
@@ -22,7 +22,7 @@ from wickalg import (
     t_map_by_circle_fold,
     t_scalar,
     tbar_map,
-    tbar_map_by_twist,
+    tbar_map_by_circle_fold,
     tbar_scalar,
     wick_expand,
 )
@@ -36,7 +36,7 @@ zeta = Scheme({m((1, 2)): Scalar(Fraction(1, 7)), m((1, 1)): Scalar(Fraction(1, 
 ctx = TContext(L, zeta)
 
 word = Element.from_monomial(m((1, 1, 2, 2)))
-print("T(a v a v b v b), Wick recursion  :", t_map(word, ctx))
+print("T(a v a v b v b), twist of t      :", t_map(word, ctx))
 print("   same via contraction sum       :", wick_expand((1, 1, 2, 2), L))
 print("   same via circle fold           :", t_map_by_circle_fold(word, ctx))
 print("   same via exp(Sigma)            :", exp_sigma(word, ctx))
@@ -54,7 +54,7 @@ ones = TContext(PairingMatrix([[Scalar(1)]], symmetric=True))
 for n in (2, 4, 6, 8):
     print(f"perfect matchings of {n} letters:", t_closed_form((1,) * n, ones))
 
-# renormalised time ordering: multiplicative route vs convolution twist
-print("\nTbar(a v b)      =", tbar_map(Element.from_monomial(m((1, 2))), ctx))
-print("   via the twist =", tbar_map_by_twist(Element.from_monomial(m((1, 2))), ctx))
+# renormalised time ordering: T of the zeta twist vs the multiplicative route
+print("\nTbar(a v b), twist of T =", tbar_map(Element.from_monomial(m((1, 2))), ctx))
+print("   via the circle fold  =", tbar_map_by_circle_fold(Element.from_monomial(m((1, 2))), ctx))
 print("tbar(a v a v b v b) =", tbar_scalar(word, ctx))

@@ -65,7 +65,7 @@ from .tmaps import (
     t_permutation_form,
     t_scalar,
     tbar_map,
-    tbar_map_by_twist,
+    tbar_map_by_circle_fold,
     tbar_scalar,
     tbar_scalar_by_modified_pairing,
     twist,
@@ -616,7 +616,7 @@ def law_t_routes(env: CheckEnv):
         b = t_map_by_circle_fold(u, ctx)
         c = exp_sigma(u, ctx)
         if a != b or a != c:
-            return f"monomial {m}: wick={a}, fold={b}, exp={c}"
+            return f"monomial {m}: twist={a}, fold={b}, exp={c}"
     return None
 
 
@@ -654,8 +654,6 @@ def law_t_scalar_laws(env: CheckEnv):
         u = env.random_element(max_grade=4)
         if t_scalar(u, ctx) != counit(t_map(u, ctx)):
             return f"t=eps T: u={u}"
-        if twist(u, lambda m: t_scalar(Element.from_monomial(m), ctx)) != t_map(u, ctx):
-            return f"T from t: u={u}"
     return None
 
 
@@ -702,8 +700,8 @@ def law_tbar_identities(env: CheckEnv):
     ctx = env.tcontext()
     for m in monomials_upto(env.d, min(4, env.max_grade))[:40]:
         u = Element.from_monomial(m)
-        if tbar_map(u, ctx) != tbar_map_by_twist(u, ctx):
-            return f"twist route at {m}"
+        if tbar_map(u, ctx) != tbar_map_by_circle_fold(u, ctx):
+            return f"circle-fold route at {m}"
     for _ in range(max(10, env.trials // 2)):
         u = env.random_element(max_grade=3, terms=2)
         v = env.random_element(max_grade=2, terms=2)

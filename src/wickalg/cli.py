@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from .checks import run_checks
 from .config import ConfigError, load_config
@@ -110,21 +111,31 @@ def _cmd_green(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+@contextmanager
+def _exact_int_strings():
+    """Lift the interpreter's int/str digit limit (Python 3.11+) while the
+    command runs, so an exact value prints in full however many digits its
+    numerator or denominator has; the old limit is restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "green":
-            return _cmd_green(args)
-        parser.error(f"unknown command {args.command!r}")
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    command = {"eval": _cmd_eval, "check": _cmd_check, "green": _cmd_green}[args.command]
+    try:
+        with _exact_int_strings():
+            return command(args)
     except (ConfigError, ExprSyntaxError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def console_entry() -> None:

@@ -6,9 +6,9 @@ The circle product u o v = sum u_(1) v v_(1) (u_(2)|v_(2)) deforms the
 symmetric product by a pairing; with a symmetric form it is the time-ordered
 product, with an antisymmetric one the operator product.  One Sweedler loop
 serves this Laplace pairing and a scheme's modified pairing
-(``renorm.circle_renorm``).  Wick's recursion (:func:`wick_step`) multiplies
-by one generator; the contraction enumeration :func:`wick_expand` is kept as
-an independent oracle for both.
+(``renorm.circle_renorm``).  Two oracles stay beside it: Wick's step
+(:func:`wick_step`) for the circle product by one generator, and the
+contraction enumeration :func:`wick_expand` for the n-fold circle product.
 """
 
 from __future__ import annotations
@@ -205,9 +205,9 @@ def circle_fold(factors, L: PairingMatrix) -> Element:
 
 
 def wick_step(u: Element, generator: int, L: PairingMatrix) -> Element:
-    """u o e_b computed directly: append b, or contract it against one factor.
+    """Oracle for circle(u, e_b): append b, or contract it against one factor.
 
-    This is the recursion Wick used to build his theorem; it must agree with
+    This is the step Wick used to build his theorem; it must agree with
     :func:`circle`.
     """
     out: dict[Monomial, Scalar] = {}
@@ -248,7 +248,7 @@ def wick_expand(generators, L: PairingMatrix) -> Element:
     Each set of k disjoint position pairs contributes prod (a_i|a_j) times the
     symmetric product of the untouched generators.  The enumeration visits
     every partial matching of the positions, so it is exponential in the
-    length; :func:`wick_step` builds the same product one letter at a time.
+    length; :func:`circle_fold` builds the same product one letter at a time.
     """
     out: dict[Monomial, Scalar] = {}
     for coeff, left in _contraction_terms(tuple(generators), L):

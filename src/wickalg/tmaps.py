@@ -4,14 +4,15 @@ renormalised versions.
 T sends a basis word to the circle product of its letters, so it is only well
 defined when the circle product is commutative, i.e. when the pairing is
 symmetric; asymmetric pairings are a hard error here, never a silent choice
-of factor order.  T and Tbar are one memoised recursion, Wick's
-T(m) = T(m - e_a) o e_a for the largest letter a of m, with the renormalised
-circle product for Tbar; the circle fold, :func:`exp_sigma` and
-:func:`laplace.wick_expand` are oracles for T, T of the zeta twist
-(:func:`tbar_map_by_twist`) for Tbar.  The scalar t is the letter loop
+of factor order.  Every time-ordering quantity comes from the scalar t and
+the twist sum f(u_(1)) u_(2) (:func:`twist`).  t is the letter loop
 t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b), with oracle
-:func:`t_closed_form`; tbar is the zeta twist of t, sum w zeta(m_(1)) t(m_(2)),
-with the modified-pairing recursion as oracle.
+:func:`t_closed_form`; T is the twist of u by t; and the renormalised maps
+are the same maps on the zeta twist of u: tbar(u) = t(twist(u, zeta)) and
+Tbar(u) = T(twist(u, zeta)).  The circle fold, :func:`exp_sigma` and
+:func:`laplace.wick_expand` are oracles for T, the renormalised circle fold
+(:func:`tbar_map_by_circle_fold`) for Tbar and the modified-pairing
+recursion for tbar.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import Element, Memo, Monomial, derivation, monomial_splits, sweedler
-from .laplace import PairingMatrix, circle, circle_fold, wick_step
+from .laplace import PairingMatrix, circle, circle_fold
 from .renorm import LinearFunctional, circle_renorm
 from .scalars import ONE, ZERO, Scalar
 
@@ -29,20 +30,17 @@ class TContext:
     """A symmetric pairing plus an optional renormalisation scheme.
 
     Time-ordered maps need the circle product to be commutative, which holds
-    exactly when the pairing matrix is symmetric.  The context owns three
-    memos keyed by monomial: T, Tbar and t (tbar is t of the zeta twist);
-    T and Tbar hold every prefix (largest letter removed) of the monomials
-    asked for, and t every monomial its letter loop reached.  They live as
-    long as the context, so build one context per pairing and scheme and
-    pass it around.
+    exactly when the pairing matrix is symmetric.  The context owns one
+    memo, t's, keyed by monomial: it holds every monomial the letter loop
+    reached and every sub-multiset a twist read.  T, Tbar and tbar keep no
+    memo of their own; they read t's.  It lives as long as the context, so
+    build one context per pairing and scheme and pass it around.
     """
 
     def __init__(self, pairing: PairingMatrix, scheme: LinearFunctional | None = None):
         require_symmetric(pairing)
         self.pairing = pairing
         self.scheme = scheme
-        self._t = Memo(self._t_monomial)
-        self._tbar = Memo(self._tbar_monomial)
         self._t_scalar = Memo(self._t_scalar_monomial)
         self._t_scalar[Monomial.unit()] = ONE
 
@@ -50,22 +48,6 @@ class TContext:
         if self.scheme is None:
             raise ValueError("renormalised time-ordering needs a scheme in the context")
         return self.scheme
-
-    def _t_monomial(self, m: Monomial) -> Element:
-        return self._wick(self._t, m, wick_step)
-
-    def _tbar_monomial(self, m: Monomial) -> Element:
-        z = self.scheme
-        return self._wick(
-            self._tbar, m, lambda u, a, L: circle_renorm(u, Element.generator(a), z, L)
-        )
-
-    def _wick(self, memo: Memo, m: Monomial, step) -> Element:
-        """Wick's recursion: X(m) = step(X(m - e_a), a, L), a the largest letter."""
-        if m.grading == 0:
-            return Element.one()
-        a = m.counts[-1][0]
-        return step(memo[m.remove_one(a)], a, self.pairing)
 
     def _t_scalar_monomial(self, m: Monomial) -> Scalar:
         """The letter loop t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b),
@@ -101,22 +83,47 @@ def require_symmetric(L: PairingMatrix) -> None:
     )
 
 
+def twist(u: Element, f) -> Element:
+    """sum f(u_(1)) u_(2), for ``f`` a scalar function on monomials.  By t
+    itself: T(u) = twist(u, t); by a scheme zeta: Tbar(u) = T(twist(u, zeta))
+    and tbar(u) = t(twist(u, zeta))."""
+    out: dict[Monomial, Scalar] = {}
+    for u1, u2, coeff in sweedler(u):
+        x = f(u1)
+        if x:
+            out[u2] = out.get(u2, ZERO) + coeff * x
+    return Element(out)
+
+
 def t_map(u: Element, ctx: TContext) -> Element:
     """T(u): each monomial becomes the circle product of its generators.
 
-    Production route: Wick's recursion T(m) = T(m - e_a) o e_a, memoised per
-    monomial in the context.  :func:`t_map_by_circle_fold`,
-    :func:`exp_sigma` and :func:`laplace.wick_expand` are its oracles.
+    Computed as the twist of u by the scalar t, T(u) = sum t(u_(1)) u_(2),
+    reading t's memo.  :func:`t_map_by_circle_fold`, :func:`exp_sigma` and
+    :func:`laplace.wick_expand` are its oracles.
     """
-    return sum((coeff * ctx._t[mono] for mono, coeff in u.items()), Element.zero())
+    return twist(u, ctx._t_scalar.__getitem__)
 
 
 def t_map_by_circle_fold(u: Element, ctx: TContext) -> Element:
-    """Oracle for T: left fold of the circle product."""
+    """Oracle for T: left fold of the circle product over the letters."""
     out = Element.zero()
     for mono, coeff in u.items():
         gens = [Element.generator(i) for i in mono.indices()]
         out = out + coeff * circle_fold(gens, ctx.pairing)
+    return out
+
+
+def tbar_map_by_circle_fold(u: Element, ctx: TContext) -> Element:
+    """Oracle for Tbar: left fold of the renormalised circle product over the
+    letters, Tbar as the map multiplicative into that product."""
+    z = ctx.require_scheme()
+    out = Element.zero()
+    for mono, coeff in u.items():
+        prod = Element.one()
+        for i in mono.indices():
+            prod = circle_renorm(prod, Element.generator(i), z, ctx.pairing)
+        out = out + coeff * prod
     return out
 
 
@@ -214,28 +221,10 @@ def tbar_map(u: Element, ctx: TContext) -> Element:
     """Renormalised T: multiplicative from the symmetric product to the
     renormalised circle product.
 
-    Same recursion as :func:`t_map`, Tbar(m) = Tbar(m - e_a) ro e_a, memoised
-    per monomial in the context; :func:`tbar_map_by_twist` is its oracle.
+    Computed as T of the zeta twist, Tbar(u) = T(sum zeta(u_(1)) u_(2)), so
+    it reads t's memo and keeps none of its own;
+    :func:`tbar_map_by_circle_fold` is its oracle.
     """
-    ctx.require_scheme()
-    return sum((coeff * ctx._tbar[mono] for mono, coeff in u.items()), Element.zero())
-
-
-def twist(u: Element, f) -> Element:
-    """sum f(u_(1)) u_(2), for ``f`` a scalar function on monomials.  By a
-    scheme zeta: Tbar(u) = T(twist(u, zeta)) and tbar(u) = t(twist(u, zeta));
-    by t itself: T(u) = twist(u, t)."""
-    out: dict[Monomial, Scalar] = {}
-    for u1, u2, coeff in sweedler(u):
-        x = f(u1)
-        if x:
-            out[u2] = out.get(u2, ZERO) + coeff * x
-    return Element(out)
-
-
-def tbar_map_by_twist(u: Element, ctx: TContext) -> Element:
-    """Oracle for the renormalised T: T of the zeta twist,
-    Tbar(u) = sum zeta(u_(1)) T(u_(2))."""
     return t_map(twist(u, ctx.require_scheme()), ctx)
 
 

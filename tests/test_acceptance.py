@@ -51,7 +51,7 @@ from wickalg import (
     t_permutation_form,
     t_scalar,
     tbar_map,
-    tbar_map_by_twist,
+    tbar_map_by_circle_fold,
     tbar_scalar,
     tensor_product,
     vacuum_expectation,
@@ -350,7 +350,7 @@ def test_c08_renormalisation_identities():
     ctx = TContext(L, z)
     for m in monomials_upto(3, 6):
         u = Element.from_monomial(m)
-        assert tbar_map(u, ctx) == tbar_map_by_twist(u, ctx)  # Pinter identity
+        assert tbar_map(u, ctx) == tbar_map_by_circle_fold(u, ctx)  # Pinter identity
     for _ in range(TRIALS // 4):
         u = rand_element(rng, 3, 3, terms=2)
         v = rand_element(rng, 3, 3, terms=2)

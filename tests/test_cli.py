@@ -14,6 +14,7 @@ import pytest
 import wickalg.laplace as laplace_mod
 import wickalg.renorm as renorm_mod
 from conftest import rand_scheme
+from wickalg.algebra import Element, divided_power
 from wickalg.checks import (
     CheckEnv,
     law_circle_associative,
@@ -24,8 +25,10 @@ from wickalg.checks import (
 )
 from wickalg.cli import main
 from wickalg.config import Config, ConfigError, load_config, parse_config
+from wickalg.expr import EvalEnv, as_element, evaluate, parse_expr
 from wickalg.renorm import Functional
 from wickalg.scalars import Scalar
+from wickalg.tmaps import TContext, t_map, tbar_map
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -334,11 +337,35 @@ class TestGreenCommand:
         assert code == 2
 
 
+def decimal_int(digits):
+    """int(digits) for any length, 1000 digits at a time, so the test process
+    keeps the interpreter's int/str digit limit."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10**len(chunk) + int(chunk)
+    return value
+
+
+def t_of_divided_power(n):
+    """T(dp(e1, n)) on default.json, from t(dp(e1, 2k)) = 1/(4^k k!): the sum
+    over k of 1/(4^k k!) dp(e1, n - 2k); zero for n < 0."""
+    return sum((Scalar(Fraction(1, 4**k * factorial(k))) * divided_power(1, n - 2 * k)
+                for k in range(n // 2 + 1)), Element.zero())
+
+
+def tbar_of_divided_power(n):
+    """zeta(dp(e1, 2)) = 1/4 is the only zeta value on powers of e1, so
+    Tbar(dp(e1, n)) = T(dp(e1, n)) + 1/4 T(dp(e1, n - 2))."""
+    return t_of_divided_power(n) + Scalar(Fraction(1, 4)) * t_of_divided_power(n - 2)
+
+
 class TestDeepWords:
-    """t's letter loop runs on an explicit stack: a word of 2000 letters
-    needs no Python frame per letter.  On default.json (e1|e1) = 1/2 and
-    zeta(e1 v e1) = 1/2 is the only zeta value on powers of e1, so
-    t(e1^2n)/(2n)! = 1/(4^n n!) and tbar adds 1/(4^n (n-1)!)."""
+    """t's letter loop runs on an explicit stack, and T and Tbar are twists
+    of t, so a word of hundreds or thousands of letters needs no Python frame
+    per letter.  On default.json (e1|e1) = 1/2 and zeta(e1 v e1) = 1/2 is
+    the only zeta value on powers of e1, so t(e1^2n)/(2n)! = 1/(4^n n!) and
+    tbar adds 1/(4^n (n-1)!)."""
 
     @pytest.mark.parametrize("expression, numerator", [
         ("t(dp(e1, 2000))", 1),
@@ -348,6 +375,34 @@ class TestDeepWords:
         code, out, err = run_cli(capsys, "eval", "--config", DEFAULT, expression)
         assert code == 0, err
         assert Scalar.parse(out.strip()) == Scalar(Fraction(numerator, 4**1000 * factorial(1000)))
+
+    @pytest.mark.parametrize("expression, expected", [
+        ("T(dp(e1, 300))", t_of_divided_power),
+        ("Tbar(dp(e1, 300))", tbar_of_divided_power),
+    ])
+    def test_prints_the_time_ordered_word(self, capsys, expression, expected):
+        code, out, err = run_cli(capsys, "eval", "--config", DEFAULT, expression)
+        assert code == 0, err
+        env = EvalEnv(4, load_config(DEFAULT).pairing, None)
+        assert as_element(evaluate(parse_expr(out.strip()), env)) == expected(300)
+
+    def test_prints_a_value_beyond_the_int_digit_limit(self, capsys):
+        # the denominator 4^2500 * 2500! has about 8,900 digits
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        code, out, err = run_cli(capsys, "eval", "--config", DEFAULT, "t(dp(e1, 5000))")
+        assert code == 0, err
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        numerator, denominator = out.strip().split("/")
+        assert numerator == "1"
+        assert len(denominator) > 4300
+        assert decimal_int(denominator) == 4**2500 * factorial(2500)
+
+    def test_t_and_tbar_of_divided_powers_in_process(self):
+        config = load_config(DEFAULT)
+        ctx = TContext(config.pairing, config.scheme)
+        for n in (0, 1, 2, 3, 4, 7, 12, 40, 300):
+            assert t_map(divided_power(1, n), ctx) == t_of_divided_power(n), n
+            assert tbar_map(divided_power(1, n), ctx) == tbar_of_divided_power(n), n
 
 
 def test_python_dash_m_wickalg_runs_the_cli(capsys):

@@ -30,12 +30,13 @@ from wickalg import (
     t_permutation_form,
     t_scalar,
     tbar_map,
-    tbar_map_by_twist,
+    tbar_map_by_circle_fold,
     tbar_scalar,
     tensor_product,
     vee,
     wick_expand,
 )
+from wickalg.algebra import Memo
 from wickalg.renorm import Functional
 from wickalg.tmaps import tbar_scalar_by_modified_pairing
 
@@ -156,7 +157,8 @@ class TestTMap:
 
 
 class TestWickRecursionOracles:
-    """The production T and Tbar (Wick's recursion) against their oracles."""
+    """The production T and Tbar (twists of the scalar t) against their
+    oracles: Wick's contraction sum, exp(Sigma) and the circle folds."""
 
     def test_t_matches_wick_expand_and_exp_sigma(self, rng):
         ctx = TContext(rand_pairing(rng, 3, symmetric=True))
@@ -167,17 +169,21 @@ class TestWickRecursionOracles:
             assert got == wick_expand(m.indices(), ctx.pairing), m
             assert got == exp_sigma(u, ctx), m
 
-    def test_memo_holds_one_entry_per_prefix(self, rng):
+    def test_only_memo_holds_every_sub_multiset(self, rng):
         ctx = TContext(rand_pairing(rng, 2, symmetric=True))
         u = Element.from_monomial(mono(*(1,) * 6 + (2,) * 6))
         assert t_map(u, ctx) == exp_sigma(u, ctx)
-        assert len(ctx._t) == 13
+        memos = [v for v in vars(ctx).values() if isinstance(v, Memo)]
+        assert memos == [ctx._t_scalar]
+        assert set(ctx._t_scalar) == {
+            Monomial({1: i, 2: j}) for i in range(7) for j in range(7)
+        }
 
-    def test_tbar_matches_twist_to_grading_five(self, rng):
+    def test_tbar_matches_renormalised_circle_fold_to_grading_five(self, rng):
         ctx = TContext(rand_pairing(rng, 3, symmetric=True), rand_scheme(rng, 3, max_grade=5))
         for m in monomials_upto(3, 5):
             u = Element.from_monomial(m)
-            assert tbar_map(u, ctx) == tbar_map_by_twist(u, ctx), m
+            assert tbar_map(u, ctx) == tbar_map_by_circle_fold(u, ctx), m
 
 
 class TestSplittingRecursionOracles:
@@ -202,11 +208,11 @@ class TestSplittingRecursionOracles:
                 u = Element.from_monomial(m)
                 assert tbar_scalar(u, ctx) == tbar_scalar_by_modified_pairing(u, ctx), m
 
-    def test_tbar_scalar_matches_twist_to_grading_five(self, rng):
+    def test_tbar_scalar_matches_circle_fold_to_grading_five(self, rng):
         ctx = TContext(rand_pairing(rng, 3, symmetric=True), rand_scheme(rng, 3, max_grade=5))
         for m in monomials_upto(3, 5):
             u = Element.from_monomial(m)
-            assert tbar_scalar(u, ctx) == counit(tbar_map_by_twist(u, ctx)), m
+            assert tbar_scalar(u, ctx) == counit(tbar_map_by_circle_fold(u, ctx)), m
 
 
 class TestSigma:
@@ -387,7 +393,7 @@ class TestRenormalisedT:
         ctx = TContext(L, rand_scheme(rng, 2, max_grade=5))
         for m in monomials_upto(2, 6):
             u = Element.from_monomial(m)
-            assert tbar_map(u, ctx) == tbar_map_by_twist(u, ctx)
+            assert tbar_map(u, ctx) == tbar_map_by_circle_fold(u, ctx)
 
     def test_coproduct_identity(self, ctx, rng):
         for _ in range(10):
