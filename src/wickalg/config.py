@@ -28,9 +28,13 @@ _ZETA_KEY_RE = re.compile(r"^\d+(,\d+)*$")
 _MINIMUMS = {"dimension": 1, "seed": 0, "max_grade": 1, "trials": 1}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_int(name: str, value) -> int:
     """``value`` if it is an integer (not a bool) >= the minimum for ``name``."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ConfigError(f"'{name}' must be an integer")
     if value < _MINIMUMS[name]:
         raise ConfigError(f"'{name}' must be >= {_MINIMUMS[name]}")
@@ -111,14 +115,18 @@ def parse_config(data: dict) -> Config:
     if fock_data is not None:
         if not isinstance(fock_data, dict):
             raise ConfigError("'fock' must be an object")
+        creation = fock_data.get("creation", [])
+        annihilation = fock_data.get("annihilation", [])
+        involution = fock_data.get("involution", {})
+        if not all(isinstance(x, list) and all(map(_is_int, x)) for x in (creation, annihilation)):
+            raise ConfigError("fock 'creation' and 'annihilation' must be lists of integers")
+        if not isinstance(involution, dict) or not all(
+            k.isdecimal() and _is_int(v) for k, v in involution.items()
+        ):
+            raise ConfigError("fock 'involution' must map index strings like \"1\" to integers")
         try:
-            creation = [int(x) for x in fock_data.get("creation", [])]
-            annihilation = [int(x) for x in fock_data.get("annihilation", [])]
-            involution = {
-                int(k): int(v) for k, v in fock_data.get("involution", {}).items()
-            }
-            fock = FockStructure(creation, annihilation, involution)
-        except (TypeError, ValueError) as exc:
+            fock = FockStructure(creation, annihilation, {int(k): v for k, v in involution.items()})
+        except ValueError as exc:
             raise ConfigError(f"fock block: {exc}") from exc
         if not fock.covers(dimension):
             raise ConfigError("fock creation+annihilation sets must cover 1..dimension")

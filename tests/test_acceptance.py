@@ -16,35 +16,25 @@ from conftest import (
 )
 from wickalg import (
     Element,
+    FockStructure,
     Monomial,
     PairingMatrix,
     Scalar,
     Scheme,
     TContext,
-    TensorElement,
-    antipode,
     circle,
     circle_distribute,
     circle_fold,
-    circle_renorm,
     convolve,
-    coproduct,
-    counit,
     exp_sigma,
     first_identity_check,
     gaussian_closed_form_check,
     green,
-    involute,
-    modified_pairing,
-    pairing,
     permanent,
     permanent_by_permutations,
     phi,
-    recover_pairing,
-    recover_vee,
     simplest_lagrangian_check,
     smatrix,
-    sweedler,
     t_closed_form,
     t_map,
     t_map_by_circle_fold,
@@ -53,12 +43,11 @@ from wickalg import (
     tbar_map,
     tbar_map_by_circle_fold,
     tbar_scalar,
-    tensor_product,
-    vacuum_expectation,
     vee,
-    z_pairing,
 )
+from wickalg import checks
 from wickalg.cli import main as cli_main
+from wickalg.config import Config
 from wickalg.renorm import Functional
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -69,71 +58,51 @@ SEED = 20260810
 TRIALS = 100
 
 
-def e(i):
-    return Element.generator(i)
-
-
 def mono(*indices):
     return Monomial.from_indices(indices)
 
 
+def assert_laws(laws, L, *, seed, max_grade, trials, scheme=None, fock=None):
+    """Run each law of checks.LAWS through a CheckEnv at the criterion's own
+    seed, grading and trial count; the pairing L sets d."""
+    config = Config(L.dim, L, Scheme() if scheme is None else scheme, fock,
+                    seed, max_grade, trials)
+    env = checks.CheckEnv(config, max_grade, trials, seed)
+    for law in laws:
+        counterexample = law(env)
+        assert counterexample is None, f"{law.__name__}: {counterexample}"
+
+
 def test_c01_hopf_laws():
-    rng = random.Random(SEED)
-    basis = [Element.from_monomial(m) for m in monomials_upto(4, 5)]
-    elements = basis + [rand_element(rng, 4, 5) for _ in range(TRIALS)]
-    for u in elements:
-        t = coproduct(u)
-        assert t.expand_slot(0) == t.expand_slot(1)          # coassociativity
-        assert t.swap() == t                                  # cocommutativity
-        left = Element.zero()
-        right = Element.zero()
-        for m1, m2, c in sweedler(u):
-            if m1.grading == 0:
-                left = left + c * Element.from_monomial(m2)
-            if m2.grading == 0:
-                right = right + c * Element.from_monomial(m1)
-        assert left == u and right == u                       # counit law
-        acc = Element.zero()
-        for m1, m2, c in sweedler(u):
-            acc = acc + c * antipode(Element.from_monomial(m1)).vee(
-                Element.from_monomial(m2)
-            )
-        assert acc == counit(u) * Element.one()               # antipode law
-    for _ in range(TRIALS):
-        u = rand_element(rng, 4, 3)
-        v = rand_element(rng, 4, 3)
-        assert coproduct(vee(u, v)) == coproduct(u).vee(coproduct(v))
+    L = rand_pairing(random.Random(SEED), 4, symmetric=True)
+    # coassociativity on every monomial of grading <= 5, then each law on
+    # TRIALS random elements of grading <= 5
+    assert_laws(
+        [
+            checks.law_vee_ring,
+            checks.law_coassociativity,
+            checks.law_cocommutativity,
+            checks.law_counit,
+            checks.law_antipode,
+            checks.law_derivations_commute,
+        ],
+        L, seed=SEED, max_grade=5, trials=TRIALS,
+    )
+    assert_laws([checks.law_coproduct_morphism], L, seed=SEED, max_grade=3, trials=TRIALS)
     print("PASS criterion 1: Hopf laws exact on monomials of grading <= 5 and random elements")
 
 
 def test_c02_laplace_identities_and_permanent_kernels():
     rng = random.Random(SEED + 2)
-    for n in range(7):
-        for _ in range(6):
-            matrix = [[rand_scalar(rng) for _ in range(n)] for _ in range(n)]
-            assert permanent(matrix) == permanent_by_permutations(matrix)
+    # the law draws trials // 10 matrices of each size n <= 5; n = 6 here
+    assert_laws([checks.law_permanent_kernels], rand_pairing(rng, 4, symmetric=False),
+                seed=SEED + 2, max_grade=3, trials=60)
+    for _ in range(6):
+        matrix = [[rand_scalar(rng) for _ in range(6)] for _ in range(6)]
+        assert permanent(matrix) == permanent_by_permutations(matrix)
     for symmetric in (False, True):
-        L = rand_pairing(rng, 4, symmetric)
-        for _ in range(TRIALS // 2):
-            u = rand_element(rng, 4, 3)
-            v = rand_element(rng, 4, 3)
-            w = rand_element(rng, 4, 3)
-            lhs = pairing(vee(u, v), w, L)
-            rhs = Scalar(0)
-            for w1, w2, c in sweedler(w):
-                rhs = rhs + c * (
-                    pairing(u, Element.from_monomial(w1), L)
-                    * pairing(v, Element.from_monomial(w2), L)
-                )
-            assert lhs == rhs
-            lhs = pairing(u, vee(v, w), L)
-            rhs = Scalar(0)
-            for u1, u2, c in sweedler(u):
-                rhs = rhs + c * (
-                    pairing(Element.from_monomial(u1), v, L)
-                    * pairing(Element.from_monomial(u2), w, L)
-                )
-            assert lhs == rhs
+        assert_laws([checks.law_laplace_identities], rand_pairing(rng, 4, symmetric),
+                    seed=SEED + 2, max_grade=3, trials=TRIALS // 2)
     print("PASS criterion 2: Laplace identities and Ryser = naive permanent for n <= 6")
 
 
@@ -144,36 +113,25 @@ def test_c03_circle_product_laws():
         rand_pairing(rng, 4, symmetric=False),
         rand_pairing(rng, 3, symmetric=False),
     ]
+    # the law splits its trials over the given pairing and a fresh asymmetric
+    # and symmetric one: TRIALS triples of grading <= 4 on each
+    assert_laws([checks.law_circle_associative], pairings[1],
+                seed=SEED + 3, max_grade=4, trials=3 * TRIALS)
     for L in pairings:
-        d = L.dim
-        for _ in range(TRIALS):
-            u = rand_element(rng, d, 4, terms=2)
-            v = rand_element(rng, d, 4, terms=2)
-            w = rand_element(rng, d, 4, terms=2)
-            assert circle(circle(u, v, L), w, L) == circle(u, circle(v, w, L), L)
+        assert_laws(
+            [
+                checks.law_circle_counit,
+                checks.law_circle_coproduct,
+                checks.law_pairing_shift,
+                checks.law_recover_vee,
+                checks.law_recover_pairing,
+                checks.law_commutativity_criterion,
+            ],
+            L, seed=SEED + 3, max_grade=3, trials=TRIALS // 4,
+        )
         for _ in range(TRIALS // 4):
-            u = rand_element(rng, d, 3, terms=2)
-            v = rand_element(rng, d, 3, terms=2)
-            w = rand_element(rng, d, 3, terms=2)
-            assert counit(circle(u, v, L)) == pairing(u, v, L)
-            lhs = coproduct(circle(u, v, L))
-            rhs1 = TensorElement(rank=2)
-            rhs2 = TensorElement(rank=2)
-            for u1, u2, cu in sweedler(u):
-                for v1, v2, cv in sweedler(v):
-                    c = cu * cv
-                    rhs1 = rhs1 + c * tensor_product(
-                        Element.from_monomial(u1.vee(v1)),
-                        circle(Element.from_monomial(u2), Element.from_monomial(v2), L),
-                    )
-                    rhs2 = rhs2 + c * tensor_product(
-                        circle(Element.from_monomial(u1), Element.from_monomial(v1), L),
-                        Element.from_monomial(u2.vee(v2)),
-                    )
-            assert lhs == rhs1 and lhs == rhs2
-            assert pairing(u, circle(v, w, L), L) == pairing(circle(u, v, L), w, L)
-            assert recover_vee(u, v, L) == vee(u, v)
-            assert recover_pairing(u, v, L) == pairing(u, v, L) * Element.one()
+            # law_distributivity draws v and w of grading <= 2 only
+            u, v, w = (rand_element(rng, L.dim, 3, terms=2) for _ in range(3))
             assert circle_distribute(u, v, w, L) == circle(u, vee(v, w), L)
     print("PASS criterion 3: circle product laws on >= 100 triples per pairing, asymmetric included")
 
@@ -222,70 +180,23 @@ def test_c04_wick_theorem():
 def test_c05_renormalisation_group():
     rng = random.Random(SEED + 5)
     z = rand_scheme(rng, 4, max_grade=5)
-    inv = z.inverse()
-    conv = convolve(z, inv)
-    for m in monomials_upto(4, 6):
-        assert conv(m) == (Scalar(1) if m.grading == 0 else Scalar(0))
-
-    def zz(*idx):
-        return z(mono(*idx))
-
-    got = inv(mono(1, 2, 3, 4))
-    assert got == (
-        -zz(1, 2, 3, 4)
-        + 2 * zz(1, 2) * zz(3, 4)
-        + 2 * zz(1, 3) * zz(2, 4)
-        + 2 * zz(1, 4) * zz(2, 3)
-    )
-
     L = rand_pairing(rng, 4, symmetric=False)
-
-    def z_pf(a, b):
-        return z_pairing(a, b, z)
-
-    def l_pf(a, b):
-        return pairing(a, b, L)
-
-    def m_pf(a, b):
-        return modified_pairing(a, b, z, L)
-
-    def coupling_holds(pf, u, v, w):
-        lhs = Scalar(0)
-        for u1, u2, cu in sweedler(u):
-            for v1, v2, cv in sweedler(v):
-                lhs = lhs + cu * cv * (
-                    pf(Element.from_monomial(u1.vee(v1)), w)
-                    * pf(Element.from_monomial(u2), Element.from_monomial(v2))
-                )
-        rhs = Scalar(0)
-        for v1, v2, cv in sweedler(v):
-            for w1, w2, cw in sweedler(w):
-                rhs = rhs + cv * cw * (
-                    pf(u, Element.from_monomial(v1.vee(w1)))
-                    * pf(Element.from_monomial(v2), Element.from_monomial(w2))
-                )
-        return lhs == rhs
-
-    for _ in range(TRIALS):
-        u = rand_element(rng, 4, 2, terms=2)
-        v = rand_element(rng, 4, 2, terms=2)
-        assert z_pairing(u, v, z) == z_pairing(v, u, z)
-    for _ in range(TRIALS // 3):
-        u = rand_element(rng, 4, 2, terms=2)
-        v = rand_element(rng, 4, 2, terms=2)
-        w = rand_element(rng, 4, 2, terms=2)
-        assert coupling_holds(z_pf, u, v, w)
-        assert coupling_holds(l_pf, u, v, w)
-        assert coupling_holds(m_pf, u, v, w)
-
-    a, b, c, d = e(1), e(2), e(3), e(4)
-    lhs = z_pairing(vee(a, b), vee(c, d), z)
-    rhs = (
-        z_pairing(a, vee(b, vee(c, d)), z)
-        + z_pairing(a, c, z) * z_pairing(b, d, z)
-        + z_pairing(b, c, z) * z_pairing(a, d, z)
+    # the group laws draw their own schemes of grading <= 5 and compare on
+    # every monomial of grading <= 6
+    assert_laws(
+        [
+            checks.law_convolution_group,
+            checks.law_inverse_four_point,
+            checks.law_z_pairing_symmetry,
+        ],
+        L, scheme=z, seed=SEED + 5, max_grade=5, trials=TRIALS,
     )
-    assert lhs == rhs
+    # TRIALS // 3 triples for each coupling identity; the last two laws draw trials // 4
+    assert_laws([checks.law_laplace_coupling], L, seed=SEED + 5, max_grade=5, trials=TRIALS // 3)
+    assert_laws(
+        [checks.law_z_coupling_identity, checks.law_modified_coupling_identity],
+        L, scheme=z, seed=SEED + 5, max_grade=5, trials=4 * (TRIALS // 3),
+    )
     print("PASS criterion 5: convolution group, inverse four-point formula, coupling identities")
 
 
@@ -293,22 +204,11 @@ def test_c06_renormalised_circle_product():
     rng = random.Random(SEED + 6)
     z = rand_scheme(rng, 3, max_grade=4)
     for symmetric in (True, False):
-        L = rand_pairing(rng, 3, symmetric)
-        for _ in range(TRIALS // 3):
-            u = rand_element(rng, 3, 3, terms=2)
-            v = rand_element(rng, 3, 3, terms=2)
-            w = rand_element(rng, 3, 3, terms=2)
-            lhs = circle_renorm(circle_renorm(u, v, z, L), w, z, L)
-            rhs = circle_renorm(u, circle_renorm(v, w, z, L), z, L)
-            assert lhs == rhs
-            if symmetric:
-                assert circle_renorm(u, v, z, L) == circle_renorm(v, u, z, L)
-    trivial = Scheme()
-    L = rand_pairing(rng, 3, symmetric=False)
-    for _ in range(TRIALS):
-        u = rand_element(rng, 3, 3)
-        v = rand_element(rng, 3, 3)
-        assert circle_renorm(u, v, trivial, L) == circle(u, v, L)
+        # the ring law draws trials // 2 triples: TRIALS // 3 here
+        assert_laws([checks.law_circle_renorm_ring], rand_pairing(rng, 3, symmetric), scheme=z,
+                    seed=SEED + 6, max_grade=3, trials=2 * (TRIALS // 3))
+    assert_laws([checks.law_circle_renorm_trivial], rand_pairing(rng, 3, symmetric=False),
+                seed=SEED + 6, max_grade=3, trials=TRIALS)
     print("PASS criterion 6: renormalised circle associative, commutative when symmetric, trivial scheme reduces")
 
 
@@ -316,28 +216,28 @@ def test_c07_t_map_routes_and_scalar_forms():
     rng = random.Random(SEED + 7)
     L = rand_pairing(rng, 4, symmetric=True)
     ctx = TContext(L)
+    # law_t_routes stops at grading 5
     for m in monomials_upto(4, 6):
         u = Element.from_monomial(m)
         a = t_map(u, ctx)
         assert a == t_map_by_circle_fold(u, ctx)
         assert a == exp_sigma(u, ctx)
-    for _ in range(TRIALS // 2):
-        u = rand_element(rng, 4, 4)
-        lhs = coproduct(t_map(u, ctx))
-        rhs = TensorElement(rank=2)
-        for u1, u2, c in sweedler(u):
-            rhs = rhs + c * tensor_product(
-                Element.from_monomial(u1), t_map(Element.from_monomial(u2), ctx)
-            )
-        assert lhs == rhs
-        assert t_scalar(u, ctx) == counit(t_map(u, ctx))
+    assert_laws(
+        [
+            checks.law_t_coproduct,
+            checks.law_t_multiplicative,
+            checks.law_t_scalar_laws,
+            checks.law_sigma_commutator,
+        ],
+        L, seed=SEED + 7, max_grade=4, trials=TRIALS // 2,
+    )
+    # law_t_closed_forms stops at six letters, and at four for the permutation form
     for length in (2, 4, 6, 8):
         gens = tuple(rng.randint(1, 4) for _ in range(length))
         rec = t_scalar(Element.from_monomial(Monomial.from_indices(gens)), ctx)
         closed = t_closed_form(gens, ctx)
         assert rec == closed
-        if length <= 8:
-            assert closed == t_permutation_form(gens, ctx)
+        assert closed == t_permutation_form(gens, ctx)
     ones = TContext(PairingMatrix([[Scalar(1)]], symmetric=True))
     assert t_closed_form((1,) * 8, ones) == 105  # (2n-1)!! matchings at 2n = 8
     print("PASS criterion 7: T-map routes agree to grading 6; scalar t closed forms agree to eight letters")
@@ -348,6 +248,7 @@ def test_c08_renormalisation_identities():
     L = rand_pairing(rng, 3, symmetric=True)
     z = rand_scheme(rng, 3, max_grade=6)
     ctx = TContext(L, z)
+    # law_tbar_identities stops at grading 4, and draws v of grading <= 2
     for m in monomials_upto(3, 6):
         u = Element.from_monomial(m)
         assert tbar_map(u, ctx) == tbar_map_by_circle_fold(u, ctx)  # Pinter identity
@@ -360,40 +261,24 @@ def test_c08_renormalisation_identities():
     conv = convolve(z, t_fn)
     for m in monomials_upto(3, 6):
         assert tbar_scalar(Element.from_monomial(m), ctx) == conv(m)
-
-    L4 = rand_pairing(rng, 4, symmetric=True)
-    z4 = rand_scheme(rng, 4, max_grade=4)
-    ctx4 = TContext(L4, z4)
-
-    def zz(*idx):
-        return z4(mono(*idx))
-
-    def p(i, j):
-        return L4.entry(i, j)
-
-    assert tbar_scalar(Element.from_monomial(mono(1, 2)), ctx4) == p(1, 2) + zz(1, 2)
-    assert tbar_scalar(Element.from_monomial(mono(1, 2, 3)), ctx4) == zz(1, 2, 3)
-    expected = (
-        zz(1, 2, 3, 4)
-        + zz(1, 2) * p(3, 4) + zz(1, 3) * p(2, 4) + zz(1, 4) * p(2, 3)
-        + zz(2, 3) * p(1, 4) + zz(2, 4) * p(1, 3) + zz(3, 4) * p(1, 2)
-        + p(1, 2) * p(3, 4) + p(1, 3) * p(2, 4) + p(1, 4) * p(2, 3)
-    )
-    assert tbar_scalar(Element.from_monomial(mono(1, 2, 3, 4)), ctx4) == expected
+    # tbar on e1 v e2, e1 v e2 v e3 and the ten terms of e1 v e2 v e3 v e4
+    assert_laws([checks.law_tbar_examples], rand_pairing(rng, 4, symmetric=True),
+                scheme=rand_scheme(rng, 4, max_grade=4), seed=SEED + 8, max_grade=4, trials=TRIALS)
     print("PASS criterion 8: first identity and Pinter identity to grading 6; tbar = zeta * t; 10-term example")
 
 
 def test_c09_fock_structure():
     rng = random.Random(SEED + 9)
-    from wickalg import FockStructure
-
     fock = FockStructure([1, 2], [3, 4], {1: 3, 2: 4})
-    for _ in range(TRIALS):
-        u = rand_element(rng, 4, 3)
-        v = rand_element(rng, 4, 3)
-        assert phi(vee(u, v), fock) == phi(u, fock).vee(phi(v, fock))
-        assert vacuum_expectation(u) == counit(u)
-        assert involute(involute(u, fock), fock) == u
+    assert_laws(
+        [
+            checks.law_fock_projectors,
+            checks.law_fock_phi,
+            checks.law_fock_involution,
+            checks.law_vacuum,
+        ],
+        rand_pairing(rng, 4, symmetric=True), fock=fock, seed=SEED + 9, max_grade=4, trials=TRIALS,
+    )
     images = set()
     for m in monomials_upto(4, 3):
         img = phi(Element.from_monomial(m), fock)

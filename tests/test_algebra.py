@@ -1,6 +1,5 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 import pytest
 
@@ -16,8 +15,6 @@ from wickalg import (
     derivation,
     divided_power,
     iterated_coproduct,
-    sweedler,
-    tensor_product,
     vee,
 )
 
@@ -110,15 +107,6 @@ class TestElement:
         assert u / 2 + u / 2 == u
         assert -u + u == Element.zero()
 
-    def test_vee_ring_laws_random(self, rng):
-        for _ in range(40):
-            u = rand_element(rng, 4, 5)
-            v = rand_element(rng, 4, 5)
-            w = rand_element(rng, 4, 5)
-            assert vee(vee(u, v), w) == vee(u, vee(v, w))
-            assert vee(u, v) == vee(v, u)
-            assert vee(u, Element.one()) == u
-
 
 class TestCoproduct:
     def test_primitive_generator(self):
@@ -164,15 +152,6 @@ class TestCoproduct:
         t = iterated_coproduct(Element.one(), 3)
         assert t == TensorElement({(mono(), mono(), mono()): Scalar(1)}, rank=3)
 
-    def test_iterated_is_slot_independent(self, rng):
-        for m in monomials_upto(3, 4):
-            t = coproduct(Element.from_monomial(m))
-            assert t.expand_slot(0) == t.expand_slot(1)
-        for _ in range(20):
-            u = rand_element(rng, 3, 4)
-            t = coproduct(u)
-            assert t.expand_slot(0) == t.expand_slot(1)
-
     def test_iterated_depth_one_is_identity(self):
         u = e(1) + e(2)
         assert iterated_coproduct(u, 1) == u
@@ -180,56 +159,15 @@ class TestCoproduct:
 
 
 class TestHopfLaws:
-    def test_cocommutative(self, rng):
-        for _ in range(30):
-            u = rand_element(rng, 4, 4)
-            t = coproduct(u)
-            assert t.swap() == t
-
-    def test_counit_law(self, rng):
-        for _ in range(30):
-            u = rand_element(rng, 4, 4)
-            left = Element.zero()
-            right = Element.zero()
-            for m1, m2, c in sweedler(u):
-                if m1.grading == 0:
-                    left = left + c * Element.from_monomial(m2)
-                if m2.grading == 0:
-                    right = right + c * Element.from_monomial(m1)
-            assert left == u
-            assert right == u
-
     def test_counit_values(self):
         assert counit(Element.one()) == 1
         assert counit(Element.from_monomial(mono(1, 2))) == 0
         assert counit(Element.from_scalar(3) + 2 * e(1)) == 3
 
-    def test_compatibility_with_product(self, rng):
-        for _ in range(25):
-            u = rand_element(rng, 3, 3)
-            v = rand_element(rng, 3, 3)
-            assert coproduct(vee(u, v)) == coproduct(u).vee(coproduct(v))
-
-    def test_antipode_law(self, rng):
-        for _ in range(25):
-            u = rand_element(rng, 4, 4)
-            acc = Element.zero()
-            for m1, m2, c in sweedler(u):
-                acc = acc + c * antipode(Element.from_monomial(m1)).vee(
-                    Element.from_monomial(m2)
-                )
-            assert acc == counit(u) * Element.one()
-
     def test_antipode_examples(self):
         assert antipode(e(1)) == -e(1)
         m = Element.from_monomial(mono(1, 2))
         assert antipode(m) == m
-
-    def test_antipode_is_algebra_morphism(self, rng):
-        for _ in range(25):
-            u = rand_element(rng, 4, 3)
-            v = rand_element(rng, 4, 3)
-            assert antipode(vee(u, v)) == vee(antipode(u), antipode(v))
 
 
 class TestDerivation:
@@ -252,12 +190,6 @@ class TestDerivation:
                 u, derivation(k, v)
             )
 
-    def test_derivations_commute(self, rng):
-        for _ in range(25):
-            u = rand_element(rng, 4, 4)
-            i, j = rng.randint(1, 4), rng.randint(1, 4)
-            assert derivation(i, derivation(j, u)) == derivation(j, derivation(i, u))
-
 
 class TestDividedPowers:
     def test_small_cases(self):
@@ -266,22 +198,6 @@ class TestDividedPowers:
         assert divided_power(1, 3) == Element.from_monomial(
             mono(1, 1, 1), Scalar(Fraction(1, 6))
         )
-
-    def test_binomial_product(self):
-        lhs = divided_power(1, 2).vee(divided_power(1, 3))
-        assert lhs == comb(5, 2) * divided_power(1, 5)
-
-    def test_diagonal_coproduct(self):
-        for n in range(6):
-            acc = TensorElement(rank=2)
-            for k in range(n + 1):
-                acc = acc + tensor_product(divided_power(1, k), divided_power(1, n - k))
-            assert coproduct(divided_power(1, n)) == acc
-
-    def test_antipode_sign(self):
-        for n in range(6):
-            dp = divided_power(1, n)
-            assert antipode(dp) == (Scalar(-1) ** n) * dp
 
 
 class TestDisplay:

@@ -3,7 +3,6 @@ import importlib.util
 import inspect
 import json
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,18 +12,10 @@ import pytest
 
 import wickalg.laplace as laplace_mod
 import wickalg.renorm as renorm_mod
-from conftest import rand_scheme
 from wickalg.algebra import Element, divided_power
-from wickalg.checks import (
-    CheckEnv,
-    law_circle_associative,
-    law_inverse_four_point,
-    law_tbar_examples,
-    law_z_coupling_identity,
-    rand_pairing,
-)
+from wickalg.checks import CheckEnv, law_circle_associative
 from wickalg.cli import main
-from wickalg.config import Config, ConfigError, load_config, parse_config
+from wickalg.config import ConfigError, load_config, parse_config
 from wickalg.expr import EvalEnv, as_element, evaluate, parse_expr
 from wickalg.renorm import Functional
 from wickalg.scalars import Scalar
@@ -34,6 +25,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 DEFAULT = os.path.join(CONFIG_DIR, "default.json")
 ASYMMETRIC = os.path.join(CONFIG_DIR, "asymmetric.json")
+
+
+def fock(**fields):
+    """asymmetric.json's d = 2 with a valid Fock block, some fields replaced."""
+    return {"creation": [1], "annihilation": [2], "involution": {"1": 2}, **fields}
+
+
+LISTS = "fock 'creation' and 'annihilation' must be lists of integers"
+INVOLUTION = "fock 'involution' must map index strings"
 
 
 def run_cli(capsys, *argv):
@@ -157,16 +157,11 @@ class TestEvalCommand:
 
 
 class TestCheckCommand:
-    def test_default_config_all_pass(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "check", "--config", DEFAULT, "--trials", "8", "--max-grade", "3"
-        )
-        assert code == 0
-        assert "FAIL" not in out
-
+    # tests/test_laws.py checks each law's verdict on the shipped configs at
+    # 8 trials and grading 3; these tests check what the command prints.
     def test_asymmetric_config_passes_and_skips_time_ordering(self, capsys):
         code, out, _ = run_cli(
-            capsys, "check", "--config", ASYMMETRIC, "--trials", "8", "--max-grade", "3"
+            capsys, "check", "--config", ASYMMETRIC, "--trials", "1", "--max-grade", "1"
         )
         assert code == 0
         assert "skip  T-map routes agree" in out
@@ -179,7 +174,7 @@ class TestCheckCommand:
     def test_check_summary_counts(self, capsys, path, summary, skips):
         # A law that silently became a skip would change these counts.
         code, out, _ = run_cli(
-            capsys, "check", "--config", path, "--trials", "8", "--max-grade", "3"
+            capsys, "check", "--config", path, "--trials", "1", "--max-grade", "1"
         )
         lines = out.splitlines()
         assert code == 0
@@ -216,6 +211,13 @@ class TestCheckCommand:
             ({"dimension": True}, [], "'dimension' must be an integer"),
             ({"trials": 2.7}, [], "'trials' must be an integer"),
             ({"seed": "1"}, [], "'seed' must be an integer"),
+            ({"fock": fock(creation=[1.9])}, [], LISTS),
+            ({"fock": fock(creation=[True])}, [], LISTS),
+            ({"fock": fock(annihilation=["2"])}, [], LISTS),
+            ({"fock": fock(creation=1)}, [], LISTS),
+            ({"fock": fock(involution={"1": 2.0})}, [], INVOLUTION),
+            ({"fock": fock(involution={"1.0": 2})}, [], INVOLUTION),
+            ({"fock": fock(involution=[[1, 2]])}, [], INVOLUTION),
         ],
     )
     def test_bad_setting_exits_2(self, capsys, tmp_path, overrides, argv, message):
@@ -273,14 +275,6 @@ class TestCheckCommand:
         )
         assert code == 1
         assert "FAIL  convolution inverse four-point formula" in out
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_four_point_laws_hold_with_repeated_letters(self, d):
-        rng = random.Random(d)
-        cfg = Config(d, rand_pairing(rng, d, True), rand_scheme(rng, d), None, 0, 3, 8)
-        env = CheckEnv(cfg, 3, 8, 0)
-        for law in (law_inverse_four_point, law_z_coupling_identity, law_tbar_examples):
-            assert law(env) is None, law.__name__
 
 
 class TestGreenCommand:

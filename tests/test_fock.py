@@ -1,19 +1,16 @@
 import pytest
 
-from conftest import rand_element
 from wickalg import (
     Element,
     FockStructure,
     Monomial,
     Scalar,
     TensorElement,
-    counit,
     involute,
     phi,
     project_minus,
     project_plus,
     vacuum_expectation,
-    vee,
 )
 
 
@@ -58,22 +55,6 @@ class TestProjectors:
         assert project_plus(Element.one(), fock) == Element.one()
         assert project_minus(Element.one(), fock) == Element.one()
 
-    def test_mixed_monomial_dies(self, fock):
-        mixed = Element.from_monomial(mono(1, 3))
-        assert project_plus(mixed, fock) == Element.zero()
-        assert project_minus(mixed, fock) == Element.zero()
-
-    def test_algebra_morphisms(self, fock, rng):
-        for _ in range(20):
-            u = rand_element(rng, 4, 3)
-            v = rand_element(rng, 4, 3)
-            assert project_plus(vee(u, v), fock) == vee(
-                project_plus(u, fock), project_plus(v, fock)
-            )
-            assert project_minus(vee(u, v), fock) == vee(
-                project_minus(u, fock), project_minus(v, fock)
-            )
-
 
 class TestPhi:
     def test_unit(self, fock):
@@ -90,12 +71,6 @@ class TestPhi:
     def test_monomial_split_keeps_multiplicities(self, fock):
         got = phi(Element.from_monomial(mono(1, 1, 3, 4)), fock)
         assert got == TensorElement({(mono(1, 1), mono(3, 4)): Scalar(1)})
-
-    def test_multiplicative(self, fock, rng):
-        for _ in range(20):
-            u = rand_element(rng, 4, 3)
-            v = rand_element(rng, 4, 3)
-            assert phi(vee(u, v), fock) == phi(u, fock).vee(phi(v, fock))
 
     def test_injective_on_basis(self, fock):
         from conftest import monomials_upto
@@ -121,21 +96,11 @@ class TestInvolution:
         got = involute(i * e(1), fock)
         assert got == (-i) * e(3)
 
-    def test_involutive(self, fock, rng):
-        for _ in range(20):
-            u = rand_element(rng, 4, 3)
-            assert involute(involute(u, fock), fock) == u
-
 
 class TestVacuum:
     def test_values(self):
         assert vacuum_expectation(Element.one()) == 1
         assert vacuum_expectation(Element.from_monomial(mono(1, 2))) == 0
-
-    def test_is_counit(self, rng):
-        for _ in range(20):
-            u = rand_element(rng, 4, 4)
-            assert vacuum_expectation(u) == counit(u)
 
     def test_circle_vacuum_is_pairing(self, rng):
         from conftest import rand_pairing

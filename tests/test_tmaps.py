@@ -13,12 +13,10 @@ from wickalg import (
     Scheme,
     TContext,
     TensorElement,
-    circle,
     circle_renorm,
     convolve,
     coproduct,
     counit,
-    derivation,
     exp_sigma,
     first_identity_check,
     pairing,
@@ -131,30 +129,6 @@ class TestTMap:
             assert a == b
             assert a == c
 
-    def test_multiplicative(self, ctx, rng):
-        for _ in range(15):
-            u = rand_element(rng, 3, 3, terms=2)
-            v = rand_element(rng, 3, 3, terms=2)
-            assert t_map(vee(u, v), ctx) == circle(
-                t_map(u, ctx), t_map(v, ctx), ctx.pairing
-            )
-
-    def test_coproduct_identity(self, ctx, rng):
-        for _ in range(15):
-            u = rand_element(rng, 3, 4)
-            lhs = coproduct(t_map(u, ctx))
-            rhs1 = TensorElement(rank=2)
-            rhs2 = TensorElement(rank=2)
-            for u1, u2, c in sweedler(u):
-                rhs1 = rhs1 + c * tensor_product(
-                    Element.from_monomial(u1), t_map(Element.from_monomial(u2), ctx)
-                )
-                rhs2 = rhs2 + c * tensor_product(
-                    t_map(Element.from_monomial(u1), ctx), Element.from_monomial(u2)
-                )
-            assert lhs == rhs1
-            assert lhs == rhs2
-
 
 class TestWickRecursionOracles:
     """The production T and Tbar (twists of the scalar t) against their
@@ -235,29 +209,6 @@ class TestSigma:
             for m in su.terms:
                 assert m.grading + 2 in gradings
 
-    def test_extension_formula(self, ctx, rng):
-        # Sigma(a v u) = a v Sigma(u) + sum_j (a|e_j) delta_j u
-        for _ in range(15):
-            u = rand_element(rng, 3, 4)
-            k = rng.randint(1, 3)
-            a = e(k)
-            lhs = sigma_apply(vee(a, u), ctx)
-            rhs = vee(a, sigma_apply(u, ctx))
-            for j in range(1, 4):
-                f = ctx.pairing.entry(k, j)
-                if f:
-                    rhs = rhs + f * derivation(j, u)
-            assert lhs == rhs
-
-    def test_circle_with_generator_formula(self, ctx, rng):
-        # a o u = a v u + [Sigma, a] u
-        for _ in range(15):
-            u = rand_element(rng, 3, 4)
-            k = rng.randint(1, 3)
-            a = e(k)
-            commutator = sigma_apply(vee(a, u), ctx) - vee(a, sigma_apply(u, ctx))
-            assert circle(a, u, ctx.pairing) == vee(a, u) + commutator
-
     def test_exp_sigma_examples(self, ctx):
         assert exp_sigma(Element.one(), ctx) == Element.one()
         got = exp_sigma(Element.from_monomial(mono(1, 2)), ctx)
@@ -292,11 +243,6 @@ class TestScalarT:
             g = rng.choice([1, 3, 5])
             m = Monomial.from_indices(rng.choices([1, 2, 3], k=g))
             assert t_scalar(Element.from_monomial(m), ctx) == 0
-
-    def test_equals_counit_of_t(self, ctx, rng):
-        for _ in range(15):
-            u = rand_element(rng, 3, 4)
-            assert t_scalar(u, ctx) == counit(t_map(u, ctx))
 
     def test_t_from_scalar(self, ctx, rng):
         for _ in range(15):
@@ -438,40 +384,6 @@ class TestRenormalisedScalarT:
     def test_base_cases(self, ctx):
         assert tbar_scalar(Element.one(), ctx) == 1
         assert tbar_scalar(e(3), ctx) == 0
-
-    def test_pair_example(self, ctx):
-        got = tbar_scalar(Element.from_monomial(mono(1, 2)), ctx)
-        assert got == ctx.pairing.entry(1, 2) + ctx.scheme(mono(1, 2))
-
-    def test_triple_example(self, ctx):
-        got = tbar_scalar(Element.from_monomial(mono(1, 2, 3)), ctx)
-        assert got == ctx.scheme(mono(1, 2, 3))
-
-    def test_ten_term_four_point(self, rng):
-        L = rand_pairing(rng, 4, symmetric=True)
-        z = rand_scheme(rng, 4, max_grade=4)
-        ctx = TContext(L, z)
-
-        def zz(*idx):
-            return z(mono(*idx))
-
-        def p(i, j):
-            return L.entry(i, j)
-
-        got = tbar_scalar(Element.from_monomial(mono(1, 2, 3, 4)), ctx)
-        expected = (
-            zz(1, 2, 3, 4)
-            + zz(1, 2) * p(3, 4)
-            + zz(1, 3) * p(2, 4)
-            + zz(1, 4) * p(2, 3)
-            + zz(2, 3) * p(1, 4)
-            + zz(2, 4) * p(1, 3)
-            + zz(3, 4) * p(1, 2)
-            + p(1, 2) * p(3, 4)
-            + p(1, 3) * p(2, 4)
-            + p(1, 4) * p(2, 3)
-        )
-        assert got == expected
 
     def test_equals_counit_of_tbar(self, ctx, rng):
         for _ in range(10):
