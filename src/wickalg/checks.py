@@ -4,8 +4,8 @@ random elements and exact equality.
 Each law function returns None on success or a human-readable counterexample
 string on the first failure; the runner aggregates results for the CLI.  A law
 lives only here, in ``LAWS``: tests/test_laws.py runs each over shipped and
-random configs, the acceptance criteria at their own sizes, and the other
-tests keep only worked examples and oracles.
+random configs, the acceptance criteria and some unit tests at sizes of their
+own; the other tests keep worked examples and oracles.
 """
 
 from __future__ import annotations

@@ -5,12 +5,14 @@ import pytest
 
 from wickalg import PairingMatrix, Scalar, Scheme
 from wickalg.checks import (  # noqa: F401  (re-exported to the tests)
+    CheckEnv,
     monomials_upto,
     rand_element,
     rand_monomial,
     rand_pairing,
     rand_scalar,
 )
+from wickalg.config import Config
 
 
 def rational(p, q=1):
@@ -23,6 +25,17 @@ def rand_scheme(rng, dim, max_grade=4):
         m = rand_monomial(rng, dim, max_grade, min_grade=2)
         values[m] = rand_scalar(rng)
     return Scheme(values)
+
+
+def assert_laws(laws, L, *, seed, max_grade, trials, scheme=None, fock=None):
+    """Run each law of checks.LAWS through a CheckEnv at the caller's own
+    seed, grading and trial count; the pairing L sets d."""
+    config = Config(L.dim, L, Scheme() if scheme is None else scheme, fock,
+                    seed, max_grade, trials)
+    env = CheckEnv(config, max_grade, trials, seed)
+    for law in laws:
+        counterexample = law(env)
+        assert counterexample is None, f"{law.__name__}: {counterexample}"
 
 
 @pytest.fixture

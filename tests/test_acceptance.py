@@ -8,6 +8,7 @@ import random
 from itertools import product as iterproduct
 
 from conftest import (
+    assert_laws,
     monomials_upto,
     rand_element,
     rand_pairing,
@@ -20,7 +21,6 @@ from wickalg import (
     Monomial,
     PairingMatrix,
     Scalar,
-    Scheme,
     TContext,
     circle,
     circle_distribute,
@@ -47,7 +47,6 @@ from wickalg import (
 )
 from wickalg import checks
 from wickalg.cli import main as cli_main
-from wickalg.config import Config
 from wickalg.renorm import Functional
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -60,17 +59,6 @@ TRIALS = 100
 
 def mono(*indices):
     return Monomial.from_indices(indices)
-
-
-def assert_laws(laws, L, *, seed, max_grade, trials, scheme=None, fock=None):
-    """Run each law of checks.LAWS through a CheckEnv at the criterion's own
-    seed, grading and trial count; the pairing L sets d."""
-    config = Config(L.dim, L, Scheme() if scheme is None else scheme, fock,
-                    seed, max_grade, trials)
-    env = checks.CheckEnv(config, max_grade, trials, seed)
-    for law in laws:
-        counterexample = law(env)
-        assert counterexample is None, f"{law.__name__}: {counterexample}"
 
 
 def test_c01_hopf_laws():

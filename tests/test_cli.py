@@ -3,6 +3,7 @@ import importlib.util
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,10 +13,18 @@ import pytest
 
 import wickalg.laplace as laplace_mod
 import wickalg.renorm as renorm_mod
+from conftest import rand_scheme
 from wickalg.algebra import Element, divided_power
-from wickalg.checks import CheckEnv, law_circle_associative
+from wickalg.checks import (
+    CheckEnv,
+    law_circle_associative,
+    law_inverse_four_point,
+    law_tbar_examples,
+    law_z_coupling_identity,
+    rand_pairing,
+)
 from wickalg.cli import main
-from wickalg.config import ConfigError, load_config, parse_config
+from wickalg.config import Config, ConfigError, load_config, parse_config
 from wickalg.expr import EvalEnv, as_element, evaluate, parse_expr
 from wickalg.renorm import Functional
 from wickalg.scalars import Scalar
@@ -275,6 +284,14 @@ class TestCheckCommand:
         )
         assert code == 1
         assert "FAIL  convolution inverse four-point formula" in out
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_four_point_laws_hold_with_repeated_letters(self, d):
+        rng = random.Random(d)
+        cfg = Config(d, rand_pairing(rng, d, True), rand_scheme(rng, d), None, 0, 3, 8)
+        env = CheckEnv(cfg, 3, 8, 0)
+        for law in (law_inverse_four_point, law_z_coupling_identity, law_tbar_examples):
+            assert law(env) is None, law.__name__
 
 
 class TestGreenCommand:

@@ -4,7 +4,8 @@ from math import factorial
 
 import pytest
 
-from conftest import rand_element, rand_pairing, rand_scalar
+from conftest import assert_laws, rand_element, rand_pairing, rand_scalar
+from wickalg import checks
 from wickalg import (
     Element,
     Monomial,
@@ -164,6 +165,16 @@ class TestPairing:
             expected = (L.entry(1, 2) ** n) / Scalar(factorial(n))
             assert got == expected
 
+    # The laws run at d = 3, below the d = 4 of the acceptance criteria.
+    def test_laplace_expansion_identities(self, rng):
+        for symmetric in (False, True):
+            assert_laws([checks.law_laplace_identities], rand_pairing(rng, 3, symmetric),
+                        seed=0, max_grade=3, trials=20)
+
+    def test_coupling_identity(self, rng):
+        assert_laws([checks.law_laplace_coupling], rand_pairing(rng, 3, symmetric=False),
+                    seed=0, max_grade=2, trials=15)
+
 
 class TestCircle:
     def test_two_generators(self, rng):
@@ -193,6 +204,20 @@ class TestCircle:
             assert circle(u, v + w, L) == circle(u, v, L) + circle(u, w, L)
             s = rand_scalar(rng)
             assert circle(u, s * v, L) == s * circle(u, v, L)
+
+    def test_associative_for_any_pairing(self, rng):
+        # 25 triples on this pairing and on each fresh pairing the law draws
+        assert_laws([checks.law_circle_associative], rand_pairing(rng, 3, symmetric=False),
+                    seed=0, max_grade=4, trials=75)
+
+    def test_commutative_iff_symmetric(self, rng):
+        assert_laws([checks.law_commutativity_criterion], rand_pairing(rng, 3, symmetric=True),
+                    seed=0, max_grade=3, trials=15)
+
+    def test_commutator_defect(self, rng):
+        # asymmetric: e_i o e_j - e_j o e_i = (L_ij - L_ji) 1 for every pair
+        assert_laws([checks.law_commutativity_criterion], rand_pairing(rng, 2, symmetric=False),
+                    seed=0, max_grade=3, trials=15)
 
 
 class TestWick:
@@ -295,6 +320,10 @@ class TestDistributivity:
             v = rand_element(rng, 3, 3)
             w = rand_element(rng, 3, 3)
             assert circle_distribute(Element.one(), v, w, L) == vee(v, w)
+
+    def test_matches_direct_circle(self, rng):
+        assert_laws([checks.law_distributivity], rand_pairing(rng, 3, symmetric=False),
+                    seed=0, max_grade=3, trials=15)
 
 
 def test_symmetric_flag_validation():

@@ -2,8 +2,9 @@
 shipped configs and over seeded random configs: d = 1..4, symmetric and
 asymmetric pairings, a Fock block at d = 2 and 4 and none at d = 1 and 3.
 
-A law lives only in ``checks.LAWS``.  This module and the acceptance criteria
-run the laws; the other tests keep worked examples and oracles.
+A law lives only in ``checks.LAWS``.  This module, the acceptance criteria and
+some unit tests (through ``conftest.assert_laws``) run the laws; the tests
+otherwise keep worked examples and oracles.
 """
 
 import functools

@@ -4,7 +4,8 @@ import weakref
 import pytest
 
 import wickalg.renorm as renorm_mod
-from conftest import monomials_upto, rand_element, rand_pairing, rand_scheme
+from conftest import assert_laws, monomials_upto, rand_element, rand_pairing, rand_scheme
+from wickalg import checks
 from wickalg import (
     Element,
     Monomial,
@@ -67,6 +68,13 @@ class TestConvolution:
         m = mono(1, 2)
         assert conv(m) == z1(m) + z2(m)
 
+    # Each law below runs at d = 3 (the acceptance criteria run d = 4), the
+    # convolution laws on random schemes of the law's own.
+    def test_associative_commutative(self, rng):
+        # unit, associativity, commutativity and inverse on every monomial <= 5
+        assert_laws([checks.law_convolution_group], rand_pairing(rng, 3, symmetric=False),
+                     seed=0, max_grade=3, trials=1)
+
     def test_inverse_values(self, rng):
         z = rand_scheme(rng, 4)
         inv = convolution_inverse(z)
@@ -74,6 +82,10 @@ class TestConvolution:
         assert inv(mono(1)) == 0
         assert inv(mono(1, 2)) == -z(mono(1, 2))
         assert inv(mono(1, 2, 3)) == -z(mono(1, 2, 3))
+
+    def test_inverse_four_point_formula(self, rng):
+        assert_laws([checks.law_inverse_four_point], rand_pairing(rng, 4, symmetric=False),
+                    seed=0, max_grade=4, trials=1)
 
 
 class TestZPairing:
@@ -98,6 +110,16 @@ class TestZPairing:
             - z(mono(2, 3)) * z(mono(1, 4))
         )
         assert got == expected
+
+    def test_symmetry(self, rng):
+        # also the unit: (1|u)_Z = eps(u)
+        assert_laws([checks.law_z_pairing_symmetry], rand_pairing(rng, 3, symmetric=False),
+                    scheme=rand_scheme(rng, 3), seed=0, max_grade=3, trials=20)
+
+    def test_coupling_identity(self, rng):
+        # 12 random triples of grading <= 2, then the worked 2+2 instance
+        assert_laws([checks.law_z_coupling_identity], rand_pairing(rng, 3, symmetric=False),
+                    scheme=rand_scheme(rng, 3), seed=0, max_grade=2, trials=48)
 
 
 class TestModifiedPairing:
@@ -148,6 +170,10 @@ class TestModifiedPairing:
         )
         assert got == expected
 
+    def test_coupling_identity(self, rng):
+        assert_laws([checks.law_modified_coupling_identity], rand_pairing(rng, 3, symmetric=False),
+                    scheme=rand_scheme(rng, 3), seed=0, max_grade=2, trials=40)
+
 
 class TestRenormalisedCircle:
     def test_two_generators(self, rng):
@@ -180,6 +206,10 @@ class TestRenormalisedCircle:
         for _ in range(15):
             u = rand_element(rng, 3, 3)
             assert circle_renorm(Element.one(), u, z, L) == u
+
+    def test_coproduct_lemma(self, rng):
+        assert_laws([checks.law_circle_renorm_coproduct], rand_pairing(rng, 3, symmetric=False),
+                    scheme=rand_scheme(rng, 3), seed=0, max_grade=3, trials=20)
 
 
 class TestMemoKeys:

@@ -4,7 +4,8 @@ from itertools import permutations
 
 import pytest
 
-from conftest import monomials_upto, rand_element, rand_pairing, rand_scheme
+from conftest import assert_laws, monomials_upto, rand_element, rand_pairing, rand_scheme
+from wickalg import checks
 from wickalg import (
     Element,
     Monomial,
@@ -129,6 +130,15 @@ class TestTMap:
             assert a == b
             assert a == c
 
+    # The laws run on the d = 3 fixture (the acceptance criteria run d = 4).
+    def test_multiplicative(self, ctx):
+        assert_laws([checks.law_t_multiplicative], ctx.pairing, scheme=ctx.scheme,
+                    seed=0, max_grade=3, trials=15)
+
+    def test_coproduct_identity(self, ctx):
+        assert_laws([checks.law_t_coproduct], ctx.pairing, scheme=ctx.scheme,
+                    seed=0, max_grade=4, trials=15)
+
 
 class TestWickRecursionOracles:
     """The production T and Tbar (twists of the scalar t) against their
@@ -220,6 +230,11 @@ class TestSigma:
             u = rand_element(rng, 3, 6)
             assert exp_sigma(u, ctx) == t_map(u, ctx)
 
+    def test_extension_formula(self, ctx):
+        # Sigma(a v u) = a v Sigma(u) + sum_j (a|e_j) delta_j u, and a o u = a v u + [Sigma, a] u
+        assert_laws([checks.law_sigma_commutator], ctx.pairing, scheme=ctx.scheme,
+                    seed=0, max_grade=4, trials=15)
+
 
 class TestScalarT:
     def test_base_cases(self, ctx):
@@ -228,6 +243,10 @@ class TestScalarT:
 
     def test_pair(self, ctx):
         assert t_scalar(Element.from_monomial(mono(1, 2)), ctx) == ctx.pairing.entry(1, 2)
+
+    def test_equals_counit_of_t(self, ctx):
+        assert_laws([checks.law_t_scalar_laws], ctx.pairing, scheme=ctx.scheme,
+                    seed=0, max_grade=4, trials=15)
 
     def test_four_point_formula(self, ctx):
         def p(i, j):
@@ -384,6 +403,11 @@ class TestRenormalisedScalarT:
     def test_base_cases(self, ctx):
         assert tbar_scalar(Element.one(), ctx) == 1
         assert tbar_scalar(e(3), ctx) == 0
+
+    def test_ten_term_four_point(self, rng):
+        # with the pair and triple examples, on e1..e4
+        assert_laws([checks.law_tbar_examples], rand_pairing(rng, 4, symmetric=True),
+                    scheme=rand_scheme(rng, 4, max_grade=4), seed=0, max_grade=4, trials=1)
 
     def test_equals_counit_of_tbar(self, ctx, rng):
         for _ in range(10):
