@@ -22,10 +22,13 @@ from wickalg import (
     PairingMatrix,
     Scalar,
     TContext,
+    antipode,
     circle,
     circle_distribute,
     circle_fold,
     convolve,
+    coproduct,
+    counit,
     exp_sigma,
     first_identity_check,
     gaussian_closed_form_check,
@@ -35,6 +38,7 @@ from wickalg import (
     phi,
     simplest_lagrangian_check,
     smatrix,
+    sweedler,
     t_closed_form,
     t_map,
     t_map_by_circle_fold,
@@ -62,6 +66,26 @@ def mono(*indices):
 
 
 def test_c01_hopf_laws():
+    # the laws draw random elements only: cocommutativity, the counit law and
+    # the antipode law on every monomial of grading <= 5 stay written out
+    for m in monomials_upto(4, 5):
+        u = Element.from_monomial(m)
+        t = coproduct(u)
+        assert t.swap() == t                                  # cocommutativity
+        left = Element.zero()
+        right = Element.zero()
+        for m1, m2, c in sweedler(u):
+            if m1.grading == 0:
+                left = left + c * Element.from_monomial(m2)
+            if m2.grading == 0:
+                right = right + c * Element.from_monomial(m1)
+        assert left == u and right == u                       # counit law
+        acc = Element.zero()
+        for m1, m2, c in sweedler(u):
+            acc = acc + c * antipode(Element.from_monomial(m1)).vee(
+                Element.from_monomial(m2)
+            )
+        assert acc == counit(u) * Element.one()               # antipode law
     L = rand_pairing(random.Random(SEED), 4, symmetric=True)
     # coassociativity on every monomial of grading <= 5, then each law on
     # TRIALS random elements of grading <= 5
@@ -101,11 +125,12 @@ def test_c03_circle_product_laws():
         rand_pairing(rng, 4, symmetric=False),
         rand_pairing(rng, 3, symmetric=False),
     ]
-    # the law splits its trials over the given pairing and a fresh asymmetric
-    # and symmetric one: TRIALS triples of grading <= 4 on each
-    assert_laws([checks.law_circle_associative], pairings[1],
-                seed=SEED + 3, max_grade=4, trials=3 * TRIALS)
     for L in pairings:
+        # law_circle_associative draws two pairings of its own next to the one
+        # it is given, so associativity on each of these stays written out
+        for _ in range(TRIALS):
+            u, v, w = (rand_element(rng, L.dim, 4, terms=2) for _ in range(3))
+            assert circle(circle(u, v, L), w, L) == circle(u, circle(v, w, L), L)
         assert_laws(
             [
                 checks.law_circle_counit,

@@ -166,8 +166,8 @@ class TestEvalCommand:
 
 
 class TestCheckCommand:
-    # tests/test_laws.py checks each law's verdict on the shipped configs at
-    # 8 trials and grading 3; these tests check what the command prints.
+    # Criterion 11 and tests/test_laws.py check each law's verdict on the
+    # shipped configs; these tests check what the command prints.
     def test_asymmetric_config_passes_and_skips_time_ordering(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--config", ASYMMETRIC, "--trials", "1", "--max-grade", "1"

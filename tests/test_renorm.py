@@ -71,9 +71,10 @@ class TestConvolution:
     # Each law below runs at d = 3 (the acceptance criteria run d = 4), the
     # convolution laws on random schemes of the law's own.
     def test_associative_commutative(self, rng):
-        # unit, associativity, commutativity and inverse on every monomial <= 5
+        # scheme values to grading 4; unit, associativity, commutativity and
+        # inverse on every monomial <= 6
         assert_laws([checks.law_convolution_group], rand_pairing(rng, 3, symmetric=False),
-                     seed=0, max_grade=3, trials=1)
+                    seed=0, max_grade=4, trials=1)
 
     def test_inverse_values(self, rng):
         z = rand_scheme(rng, 4)
