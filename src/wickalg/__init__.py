@@ -43,7 +43,6 @@ from .laplace import (
     wick_step,
 )
 from .renorm import (
-    Functional,
     LinearFunctional,
     Scheme,
     circle_renorm,
@@ -83,7 +82,6 @@ __all__ = [
     "Element",
     "FockStructure",
     "FormalSeries",
-    "Functional",
     "LinearFunctional",
     "Monomial",
     "PairingMatrix",

@@ -6,7 +6,8 @@ The circle product u o v = sum u_(1) v v_(1) (u_(2)|v_(2)) deforms the
 symmetric product by a pairing; with a symmetric form it is the time-ordered
 product, with an antisymmetric one the operator product.  One Sweedler loop
 serves this Laplace pairing and a scheme's modified pairing
-(``renorm.circle_renorm``).  Two oracles stay beside it: Wick's step
+(``renorm.circle_renorm``), and one bilinear extension reads either on whole
+elements.  Two oracles stay beside it: Wick's step
 (:func:`wick_step`) for the circle product by one generator, and the
 contraction enumeration :func:`wick_expand` for the n-fold circle product.
 """
@@ -164,12 +165,18 @@ def pairing_monomials(m1: Monomial, m2: Monomial, L: PairingMatrix) -> Scalar:
 
 def pairing(u: Element, v: Element, L: PairingMatrix) -> Scalar:
     """Bilinear extension of the generator pairing to whole elements."""
+    return _bilinear(u, v, L._laplace, True)
+
+
+def _bilinear(u: Element, v: Element, pair: Memo, graded: bool) -> Scalar:
+    """sum c_u c_v (m_u|m_v) over the terms of u and v for a pairing memo
+    keyed (m1, m2); a ``graded`` pairing skips keys across gradings."""
     total = ZERO
     for m1, c1 in u.items():
         for m2, c2 in v.items():
-            if m1.grading != m2.grading:
+            if graded and m1.grading != m2.grading:
                 continue
-            p = L._laplace[m1, m2]
+            p = pair[m1, m2]
             if p:
                 total = total + c1 * c2 * p
     return total

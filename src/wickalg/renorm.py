@@ -2,44 +2,61 @@
 
 A scheme is a unital linear functional vanishing on the generators; schemes
 form a commutative group under convolution through the coproduct.  Out of a
-scheme we build the symmetric coupling pairing, the modified Laplace pairing,
-and the renormalised circle product -- the circle product's Sweedler loop
-over the modified pairing, an associative deformation of the symmetric
-product with one free parameter per monomial of grading >= 2.
+scheme, one pairing convolution (P * Q)(u, v) = sum P(u_(1), v_(1))
+Q(u_(2), v_(2)) builds the symmetric coupling pairing
+Z = (zeta^-1 (x) zeta^-1) * (zeta o vee) and the modified pairing
+Z * Laplace.  The renormalised circle product, the circle product's
+Sweedler loop over the modified pairing, is an associative deformation of
+the symmetric product with one free parameter per monomial of grading >= 2,
+and the group acts on it:
+Z_{z1*z2} = Z_{z1} * Z_{z2} and (.|.)_{z1*z2} = Z_{z1} * (.|.)_{z2}.
 
-Each pair of a Laplace pairing and a scheme gives one deformed product, so
-the functional owns the memos of the pairings built from it: its values per
-monomial, the values of its convolution inverse per monomial, the coupling
-pairing per monomial pair, and per pairing matrix (keyed by value) a memo
-of the modified pairing per monomial pair.  They live as long as the
-functional and hold it weakly.  An inverse returned by
+A functional owns the memos of the pairings built from it: its values and
+its inverse's per monomial, Z per monomial pair, and per pairing matrix
+(keyed by value) a memo of the modified pairing per monomial pair.  They
+live as long as the functional and hold it weakly; element-level pairings
+and ``circle_renorm`` read them.  An inverse returned by
 :meth:`LinearFunctional.inverse` holds the functional and reads its memo, so
 there is no reference cycle.
 """
 
 from __future__ import annotations
 
-from .algebra import Element, Memo, Monomial, monomial_splits, sweedler
-from .laplace import PairingMatrix, _sweedler_product
+from .algebra import Element, Memo, Monomial, monomial_splits
+from .laplace import PairingMatrix, _bilinear, _sweedler_product
 from .scalars import ONE, ZERO, Scalar
+
+
+def _convolve(P, Q, m1: Monomial, m2: Monomial) -> Scalar:
+    """(P * Q)(m1, m2) = sum P(m1_(1), m2_(1)) Q(m1_(2), m2_(2)) for pairings
+    ``P(a, b)``, ``Q(a, b)`` of monomials.  P * Q = Q * P (the coproduct is
+    cocommutative); Q is read where P is nonzero, so the sparser goes first."""
+    total = ZERO
+    right = monomial_splits(m2)
+    for a1, a2, wa in monomial_splits(m1):
+        for b1, b2, wb in right:
+            p = P(a1, b1)
+            if not p:
+                continue
+            q = Q(a2, b2)
+            if q:
+                total = total + wa * wb * (p * q)
+    return total
 
 
 class LinearFunctional:
     """A linear functional on the symmetric algebra with zeta(1)=1, zeta(a)=0.
 
-    Values on gradings 0 and 1 are structural; subclasses provide the rest
-    through ``_value``.  ``__init__`` declares every memo the functional
-    owns (see the module docstring); all are observationally pure.
+    Values on gradings 0 and 1 are structural; ``rule(m)`` gives the rest.
+    ``__init__`` declares every memo the functional owns (see the module
+    docstring); all are observationally pure.
     """
 
-    def __init__(self):
-        self._memo = Memo(self._value)
+    def __init__(self, rule):
+        self._memo = Memo(rule)
         self._inverse_values = Memo(self._inverse_value)
         self._coupling = Memo(self._coupling_value)
         self._modified = Memo(self._modified_memo)
-
-    def _value(self, m: Monomial) -> Scalar:
-        raise NotImplementedError
 
     def __call__(self, m: Monomial) -> Scalar:
         if m.grading == 0:
@@ -56,7 +73,7 @@ class LinearFunctional:
                 total = total + c * v
         return total
 
-    def inverse(self) -> "Functional":
+    def inverse(self) -> "LinearFunctional":
         """Convolution inverse; its values are memoised in this functional."""
         return convolution_inverse(self)
 
@@ -78,22 +95,25 @@ class LinearFunctional:
         return total
 
     def _coupling_value(self, key) -> Scalar:
-        m1, m2 = key
-        return z_pairing(Element.from_monomial(m1), Element.from_monomial(m2), self)
+        """Z = (z^-1 (x) z^-1) * (z o vee)."""
+        inv = self._inverse_values
+        return _convolve(lambda a, b: (x := inv[a]) and x * inv[b],
+                         lambda a, b: self(a.vee(b)), *key)
 
     def _modified_memo(self, L: PairingMatrix) -> Memo:
         return Memo(self._modified_value, L)
 
     def _modified_value(self, L: PairingMatrix, key) -> Scalar:
-        m1, m2 = key
-        return modified_pairing(Element.from_monomial(m1), Element.from_monomial(m2), self, L)
+        """Z * Laplace, read as Laplace * Z: Laplace vanishes across gradings."""
+        laplace, coupling = L._laplace, self._coupling
+        return _convolve(lambda a, b: a.grading == b.grading and laplace[a, b],
+                         lambda a, b: coupling[a, b], *key)
 
 
 class Scheme(LinearFunctional):
     """A finitely presented functional: stored values on monomials of grading >= 2."""
 
     def __init__(self, values=None):
-        super().__init__()
         table: dict[Monomial, Scalar] = {}
         if values:
             for mono, coeff in values.items():
@@ -105,27 +125,14 @@ class Scheme(LinearFunctional):
                 coeff = Scalar.coerce(coeff)
                 if coeff:
                     table[mono] = coeff
+        super().__init__(lambda m: table.get(m, ZERO))
         self.values = table
-
-    def _value(self, m: Monomial) -> Scalar:
-        return self.values.get(m, ZERO)
 
     def __repr__(self):
         return f"Scheme({{{', '.join(f'{m}: {c}' for m, c in self.values.items())}}})"
 
 
-class Functional(LinearFunctional):
-    """A functional defined by an arbitrary monomial rule (grading >= 2)."""
-
-    def __init__(self, rule):
-        super().__init__()
-        self._rule = rule
-
-    def _value(self, m: Monomial) -> Scalar:
-        return self._rule(m)
-
-
-def convolve(z1: LinearFunctional, z2: LinearFunctional) -> Functional:
+def convolve(z1: LinearFunctional, z2: LinearFunctional) -> LinearFunctional:
     """(z1 * z2)(u) = sum z1(u_(1)) z2(u_(2)); associative and commutative."""
 
     def rule(m: Monomial) -> Scalar:
@@ -139,51 +146,25 @@ def convolve(z1: LinearFunctional, z2: LinearFunctional) -> Functional:
                 total = total + weight * (a * b)
         return total
 
-    return Functional(rule)
+    return LinearFunctional(rule)
 
 
-def convolution_inverse(z: LinearFunctional) -> Functional:
+def convolution_inverse(z: LinearFunctional) -> LinearFunctional:
     """The group inverse, by the reduced-coproduct recursion.  It holds ``z``
     and reads the values from ``z``'s memo (``LinearFunctional._inverse_value``)."""
-    return Functional(lambda m: z._inverse_values[m])
+    return LinearFunctional(lambda m: z._inverse_values[m])
 
 
 def z_pairing(u: Element, v: Element, z: LinearFunctional) -> Scalar:
     """The coupling pairing built from a scheme and its inverse; symmetric."""
-    total = ZERO
-    v_splits = list(sweedler(v))
-    zinv = z._inverse_values
-    for u1, u2, cu in sweedler(u):
-        a = zinv[u1]
-        if not a:
-            continue
-        for v1, v2, cv in v_splits:
-            b = zinv[v1]
-            if not b:
-                continue
-            c = z(u2.vee(v2))
-            if c:
-                total = total + cu * cv * (a * b * c)
-    return total
+    return _bilinear(u, v, z._coupling, False)
 
 
 def modified_pairing(
     u: Element, v: Element, z: LinearFunctional, L: PairingMatrix
 ) -> Scalar:
     """Coupling pairing convolved with the Laplace pairing."""
-    total = ZERO
-    v_splits = list(sweedler(v))
-    for u1, u2, cu in sweedler(u):
-        for v1, v2, cv in v_splits:
-            if u2.grading != v2.grading:
-                continue
-            p = L._laplace[u2, v2]
-            if not p:
-                continue
-            zz = z._coupling[u1, v1]
-            if zz:
-                total = total + cu * cv * (zz * p)
-    return total
+    return _bilinear(u, v, z._modified[L], False)
 
 
 def circle_renorm(

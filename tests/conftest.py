@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wickalg import PairingMatrix, Scalar, Scheme
+from wickalg import Element, Monomial, PairingMatrix, Scalar, Scheme
 from wickalg.checks import (  # noqa: F401  (re-exported to the tests)
     CheckEnv,
     monomials_upto,
@@ -13,6 +13,14 @@ from wickalg.checks import (  # noqa: F401  (re-exported to the tests)
     rand_scalar,
 )
 from wickalg.config import Config
+
+
+def e(i):
+    return Element.generator(i)
+
+
+def mono(*indices):
+    return Monomial.from_indices(indices)
 
 
 def rational(p, q=1):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import monomials_upto, rand_element
+from conftest import e, mono, monomials_upto, rand_element
 from wickalg import (
     Element,
     Monomial,
@@ -17,14 +17,6 @@ from wickalg import (
     iterated_coproduct,
     vee,
 )
-
-
-def e(i):
-    return Element.generator(i)
-
-
-def mono(*indices):
-    return Monomial.from_indices(indices)
 
 
 def shuffle_coproduct_oracle(indices):

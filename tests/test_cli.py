@@ -13,7 +13,7 @@ import pytest
 
 import wickalg.laplace as laplace_mod
 import wickalg.renorm as renorm_mod
-from conftest import rand_scheme
+from conftest import mono, rand_scheme
 from wickalg.algebra import Element, divided_power
 from wickalg.checks import (
     CheckEnv,
@@ -26,7 +26,7 @@ from wickalg.checks import (
 from wickalg.cli import main
 from wickalg.config import Config, ConfigError, load_config, parse_config
 from wickalg.expr import EvalEnv, as_element, evaluate, parse_expr
-from wickalg.renorm import Functional
+from wickalg.renorm import LinearFunctional
 from wickalg.scalars import Scalar
 from wickalg.tmaps import TContext, t_map, tbar_map
 
@@ -276,7 +276,9 @@ class TestCheckCommand:
 
         def corrupted(z):
             inv = real(z)
-            return Functional(lambda m: inv(m) + (Scalar(1) if m.grading == 4 else Scalar(0)))
+            return LinearFunctional(
+                lambda m: inv(m) + (Scalar(1) if m.grading == 4 else Scalar(0))
+            )
 
         monkeypatch.setattr(renorm_mod, "convolution_inverse", corrupted)
         code, out, _ = run_cli(
@@ -284,6 +286,23 @@ class TestCheckCommand:
         )
         assert code == 1
         assert "FAIL  convolution inverse four-point formula" in out
+
+    def test_corrupted_convolution_fails_the_group_action(self, capsys, monkeypatch):
+        real = renorm_mod.convolve
+
+        def corrupted(z1, z2):
+            product = real(z1, z2)
+            bumped = mono(1, 2)  # one grading-2 value
+            return LinearFunctional(
+                lambda m: product(m) + (Scalar(1) if m == bumped else Scalar(0))
+            )
+
+        monkeypatch.setattr(renorm_mod, "convolve", corrupted)
+        code, out, _ = run_cli(
+            capsys, "check", "--config", ASYMMETRIC, "--trials", "8", "--max-grade", "3"
+        )
+        assert code == 1
+        assert "FAIL  renormalisation group acts on the product" in out
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_four_point_laws_hold_with_repeated_letters(self, d):

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_element, rand_pairing, rand_scheme
-from wickalg import Element, Monomial, Scalar, Scheme
+from conftest import mono, rand_element, rand_pairing, rand_scheme
+from wickalg import Element, Scalar, Scheme
 from wickalg.expr import (
     BinOp,
     Call,
@@ -17,10 +17,6 @@ from wickalg.expr import (
     format_value,
     parse_expr,
 )
-
-
-def mono(*indices):
-    return Monomial.from_indices(indices)
 
 
 @pytest.fixture

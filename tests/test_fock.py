@@ -1,9 +1,9 @@
 import pytest
 
+from conftest import e, mono
 from wickalg import (
     Element,
     FockStructure,
-    Monomial,
     Scalar,
     TensorElement,
     involute,
@@ -12,14 +12,6 @@ from wickalg import (
     project_plus,
     vacuum_expectation,
 )
-
-
-def e(i):
-    return Element.generator(i)
-
-
-def mono(*indices):
-    return Monomial.from_indices(indices)
 
 
 @pytest.fixture

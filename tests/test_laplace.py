@@ -4,11 +4,10 @@ from math import factorial
 
 import pytest
 
-from conftest import assert_laws, rand_element, rand_pairing, rand_scalar
+from conftest import assert_laws, e, mono, rand_element, rand_pairing, rand_scalar
 from wickalg import checks
 from wickalg import (
     Element,
-    Monomial,
     PairingMatrix,
     Scalar,
     circle,
@@ -25,14 +24,6 @@ from wickalg import (
     wick_expand,
     wick_step,
 )
-
-
-def e(i):
-    return Element.generator(i)
-
-
-def mono(*indices):
-    return Monomial.from_indices(indices)
 
 
 def naive_permanent(matrix):

@@ -4,11 +4,10 @@ import weakref
 import pytest
 
 import wickalg.renorm as renorm_mod
-from conftest import assert_laws, monomials_upto, rand_element, rand_pairing, rand_scheme
+from conftest import assert_laws, e, mono, monomials_upto, rand_element, rand_pairing, rand_scheme
 from wickalg import checks
 from wickalg import (
     Element,
-    Monomial,
     PairingMatrix,
     Scalar,
     Scheme,
@@ -24,14 +23,6 @@ from wickalg import (
     vee,
     z_pairing,
 )
-
-
-def e(i):
-    return Element.generator(i)
-
-
-def mono(*indices):
-    return Monomial.from_indices(indices)
 
 
 class TestScheme:
@@ -230,16 +221,16 @@ class TestMemoKeys:
                 assert tbar_map(u, ctx_shared) == tbar_map(u, ctx_fresh)
 
     def test_equal_pairing_hits_the_memo(self, rng, monkeypatch):
-        # The memo calls the module-level modified_pairing when it runs, so a
-        # rebound name sees every computation.
+        # A memo miss of the coupling or the modified pairing runs the
+        # module-level _convolve, so a rebound name sees every computation.
         calls = []
-        real = renorm_mod.modified_pairing
+        real = renorm_mod._convolve
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(renorm_mod, "modified_pairing", counting)
+        monkeypatch.setattr(renorm_mod, "_convolve", counting)
         z = rand_scheme(rng, 3)
         L = rand_pairing(rng, 3, symmetric=True)
         u, v = Element.from_monomial(mono(1, 2, 3)), vee(e(1), e(2))

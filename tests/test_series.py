@@ -5,11 +5,10 @@ from math import factorial
 
 import pytest
 
-from conftest import rand_element, rand_monomial, rand_pairing, rand_scalar, rand_scheme
+from conftest import e, mono, rand_element, rand_monomial, rand_pairing, rand_scalar, rand_scheme
 from wickalg import (
     Element,
     FormalSeries,
-    Monomial,
     PairingMatrix,
     Scalar,
     Scheme,
@@ -28,14 +27,6 @@ from wickalg import (
 from wickalg.config import load_config
 
 DEFAULT = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json")
-
-
-def e(i):
-    return Element.generator(i)
-
-
-def mono(*indices):
-    return Monomial.from_indices(indices)
 
 
 def scalar_series(*values):

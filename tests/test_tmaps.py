@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from conftest import assert_laws, monomials_upto, rand_element, rand_pairing, rand_scheme
+from conftest import assert_laws, e, mono, monomials_upto, rand_element, rand_pairing, rand_scheme
 from wickalg import checks
 from wickalg import (
     Element,
@@ -36,16 +36,8 @@ from wickalg import (
     wick_expand,
 )
 from wickalg.algebra import Memo
-from wickalg.renorm import Functional
+from wickalg.renorm import LinearFunctional
 from wickalg.tmaps import tbar_scalar_by_modified_pairing
-
-
-def e(i):
-    return Element.generator(i)
-
-
-def mono(*indices):
-    return Monomial.from_indices(indices)
 
 
 @pytest.fixture
@@ -415,7 +407,7 @@ class TestRenormalisedScalarT:
             assert tbar_scalar(u, ctx) == counit(tbar_map(u, ctx))
 
     def test_is_convolution_of_scheme_with_t(self, ctx, rng):
-        t_fn = Functional(lambda m: t_scalar(Element.from_monomial(m), ctx))
+        t_fn = LinearFunctional(lambda m: t_scalar(Element.from_monomial(m), ctx))
         conv = convolve(ctx.scheme, t_fn)
         for _ in range(10):
             u = rand_element(rng, 3, 4)
