@@ -13,15 +13,17 @@ from contextlib import contextmanager
 from .checks import run_checks
 from .config import ConfigError, load_config
 from .expr import (
+    Call,
     EvalEnv,
     EvalError,
     ExprSyntaxError,
-    as_element,
+    Gen,
+    Lit,
     evaluate,
     format_value,
     parse_expr,
 )
-from .series import green
+from .scalars import Scalar
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,17 +63,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_eval(args) -> int:
+def _print_value(args, node) -> int:
+    """Evaluate an expression tree under the config and print its value."""
     config = load_config(args.config)
-    env = EvalEnv(
-        config.dimension,
-        config.pairing,
-        config.scheme,
-        renormalised=args.renormalised,
-    )
-    node = parse_expr(args.expression)
+    env = EvalEnv(config.pairing, config.scheme, renormalised=args.renormalised)
     print(format_value(evaluate(node, env)))
     return 0
+
+
+def _cmd_eval(args) -> int:
+    return _print_value(args, parse_expr(args.expression))
 
 
 def _cmd_check(args) -> int:
@@ -96,19 +97,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_green(args) -> int:
-    config = load_config(args.config)
-    if args.order < 0:
-        raise EvalError("--order must be >= 0")
-    env = EvalEnv(config.dimension, config.pairing, config.scheme)
-    if not (1 <= args.i <= config.dimension and 1 <= args.j <= config.dimension):
-        raise EvalError(f"generator indices must lie in 1..{config.dimension}")
-    u = as_element(evaluate(parse_expr(args.lagrangian), env))
-    result = green(
-        args.i, args.j, u, env.tcontext(), args.order, renormalised=args.renormalised
-    )
-    for k, coeff in enumerate(result.coeffs):
-        print(f"lambda^{k}: {coeff.scalar_part()}")
-    return 0
+    """``eval "green(ei, ej, lagrangian, order)"`` spelled as a command."""
+    node = Call("green", (Gen(args.i), Gen(args.j), parse_expr(args.lagrangian),
+                          Lit(Scalar(args.order))))
+    return _print_value(args, node)
 
 
 @contextmanager

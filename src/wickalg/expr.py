@@ -1,36 +1,37 @@
 """Expression grammar and evaluator for the command-line front end.
 
-Grammar (whitespace insignificant, one precedence level for the three
-products, all left-associative):
+Both ``wickalg eval`` and ``wickalg green`` reach a value the same way:
+``parse_expr`` (or a node built directly, for ``green``), then
+``evaluate``, then ``format_value``.
 
-    expr      := sum
-    sum       := prod (('+'|'-') prod)*
+Grammar (whitespace insignificant; sums bind looser than the three
+products, which share one precedence level; all left-associative):
+
+    expr      := prod (('+'|'-') prod)*
     prod      := atom (('v'|'o'|'ro') atom)*
-    atom      := scalar | generator | call | '(' expr ')' | scalar '*' atom
+    atom      := ['-'] scalar ['*' atom] | generator | call | '(' expr ')'
     generator := 'e' digits
     scalar    := rational (('+'|'-') rational 'i')?
-    rational  := int ('/' posint)?
+    rational  := digits ('/' digits)?
     call      := name '(' expr (',' expr)* ')'
 
-Known call names: T, Tbar, t, tbar, eps, antipode, pair, Z, mpair, S, delta,
-Sigma, expSigma, dp, expv, green.
+A scalar is one token, read by ``Scalar.parse`` with its whitespace removed
+and the atom's leading ``-`` (which negates the real part only) prefixed, so
+it means what the same literal means in a config.  The functions, with their
+arities and bodies, are the table ``FUNCTIONS``; the operators are
+``OPERATORS``.  Input nested too deeply for the parser is an
+``ExprSyntaxError``; ``evaluate`` folds operator and scalar chains in loops
+and so needs fewer Python frames than the parser for any tree that parses.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import series as series_mod
-from .algebra import (
-    Element,
-    TensorElement,
-    antipode,
-    counit,
-    derivation,
-    divided_power,
-)
+from .algebra import Element, antipode, counit, derivation, divided_power
 from .laplace import circle, pairing
 from .renorm import circle_renorm, modified_pairing, z_pairing
 from .scalars import Scalar
@@ -81,15 +82,13 @@ class Call:
     args: tuple
 
 
-ARITIES = {
-    "T": 1, "Tbar": 1, "t": 1, "tbar": 1, "eps": 1, "antipode": 1,
-    "pair": 2, "Z": 2, "mpair": 2, "S": 2, "delta": 2, "Sigma": 1,
-    "expSigma": 1, "dp": 2, "expv": 2, "green": 4,
-}
+# -- tokens -----------------------------------------------------------------
 
-PRODUCT_OPS = ("v", "o", "ro")
-
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/(),]))")
+_RATIONAL = r"\d+(?:\s*/\s*\d+)?"
+_TOKEN_RE = re.compile(
+    rf"\s*(?:(?P<num>{_RATIONAL}(?:\s*[-+]\s*{_RATIONAL}\s*i(?![A-Za-z0-9]))?)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/(),]))"
+)
 
 
 def _tokenize(text: str):
@@ -97,26 +96,23 @@ def _tokenize(text: str):
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
             bad = len(text) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
+# -- parser -----------------------------------------------------------------
+
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -142,24 +138,20 @@ class _Parser:
         return node
 
     def parse_sum(self):
-        node = self.parse_prod()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = BinOp(value, node, self.parse_prod())
-            else:
-                return node
-
-    def parse_prod(self):
+        """Sums of products, both folded to the left in one loop."""
+        total = sign = None
         node = self.parse_atom()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "name" and value in PRODUCT_OPS:
+            value = self.peek()[1]
+            if value in _PRODUCTS:
                 self.advance()
                 node = BinOp(value, node, self.parse_atom())
-            else:
-                return node
+                continue
+            total = node if total is None else BinOp(sign, total, node)
+            if value not in ("+", "-"):
+                return total
+            sign = self.advance()[1]
+            node = self.parse_atom()
 
     def parse_atom(self):
         kind, value, offset = self.peek()
@@ -170,8 +162,7 @@ class _Parser:
             return node
         if kind == "num" or (kind == "op" and value == "-"):
             scalar = self.parse_scalar()
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
+            if self.peek()[1] == "*":
                 self.advance()
                 return ScalarMul(scalar, self.parse_atom())
             return Lit(scalar)
@@ -179,69 +170,33 @@ class _Parser:
             if re.fullmatch(r"e\d+", value):
                 self.advance()
                 return Gen(int(value[1:]))
-            if value in ARITIES:
+            if value in FUNCTIONS:
                 return self.parse_call()
             raise ExprSyntaxError(f"unknown function or symbol {value!r}", offset)
         raise ExprSyntaxError(f"expected an expression, found {value!r}", offset)
 
-    def parse_rational(self) -> Fraction:
-        negative = False
-        kind, value, offset = self.peek()
-        if kind == "op" and value == "-":
+    def parse_scalar(self) -> Scalar:
+        sign = "-" if self.peek()[1] == "-" else ""
+        if sign:
             self.advance()
-            negative = True
-            kind, value, offset = self.peek()
+        kind, value, offset = self.peek()
         if kind != "num":
             raise ExprSyntaxError("expected a number", offset)
         self.advance()
-        numerator = int(value)
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "/":
-            mark = self.pos
-            self.advance()
-            kind, value, offset = self.peek()
-            if kind == "num":
-                self.advance()
-                if int(value) == 0:
-                    raise ExprSyntaxError("zero denominator", offset)
-                result = Fraction(numerator, int(value))
-            else:
-                self.pos = mark
-                result = Fraction(numerator)
-        else:
-            result = Fraction(numerator)
-        return -result if negative else result
-
-    def parse_scalar(self) -> Scalar:
-        real = self.parse_rational()
-        mark = self.pos
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            sign = -1 if value == "-" else 1
-            self.advance()
-            kind, value, _ = self.peek()
-            if kind == "num":
-                imag = self.parse_rational()
-                kind, value, _ = self.peek()
-                if kind == "name" and value == "i":
-                    self.advance()
-                    return Scalar(real, sign * imag)
-        self.pos = mark
-        return Scalar(real)
+        try:
+            return Scalar.parse(sign + "".join(value.split()))
+        except ValueError as exc:
+            raise ExprSyntaxError(str(exc), offset) from None
 
     def parse_call(self):
-        kind, name, offset = self.advance()
+        _, name, offset = self.advance()
         self.expect_op("(")
         args = [self.parse_sum()]
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == ",":
-                self.advance()
-                args.append(self.parse_sum())
-            else:
-                break
+        while self.peek()[1] == ",":
+            self.advance()
+            args.append(self.parse_sum())
         self.expect_op(")")
-        arity = ARITIES[name]
+        arity = FUNCTIONS[name][0]
         if len(args) != arity:
             raise ExprSyntaxError(
                 f"{name} takes {arity} argument{'s' if arity != 1 else ''}, got {len(args)}",
@@ -252,16 +207,19 @@ class _Parser:
 
 def parse_expr(text: str):
     """Parse an expression string into an AST; raises ExprSyntaxError."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", parser.peek()[2]) from None
 
 
 # -- evaluation -------------------------------------------------------------
 
 class EvalEnv:
-    """Everything an expression needs: dimension, pairing, scheme, options."""
+    """Everything an expression needs: pairing, scheme, options."""
 
-    def __init__(self, dimension, pairing_matrix, scheme, renormalised=False):
-        self.dimension = dimension
+    def __init__(self, pairing_matrix, scheme, renormalised=False):
         self.pairing = pairing_matrix
         self.scheme = scheme
         self.renormalised = renormalised
@@ -304,104 +262,101 @@ def _as_generator_index(value) -> int:
     raise EvalError("expected a single generator (e.g. e1)")
 
 
+def _additive(op):
+    """``+`` or ``-``: series with series, scalar with scalar, else elements."""
+
+    def apply(left, right, env):
+        if isinstance(left, FormalSeries) or isinstance(right, FormalSeries):
+            if not (isinstance(left, FormalSeries) and isinstance(right, FormalSeries)):
+                raise EvalError("can only add series to series")
+        elif not (isinstance(left, Scalar) and isinstance(right, Scalar)):
+            left, right = as_element(left), as_element(right)
+        return op(left, right)
+
+    return apply
+
+
+OPERATORS = {
+    "+": _additive(operator.add),
+    "-": _additive(operator.sub),
+    "v": lambda u, v, env: as_element(u).vee(as_element(v)),
+    "o": lambda u, v, env: circle(as_element(u), as_element(v), env.pairing),
+    "ro": lambda u, v, env: circle_renorm(
+        as_element(u), as_element(v), env.scheme, env.pairing
+    ),
+}
+_PRODUCTS = ("v", "o", "ro")
+
+# name -> (arity, body(env, *argument values))
+FUNCTIONS = {
+    "eps": (1, lambda env, u: counit(as_element(u))),
+    "antipode": (1, lambda env, u: antipode(as_element(u))),
+    "pair": (2, lambda env, u, v: pairing(as_element(u), as_element(v), env.pairing)),
+    "Z": (2, lambda env, u, v: z_pairing(as_element(u), as_element(v), env.scheme)),
+    "mpair": (2, lambda env, u, v: modified_pairing(
+        as_element(u), as_element(v), env.scheme, env.pairing)),
+    "T": (1, lambda env, u: t_map(as_element(u), env.tcontext())),
+    "Tbar": (1, lambda env, u: tbar_map(as_element(u), env.tcontext())),
+    "t": (1, lambda env, u: t_scalar(as_element(u), env.tcontext())),
+    "tbar": (1, lambda env, u: tbar_scalar(as_element(u), env.tcontext())),
+    "Sigma": (1, lambda env, u: sigma_apply(as_element(u), env.tcontext())),
+    "expSigma": (1, lambda env, u: exp_sigma(as_element(u), env.tcontext())),
+    "delta": (2, lambda env, g, u: derivation(_as_generator_index(g), as_element(u))),
+    "dp": (2, lambda env, g, n: divided_power(
+        _as_generator_index(g), _as_scalar_order(n))),
+    "expv": (2, lambda env, u, n: vee_exp(as_element(u), _as_scalar_order(n))),
+    "S": (2, lambda env, u, n: series_mod.smatrix(
+        as_element(u), env.tcontext(), _as_scalar_order(n),
+        renormalised=env.renormalised)),
+    "green": (4, lambda env, i, j, u, n: series_mod.green(
+        _as_generator_index(i), _as_generator_index(j), as_element(u),
+        env.tcontext(), _as_scalar_order(n), renormalised=env.renormalised)),
+}
+
+
 def evaluate(node, env: EvalEnv):
-    """Evaluate an AST to a Scalar, Element, TensorElement or FormalSeries."""
+    """Evaluate an AST to a Scalar, Element or FormalSeries.
+
+    A left-nested operator chain and a nested ``scalar * ...`` chain are each
+    walked in a loop, so a long sum or product costs no Python frames.
+    """
+    if isinstance(node, BinOp):
+        chain = []
+        while isinstance(node, BinOp):
+            chain.append(node)
+            node = node.left
+        value = evaluate(node, env)
+        for link in reversed(chain):
+            value = OPERATORS[link.op](value, evaluate(link.right, env), env)
+        return value
+    if isinstance(node, ScalarMul):
+        factors = []
+        while isinstance(node, ScalarMul):
+            factors.append(node.scalar)
+            node = node.operand
+        value = evaluate(node, env)
+        for factor in reversed(factors):
+            value = factor * value
+        return value
     if isinstance(node, Lit):
         return node.value
     if isinstance(node, Gen):
-        if not (1 <= node.index <= env.dimension):
-            raise EvalError(
-                f"generator e{node.index} out of range for dimension {env.dimension}"
-            )
+        dim = env.pairing.dim
+        if not (1 <= node.index <= dim):
+            raise EvalError(f"generator e{node.index} out of range for dimension {dim}")
         return Element.generator(node.index)
-    if isinstance(node, ScalarMul):
-        return node.scalar * evaluate(node.operand, env)
-    if isinstance(node, BinOp):
-        left = evaluate(node.left, env)
-        right = evaluate(node.right, env)
-        if node.op in "+-":
-            if isinstance(left, FormalSeries) or isinstance(right, FormalSeries):
-                if not (isinstance(left, FormalSeries) and isinstance(right, FormalSeries)):
-                    raise EvalError("can only add series to series")
-                return left + right if node.op == "+" else left - right
-            if isinstance(left, Scalar) and isinstance(right, Scalar):
-                return left + right if node.op == "+" else left - right
-            left, right = as_element(left), as_element(right)
-            return left + right if node.op == "+" else left - right
-        left, right = as_element(left), as_element(right)
-        if node.op == "v":
-            return left.vee(right)
-        if node.op == "o":
-            return circle(left, right, env.pairing)
-        if node.op == "ro":
-            return circle_renorm(left, right, env.scheme, env.pairing)
-        raise EvalError(f"unknown operator {node.op!r}")
     if isinstance(node, Call):
-        return _call(node, env)
+        args = []  # a loop, not a comprehension: one frame per nested call
+        for arg in node.args:
+            args.append(evaluate(arg, env))
+        return FUNCTIONS[node.name][1](env, *args)
     raise EvalError(f"cannot evaluate node {node!r}")
-
-
-def _call(node: Call, env: EvalEnv):
-    name = node.name
-    args = [evaluate(a, env) for a in node.args]
-    if name == "eps":
-        return counit(as_element(args[0]))
-    if name == "antipode":
-        return antipode(as_element(args[0]))
-    if name == "pair":
-        return pairing(as_element(args[0]), as_element(args[1]), env.pairing)
-    if name == "Z":
-        return z_pairing(as_element(args[0]), as_element(args[1]), env.scheme)
-    if name == "mpair":
-        return modified_pairing(
-            as_element(args[0]), as_element(args[1]), env.scheme, env.pairing
-        )
-    if name == "T":
-        return t_map(as_element(args[0]), env.tcontext())
-    if name == "Tbar":
-        return tbar_map(as_element(args[0]), env.tcontext())
-    if name == "t":
-        return t_scalar(as_element(args[0]), env.tcontext())
-    if name == "tbar":
-        return tbar_scalar(as_element(args[0]), env.tcontext())
-    if name == "Sigma":
-        return sigma_apply(as_element(args[0]), env.tcontext())
-    if name == "expSigma":
-        return exp_sigma(as_element(args[0]), env.tcontext())
-    if name == "delta":
-        return derivation(_as_generator_index(args[0]), as_element(args[1]))
-    if name == "dp":
-        return divided_power(
-            _as_generator_index(args[0]), _as_scalar_order(args[1])
-        )
-    if name == "expv":
-        return vee_exp(as_element(args[0]), _as_scalar_order(args[1]))
-    if name == "S":
-        return series_mod.smatrix(
-            as_element(args[0]),
-            env.tcontext(),
-            _as_scalar_order(args[1]),
-            renormalised=env.renormalised,
-        )
-    if name == "green":
-        return series_mod.green(
-            _as_generator_index(args[0]),
-            _as_generator_index(args[1]),
-            as_element(args[2]),
-            env.tcontext(),
-            _as_scalar_order(args[3]),
-            renormalised=env.renormalised,
-        )
-    raise EvalError(f"unknown function {name!r}")
 
 
 def format_value(value) -> str:
     """Canonical printing for every evaluator result type."""
     if isinstance(value, FormalSeries):
-        lines = []
-        for k, coeff in enumerate(value.coeffs):
-            lines.append(f"lambda^{k}: {coeff}")
-        return "\n".join(lines)
-    if isinstance(value, (Scalar, Element, TensorElement)):
+        return "\n".join(f"lambda^{k}: {coeff}" for k, coeff in enumerate(value.coeffs))
+    if isinstance(value, (Scalar, Element)):
         return str(value)
     raise TypeError(f"cannot format {value!r}")

@@ -23,9 +23,9 @@ from wickalg.checks import (
     law_z_coupling_identity,
     rand_pairing,
 )
-from wickalg.cli import main
+from wickalg.cli import _build_parser, main
 from wickalg.config import Config, ConfigError, load_config, parse_config
-from wickalg.expr import EvalEnv, as_element, evaluate, parse_expr
+from wickalg.expr import EvalEnv, as_element, evaluate, format_value, parse_expr
 from wickalg.renorm import LinearFunctional
 from wickalg.scalars import Scalar
 from wickalg.tmaps import TContext, t_map, tbar_map
@@ -366,6 +366,85 @@ class TestGreenCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flags, expected", [
+        ([], ["lambda^0: 1/3", "lambda^1: 1", "lambda^2: 8", "lambda^3: 99"]),
+        (["--renormalised"],
+         ["lambda^0: 1/3", "lambda^1: 2", "lambda^2: 61/2", "lambda^3: 2193/4"]),
+    ])
+    def test_quartic_lagrangian(self, capsys, flags, expected):
+        # lambda^1 bare: t(e1 v e2 v e1^4) - t(e1 v e2) t(e1^4) = 5/4 - 1/4
+        code, out, _ = run_cli(
+            capsys, "green", "--config", DEFAULT, "1", "2", "e1 v e1 v e1 v e1",
+            "--order", "3", *flags,
+        )
+        assert code == 0
+        assert out.splitlines() == expected
+
+    def test_negative_order(self, capsys):
+        code, out, err = run_cli(
+            capsys, "green", "--config", DEFAULT, "1", "2", "e1", "--order", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert "non-negative integer order" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--renormalised"]])
+    @pytest.mark.parametrize("i, j, lagrangian, order", [
+        (1, 2, "0", 2),
+        (1, 1, "e1 v e2", 3),
+        (2, 3, "1/2 * e1 v e1 v e3 - e2 v e4", 2),
+        (1, 2, "e1 v e1 v e1 v e1", 3),
+    ])
+    def test_green_is_eval_of_green(self, capsys, flags, i, j, lagrangian, order):
+        code, green_out, _ = run_cli(
+            capsys, "green", "--config", DEFAULT, str(i), str(j), lagrangian,
+            "--order", str(order), *flags,
+        )
+        assert code == 0
+        assert green_out.count("lambda^") == order + 1
+        code, eval_out, _ = run_cli(
+            capsys, "eval", "--config", DEFAULT,
+            f"green(e{i}, e{j}, {lagrangian}, {order})", *flags,
+        )
+        assert code == 0
+        assert green_out == eval_out
+
+
+class TestLongInput:
+    """A long sum or product is folded in a loop; input nested deeper than
+    the parser can follow is refused with exit 2, never a traceback."""
+
+    def test_long_sum(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--config", DEFAULT, " + ".join(["e1"] * 3000)
+        )
+        assert code == 0, err
+        assert out == "3000 * e1\n"
+
+    def test_long_element_reads_back(self):
+        config = load_config(DEFAULT)
+        env = EvalEnv(config.pairing, config.scheme)
+        rng = random.Random(1200)
+        monomials = [mono(*(1,) * a, *(2,) * b, *(3,) * c, *(4,) * d)
+                     for a in range(8) for b in range(8) for c in range(5) for d in range(5)]
+        u = Element.zero()
+        for m in monomials[:1200]:
+            u = u + Element.from_monomial(m, Scalar(Fraction(rng.randint(-9, 9) or 1,
+                                                             rng.randint(1, 9)),
+                                                    rng.randint(-2, 2)))
+        assert len(u.terms) == 1200
+        text = format_value(u)
+        assert evaluate(parse_expr(text), env) == u
+
+    @pytest.mark.parametrize("expression", [
+        "(" * 1200 + "e1" + ")" * 1200,
+        "2 * " * 1100 + "e1",
+    ])
+    def test_deep_nesting_exits_2(self, capsys, expression):
+        code, out, err = run_cli(capsys, "eval", "--config", DEFAULT, expression)
+        assert (code, out) == (2, "")
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
+
 
 def decimal_int(digits):
     """int(digits) for any length, 1000 digits at a time, so the test process
@@ -413,7 +492,7 @@ class TestDeepWords:
     def test_prints_the_time_ordered_word(self, capsys, expression, expected):
         code, out, err = run_cli(capsys, "eval", "--config", DEFAULT, expression)
         assert code == 0, err
-        env = EvalEnv(4, load_config(DEFAULT).pairing, None)
+        env = EvalEnv(load_config(DEFAULT).pairing, None)
         assert as_element(evaluate(parse_expr(out.strip()), env)) == expected(300)
 
     def test_prints_a_value_beyond_the_int_digit_limit(self, capsys):
@@ -481,6 +560,30 @@ class TestBenchmarkNames:
             for attr in chain:
                 assert hasattr(obj, attr), f"{mod}.{'.'.join(chain)}"
                 obj = getattr(obj, attr)
+
+    @pytest.fixture(scope="class")
+    def roadmap_rows(self):
+        """perfbench/run.py's ROADMAP_ROWS, read from its syntax tree."""
+        with open(os.path.join(self.PERFBENCH, "run.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["ROADMAP_ROWS"]:
+                return ast.literal_eval(node.value)
+        raise AssertionError("perfbench/run.py defines no ROADMAP_ROWS")
+
+    def test_roadmap_rows_parse(self, roadmap_rows):
+        for _, argv in roadmap_rows:
+            _build_parser().parse_args(argv)
+
+    def test_roadmap_green_rows_run(self, capsys, monkeypatch, roadmap_rows):
+        monkeypatch.chdir(ROOT)  # the rows name configs relative to the root
+        green_rows = [argv for _, argv in roadmap_rows if argv[0] == "green"]
+        assert len(green_rows) == 3
+        for argv in green_rows:
+            code = main(argv)
+            out = capsys.readouterr().out
+            assert code == 0, argv
+            assert len(out.splitlines()) == _build_parser().parse_args(argv).order + 1, argv
 
     def test_traced_names_are_wrappable(self, tracer):
         methods = {(cls, attr) for pairs in tracer.METHODS.values() for cls, attr in pairs}

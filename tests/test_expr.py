@@ -1,10 +1,12 @@
+import inspect
 from fractions import Fraction
 
 import pytest
 
-from conftest import mono, rand_element, rand_pairing, rand_scheme
-from wickalg import Element, Scalar, Scheme
+from conftest import e, mono, rand_element, rand_pairing, rand_scheme
+from wickalg import Element, Scalar, Scheme, circle
 from wickalg.expr import (
+    FUNCTIONS,
     BinOp,
     Call,
     EvalEnv,
@@ -18,17 +20,24 @@ from wickalg.expr import (
     parse_expr,
 )
 
+# The documented arity of every expression function (README "Command line").
+ARITIES = {
+    "T": 1, "Tbar": 1, "t": 1, "tbar": 1, "eps": 1, "antipode": 1, "Sigma": 1,
+    "expSigma": 1, "pair": 2, "Z": 2, "mpair": 2, "S": 2, "delta": 2, "dp": 2,
+    "expv": 2, "green": 4,
+}
+
 
 @pytest.fixture
 def env(rng):
     L = rand_pairing(rng, 4, symmetric=True)
-    return EvalEnv(4, L, rand_scheme(rng, 4))
+    return EvalEnv(L, rand_scheme(rng, 4))
 
 
 @pytest.fixture
 def asym_env(rng):
     L = rand_pairing(rng, 2, symmetric=False)
-    return EvalEnv(2, L, Scheme())
+    return EvalEnv(L, Scheme())
 
 
 class TestParser:
@@ -95,6 +104,29 @@ class TestParser:
     def test_zero_denominator(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("1/0")
+
+    @pytest.mark.parametrize("text", ["-1/2+3/4i", "- 1 / 2 + 3 / 4 i"])
+    def test_leading_minus_negates_the_real_part_only(self, text):
+        assert parse_expr(text) == Lit(Scalar(Fraction(-1, 2), Fraction(3, 4)))
+
+    def test_imaginary_unit_is_a_whole_word(self):
+        with pytest.raises(ExprSyntaxError):
+            parse_expr("1/2 + 3/4 i2")
+
+    @pytest.mark.parametrize("name", sorted(ARITIES))
+    def test_function_arities(self, name):
+        arity = ARITIES[name]
+        assert FUNCTIONS[name][0] == arity
+        # the body takes the env and exactly that many argument values
+        assert len(inspect.signature(FUNCTIONS[name][1]).parameters) == arity + 1
+        assert parse_expr(f"{name}({', '.join(['e1'] * arity)})") == Call(
+            name, (Gen(1),) * arity
+        )
+        with pytest.raises(ExprSyntaxError):
+            parse_expr(f"{name}({', '.join(['e1'] * (arity + 1))})")
+
+    def test_every_function_is_documented(self):
+        assert set(FUNCTIONS) == set(ARITIES)
 
 
 class TestEvaluation:
@@ -172,6 +204,16 @@ class TestEvaluation:
         with pytest.raises(EvalError):
             evaluate(parse_expr("dp(e1, 1/2)"), env)
 
+    def test_difference_chain_folds_left(self, env):
+        # a right fold would give e1 - (e2 - e3) = e1 - e2 + e3
+        assert evaluate(parse_expr("e1 - e2 - e3"), env) == e(1) - e(2) - e(3)
+
+    def test_product_chain_folds_left(self, env):
+        left = circle(e(1), e(2), env.pairing).vee(e(3))
+        right = circle(e(1), e(2).vee(e(3)), env.pairing)
+        assert left != right
+        assert evaluate(parse_expr("e1 o e2 v e3"), env) == left
+
 
 class TestRoundTrip:
     def test_print_parse_fixed_point(self, env, rng):
@@ -193,3 +235,40 @@ class TestRoundTrip:
     def test_canonical_output_examples(self, env):
         u = evaluate(parse_expr("e2 v e1"), env)
         assert format_value(u) == "e1 v e2"
+
+
+class TestParserProperties:
+    """Parse only: evaluating random text could ask for unbounded work."""
+
+    ALPHABET = [
+        "0", "1", "2", "12", "/", "+", "-", "*", "(", ")", ",", "i", "i2", "e1",
+        "e2", "e12", "v", "o", "ro", "x", "@", *sorted(ARITIES),
+    ]
+
+    def test_token_strings_parse_or_raise_syntax_error(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        tokens = st.tuples(st.sampled_from(self.ALPHABET), st.sampled_from(["", " "]))
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.lists(tokens, max_size=12))
+        def prop(pieces):
+            text = "".join(token + gap for token, gap in pieces)
+            try:
+                parse_expr(text)
+            except ExprSyntaxError:
+                pass
+
+        prop()
+
+    def test_printed_scalar_reads_back(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        rationals = st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**70))
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.builds(Scalar, rationals, rationals | st.just(Fraction(0))))
+        def prop(s):
+            assert parse_expr(str(s)) == Lit(s)
+
+        prop()
