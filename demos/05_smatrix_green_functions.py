@@ -13,12 +13,11 @@ from wickalg import (
     Scalar,
     Scheme,
     TContext,
-    gaussian_closed_form_check,
     green,
-    simplest_lagrangian_check,
     smatrix,
     vee_exp,
 )
+from wickalg.checks import gaussian_closed_form_check, simplest_lagrangian_check
 
 m = Monomial.from_indices
 

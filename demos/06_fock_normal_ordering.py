@@ -10,11 +10,11 @@ from wickalg import (
     PairingMatrix,
     Scalar,
     circle,
+    counit,
     involute,
     phi,
     project_minus,
     project_plus,
-    vacuum_expectation,
     vee,
 )
 
@@ -52,5 +52,5 @@ L = PairingMatrix.from_strings(
     ],
     symmetric=True,
 )
-print("\n<0| a+ v a- |0>   =", vacuum_expectation(word))
-print("<0| a+ o a- |0>   =", vacuum_expectation(circle(cplus, cminus, L)))
+print("\n<0| a+ v a- |0>   =", counit(word))
+print("<0| a+ o a- |0>   =", counit(circle(cplus, cminus, L)))

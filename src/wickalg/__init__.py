@@ -27,18 +27,14 @@ from .fock import (
     phi,
     project_minus,
     project_plus,
-    vacuum_expectation,
 )
 from .laplace import (
     PairingMatrix,
     circle,
-    circle_distribute,
     circle_fold,
     pairing,
     permanent,
     permanent_by_permutations,
-    recover_pairing,
-    recover_vee,
     wick_expand,
     wick_step,
 )
@@ -54,17 +50,13 @@ from .renorm import (
 from .scalars import Scalar
 from .series import (
     FormalSeries,
-    gaussian_closed_form_check,
     green,
-    series_vee_exp,
-    simplest_lagrangian_check,
     smatrix,
     vee_exp,
 )
 from .tmaps import (
     TContext,
     exp_sigma,
-    first_identity_check,
     sigma_apply,
     t_closed_form,
     t_map,
@@ -91,7 +83,6 @@ __all__ = [
     "TensorElement",
     "antipode",
     "circle",
-    "circle_distribute",
     "circle_fold",
     "circle_renorm",
     "convolution_inverse",
@@ -101,8 +92,6 @@ __all__ = [
     "derivation",
     "divided_power",
     "exp_sigma",
-    "first_identity_check",
-    "gaussian_closed_form_check",
     "green",
     "involute",
     "iterated_coproduct",
@@ -113,11 +102,7 @@ __all__ = [
     "phi",
     "project_minus",
     "project_plus",
-    "recover_pairing",
-    "recover_vee",
-    "series_vee_exp",
     "sigma_apply",
-    "simplest_lagrangian_check",
     "smatrix",
     "sweedler",
     "t_closed_form",
@@ -129,7 +114,6 @@ __all__ = [
     "tbar_map_by_circle_fold",
     "tbar_scalar",
     "tensor_product",
-    "vacuum_expectation",
     "vee",
     "vee_exp",
     "wick_expand",

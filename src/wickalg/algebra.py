@@ -221,17 +221,11 @@ class Element:
     def items(self):
         return self.terms.items()
 
-    def coefficient(self, mono: Monomial) -> Scalar:
-        return self.terms.get(mono, ZERO)
-
     def scalar_part(self) -> Scalar:
         return self.terms.get(_UNIT, ZERO)
 
     def is_scalar(self) -> bool:
         return all(m.grading == 0 for m in self.terms)
-
-    def max_grading(self) -> int:
-        return max((m.grading for m in self.terms), default=0)
 
     def __add__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -282,15 +276,6 @@ class Element:
             for m2, c2 in other.terms.items():
                 _accumulate(out, m1.vee(m2), c1 * c2)
         return _wrap(out)
-
-    def vee_power(self, n: int) -> "Element":
-        out = Element.one()
-        for _ in range(n):
-            out = out.vee(self)
-        return out
-
-    def grade_truncate(self, max_grading: int) -> "Element":
-        return Element({m: c for m, c in self.terms.items() if m.grading <= max_grading})
 
     def __eq__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -514,10 +499,6 @@ def antipode(u: Element) -> Element:
     return Element(
         {m: (c if m.grading % 2 == 0 else -c) for m, c in u.items()}
     )
-
-
-def antipode_sign(m: Monomial) -> int:
-    return -1 if m.grading % 2 else 1
 
 
 def derivation(index: int, u: Element) -> Element:

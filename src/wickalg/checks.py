@@ -6,6 +6,10 @@ string on the first failure; the runner aggregates results for the CLI.  A law
 lives only here, in ``LAWS``: tests/test_laws.py runs each over shipped and
 random configs, the acceptance criteria and some unit tests at sizes of their
 own; the other tests keep worked examples and oracles.
+
+Law statements live here too: where a criterion, test or demo needs a law's
+two sides at sizes of its own, a helper beside the law builds them.  The
+production modules compute quantities, with named oracles, and state no law.
 """
 
 from __future__ import annotations
@@ -13,17 +17,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 from . import laplace, renorm
 from .algebra import (
     Element,
     Monomial,
     TensorElement,
+    _accumulate,
+    _wrap,
     antipode,
     coproduct,
     counit,
     derivation,
     divided_power,
+    iterated_coproduct,
     sweedler,
     tensor_product,
     vee,
@@ -33,11 +42,8 @@ from .fock import involute, phi, project_minus, project_plus
 from .laplace import (
     PairingMatrix,
     circle,
-    circle_distribute,
     circle_fold,
     pairing,
-    recover_pairing,
-    recover_vee,
     wick_expand,
     wick_step,
 )
@@ -45,15 +51,13 @@ from .renorm import Scheme, circle_renorm, modified_pairing, z_pairing
 from .scalars import ONE, ZERO, Scalar
 from .series import (
     FormalSeries,
-    gaussian_closed_form_check,
     green,
-    simplest_lagrangian_check,
     smatrix,
+    vee_exp,
 )
 from .tmaps import (
     TContext,
     exp_sigma,
-    first_identity_check,
     sigma_apply,
     t_closed_form,
     t_map,
@@ -368,20 +372,61 @@ def law_pairing_shift(env: CheckEnv):
     return None
 
 
+def antipode_sign(m: Monomial) -> int:
+    """The antipode on a monomial is a sign: S(m) = (-1)^|m| m."""
+    return -1 if m.grading % 2 else 1
+
+
 def law_recover_vee(env: CheckEnv):
+    """u v v = sum (-1)^|u_(1)| (u_(1)|v_(1)) u_(2) o v_(2)."""
     for _ in range(env.trials):
         u, v = env.random_element(max_grade=3), env.random_element(max_grade=3)
-        if recover_vee(u, v, env.L) != vee(u, v):
+        out = Element.zero()
+        v_splits = list(sweedler(v))
+        for u1, u2, cu in sweedler(u):
+            sign = antipode_sign(u1)
+            for v1, v2, cv in v_splits:
+                if u1.grading != v1.grading:
+                    continue
+                p = env.L._laplace[u1, v1]
+                if not p:
+                    continue
+                coeff = cu * cv * p * sign
+                out = out + coeff * circle(
+                    Element.from_monomial(u2), Element.from_monomial(v2), env.L
+                )
+        if out != vee(u, v):
             return f"u={u}, v={v}"
     return None
 
 
 def law_recover_pairing(env: CheckEnv):
+    """(u|v) 1 = sum (-1)^|u_(1) v v_(1)| u_(1) v v_(1) v (u_(2) o v_(2))."""
     for _ in range(env.trials):
         u, v = env.random_element(max_grade=3), env.random_element(max_grade=3)
-        if recover_pairing(u, v, env.L) != pairing(u, v, env.L) * Element.one():
+        out = Element.zero()
+        v_splits = list(sweedler(v))
+        for u1, u2, cu in sweedler(u):
+            for v1, v2, cv in v_splits:
+                head = u1.vee(v1)
+                sign = antipode_sign(head)
+                prod = circle(Element.from_monomial(u2), Element.from_monomial(v2), env.L)
+                out = out + (cu * cv * sign) * Element.from_monomial(head).vee(prod)
+        if out != pairing(u, v, env.L) * Element.one():
             return f"u={u}, v={v}"
     return None
+
+
+def circle_distribute(u: Element, v: Element, w: Element, L: PairingMatrix) -> Element:
+    """The distributivity expansion of u o (v v w) over a Sweedler triple."""
+    out = Element.zero()
+    triple = iterated_coproduct(u, 3)
+    for (u11, u12, u2), coeff in triple.items():
+        left = circle(Element.from_monomial(u11), v, L)
+        mid = circle(Element.from_monomial(u12), w, L)
+        sign = antipode_sign(u2)
+        out = out + (coeff * sign) * left.vee(mid).vee(Element.from_monomial(u2))
+    return out
 
 
 def law_distributivity(env: CheckEnv):
@@ -716,6 +761,25 @@ def law_t_closed_forms(env: CheckEnv):
     return None
 
 
+def first_identity_check(u: Element, v: Element, ctx: TContext):
+    """Both sides of: T(u) renorm-circle T(v) = sum Z(u1,v1) T(u2) circle T(v2)."""
+    z = ctx.require_scheme()
+    lhs = circle_renorm(t_map(u, ctx), t_map(v, ctx), z, ctx.pairing)
+    rhs = Element.zero()
+    v_splits = list(sweedler(v))
+    for u1, u2, cu in sweedler(u):
+        for v1, v2, cv in v_splits:
+            f = z._coupling[u1, v1]
+            if not f:
+                continue
+            rhs = rhs + (cu * cv * f) * circle(
+                t_map(Element.from_monomial(u2), ctx),
+                t_map(Element.from_monomial(v2), ctx),
+                ctx.pairing,
+            )
+    return lhs, rhs
+
+
 def law_tbar_identities(env: CheckEnv):
     ctx = env.tcontext()
     for m in monomials_upto(env.d, min(4, env.max_grade))[:40]:
@@ -832,6 +896,20 @@ def law_series_ring(env: CheckEnv):
     return None
 
 
+def simplest_lagrangian_check(generator: int, ctx: TContext, order: int):
+    """Both sides of: T(exp_v(lambda a)) = e^{lambda^2 (a|a)/2} exp_v(lambda a)."""
+    a = Element.generator(generator)
+    lhs = smatrix(a, ctx, order)
+    s = ctx.pairing.entry(generator, generator)
+    gauss = [ZERO] * (order + 1)
+    k = 0
+    while 2 * k <= order:
+        gauss[2 * k] = (s / 2) ** k / Scalar(factorial(k))
+        k += 1
+    rhs = FormalSeries.from_scalars(gauss, order) * vee_exp(a, order)
+    return lhs, rhs
+
+
 def law_simplest_lagrangian(env: CheckEnv):
     ctx = env.tcontext()
     for k in range(1, min(env.d, 2) + 1):
@@ -839,6 +917,135 @@ def law_simplest_lagrangian(env: CheckEnv):
         if lhs != rhs:
             return f"generator e{k}: lhs={lhs}, rhs={rhs}"
     return None
+
+
+def _grade_truncate(s: FormalSeries, max_grading: int) -> FormalSeries:
+    """Each coefficient of s cut to its terms of grading <= max_grading."""
+    return FormalSeries(
+        [Element({m: c for m, c in x.terms.items() if m.grading <= max_grading})
+         for x in s.coeffs],
+        s.order,
+    )
+
+
+def series_vee_exp(w: FormalSeries, max_grading: int) -> FormalSeries:
+    """exp of a whole series under the symmetric product, truncated jointly in
+    order and grading.
+
+    Every coefficient of ``w`` must have zero scalar part (grading >= 1), so
+    the grading cut makes the sum finite even at order zero.
+    """
+    for c in w.coeffs:
+        if c.scalar_part():
+            raise ValueError("series exponential needs coefficients without scalar part")
+    total = FormalSeries.constant(1, w.order)
+    term = FormalSeries.constant(1, w.order)
+    m = 1
+    while True:
+        term = _grade_truncate(term * w, max_grading) * Scalar(Fraction(1, m))
+        if not term:
+            return total
+        total = total + term
+        m += 1
+
+
+def gaussian_closed_form_check(ctx: TContext, order: int, max_grading: int):
+    """Both sides of the Gaussian-Lagrangian determinant identity.
+
+    The formal parameter scales the pairing (one power per contraction).  The
+    left side is T(exp_v(sum_i e_i v e_i)) with pairing lambda*M, graded by
+    contraction count; the right side is det(1-2 lambda M)^(-1/2) times the
+    symmetric exponential of the geometric-series quadratic form.  Both sides
+    are truncated at the given order and total grading.
+    """
+    L = ctx.pairing
+    d = L.dim
+
+    # Left side: sum_n (1/n!) sum_k lambda^k [k-contraction part of T(u^{v n})].
+    # u is homogeneous of grading 2 and each contraction lowers the grading
+    # by 2, so the k-contraction part of T(u^{v n}) is its grading 2n-2k part.
+    u = Element({Monomial(((i, 2),)): ONE for i in range(1, d + 1)})
+    lhs_terms: list[dict[Monomial, Scalar]] = [{} for _ in range(order + 1)]
+    n_max = (max_grading + 2 * order) // 2
+    power = Element.one()
+    for n in range(0, n_max + 1):
+        if n:
+            power = power.vee(u)
+        inv_fact = Scalar(Fraction(1, factorial(n)))
+        for mono, coeff in t_map(power, ctx).items():
+            k = n - mono.grading // 2
+            if k <= order and mono.grading <= max_grading:
+                _accumulate(lhs_terms[k], mono, coeff * inv_fact)
+    lhs = FormalSeries([_wrap(terms) for terms in lhs_terms], order)
+
+    # Right side: det(1 - 2 lambda M)^(-1/2) * exp_v(sum (2 lambda)^k M^k quadratic).
+    entries = [
+        [
+            FormalSeries(
+                [
+                    Element.from_scalar(ONE if i == j else ZERO),
+                    Element.from_scalar(Scalar(-2) * L.entry(i + 1, j + 1)),
+                ],
+                order,
+            )
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+    det = _det_series(entries, order)
+    prefactor = det.inverse_sqrt()
+
+    powers = [_identity_matrix(d)]
+    for _ in range(order):
+        powers.append(_mat_mul(powers[-1], L))
+    w_coeffs = []
+    for k in range(order + 1):
+        two_k = Scalar(2**k)
+        acc = Element.zero()
+        for i in range(d):
+            for j in range(d):
+                c = two_k * powers[k][i][j]
+                if c:
+                    acc = acc + c * Element.from_monomial(
+                        Monomial.from_indices((i + 1, j + 1))
+                    )
+        w_coeffs.append(acc)
+    w = FormalSeries(w_coeffs, order)
+    rhs = _grade_truncate(prefactor * series_vee_exp(w, max_grading), max_grading)
+    return lhs, rhs
+
+
+def _identity_matrix(d: int):
+    return [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
+
+
+def _mat_mul(A, L):
+    d = len(A)
+    return [
+        [
+            sum((A[i][k] * L.entry(k + 1, j + 1) for k in range(d)), ZERO)
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+
+
+def _det_series(entries, order: int) -> FormalSeries:
+    """Leibniz determinant of a small matrix of scalar series."""
+    d = len(entries)
+    total = FormalSeries([], order)
+    for sigma in permutations(range(d)):
+        sign = 1
+        seen = list(sigma)
+        for i in range(d):
+            for j in range(i + 1, d):
+                if seen[i] > seen[j]:
+                    sign = -sign
+        prod = FormalSeries.constant(1, order)
+        for i in range(d):
+            prod = prod * entries[i][sigma[i]]
+        total = total + sign * prod
+    return total
 
 
 def law_gaussian_closed_form(env: CheckEnv):

@@ -20,8 +20,8 @@ and the atom's leading ``-`` (which negates the real part only) prefixed, so
 it means what the same literal means in a config.  The functions, with their
 arities and bodies, are the table ``FUNCTIONS``; the operators are
 ``OPERATORS``.  Input nested too deeply for the parser is an
-``ExprSyntaxError``; ``evaluate`` folds operator and scalar chains in loops
-and so needs fewer Python frames than the parser for any tree that parses.
+``ExprSyntaxError``; the parser and ``evaluate`` both read operator and
+scalar chains in loops, so only parentheses and calls nest their frames.
 """
 
 from __future__ import annotations
@@ -160,12 +160,20 @@ class _Parser:
             node = self.parse_sum()
             self.expect_op(")")
             return node
-        if kind == "num" or (kind == "op" and value == "-"):
-            scalar = self.parse_scalar()
-            if self.peek()[1] == "*":
+        if self.at_scalar():
+            # s1 * s2 * ... * atom in a loop; a chain ending in a scalar ends in a Lit
+            scalars = [self.parse_scalar()]
+            while self.peek()[1] == "*":
                 self.advance()
-                return ScalarMul(scalar, self.parse_atom())
-            return Lit(scalar)
+                if not self.at_scalar():
+                    node = self.parse_atom()
+                    break
+                scalars.append(self.parse_scalar())
+            else:
+                node = Lit(scalars.pop())
+            for scalar in reversed(scalars):
+                node = ScalarMul(scalar, node)
+            return node
         if kind == "name":
             if re.fullmatch(r"e\d+", value):
                 self.advance()
@@ -174,6 +182,10 @@ class _Parser:
                 return self.parse_call()
             raise ExprSyntaxError(f"unknown function or symbol {value!r}", offset)
         raise ExprSyntaxError(f"expected an expression, found {value!r}", offset)
+
+    def at_scalar(self) -> bool:
+        kind, value, _ = self.peek()
+        return kind == "num" or (kind == "op" and value == "-")
 
     def parse_scalar(self) -> Scalar:
         sign = "-" if self.peek()[1] == "-" else ""

@@ -1,5 +1,6 @@
-"""Creation/annihilation structure: projectors, normal-ordering isomorphism,
-involution, and the vacuum expectation (which is just the counit).
+"""Creation/annihilation structure: projectors, normal-ordering isomorphism
+and involution.  The vacuum expectation <0|u|0> is the counit
+(``algebra.counit``), since normal products kill the vacuum.
 
 Generators carry an intrinsic creation/annihilation tag; a general mode
 a = a+ + a- is an element, not a generator, which keeps monomials plain
@@ -8,7 +9,7 @@ multisets.
 
 from __future__ import annotations
 
-from .algebra import Element, Monomial, TensorElement, _accumulate, _wrap, counit, sweedler
+from .algebra import Element, Monomial, TensorElement, _accumulate, _wrap, sweedler
 from .scalars import Scalar
 
 
@@ -92,7 +93,3 @@ def involute(u: Element, f: FockStructure) -> Element:
         _accumulate(out, swapped, coeff.conjugate())
     return _wrap(out)
 
-
-def vacuum_expectation(u: Element) -> Scalar:
-    """<0|u|0>: identical to the counit, since normal products kill the vacuum."""
-    return counit(u)

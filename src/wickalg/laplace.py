@@ -22,8 +22,6 @@ from .algebra import (
     Monomial,
     _accumulate,
     _wrap,
-    antipode_sign,
-    iterated_coproduct,
     sweedler,
 )
 from .scalars import ONE, ZERO, Scalar, common_denominator
@@ -71,12 +69,6 @@ class PairingMatrix:
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
             raise ValueError(f"generator index out of range: ({i},{j}) with d={self.dim}")
         return self.rows[i - 1][j - 1]
-
-    def scaled(self, factor) -> "PairingMatrix":
-        factor = Scalar.coerce(factor)
-        return PairingMatrix(
-            [[factor * x for x in row] for row in self.rows], self.symmetric
-        )
 
     def __eq__(self, other):
         if not isinstance(other, PairingMatrix):
@@ -262,46 +254,3 @@ def wick_expand(generators, L: PairingMatrix) -> Element:
         _accumulate(out, Monomial.from_indices(left), coeff)
     return _wrap(out)
 
-
-def recover_vee(u: Element, v: Element, L: PairingMatrix) -> Element:
-    """Rebuild u v v from circle products and the antipode."""
-    out = Element.zero()
-    v_splits = list(sweedler(v))
-    for u1, u2, cu in sweedler(u):
-        sign = antipode_sign(u1)
-        for v1, v2, cv in v_splits:
-            if u1.grading != v1.grading:
-                continue
-            p = L._laplace[u1, v1]
-            if not p:
-                continue
-            coeff = cu * cv * p * sign
-            out = out + coeff * circle(
-                Element.from_monomial(u2), Element.from_monomial(v2), L
-            )
-    return out
-
-
-def recover_pairing(u: Element, v: Element, L: PairingMatrix) -> Element:
-    """Rebuild (u|v)*1 from circle products and the antipode."""
-    out = Element.zero()
-    v_splits = list(sweedler(v))
-    for u1, u2, cu in sweedler(u):
-        for v1, v2, cv in v_splits:
-            head = u1.vee(v1)
-            sign = antipode_sign(head)
-            prod = circle(Element.from_monomial(u2), Element.from_monomial(v2), L)
-            out = out + (cu * cv * sign) * Element.from_monomial(head).vee(prod)
-    return out
-
-
-def circle_distribute(u: Element, v: Element, w: Element, L: PairingMatrix) -> Element:
-    """The distributivity expansion of u o (v v w) over a Sweedler triple."""
-    out = Element.zero()
-    triple = iterated_coproduct(u, 3)
-    for (u11, u12, u2), coeff in triple.items():
-        left = circle(Element.from_monomial(u11), v, L)
-        mid = circle(Element.from_monomial(u12), w, L)
-        sign = antipode_sign(u2)
-        out = out + (coeff * sign) * left.vee(mid).vee(Element.from_monomial(u2))
-    return out

@@ -65,14 +65,6 @@ class LinearFunctional:
             return ZERO
         return self._memo[m]
 
-    def on_element(self, u: Element) -> Scalar:
-        total = ZERO
-        for m, c in u.items():
-            v = self(m)
-            if v:
-                total = total + c * v
-        return total
-
     def inverse(self) -> "LinearFunctional":
         """Convolution inverse; its values are memoised in this functional."""
         return convolution_inverse(self)

@@ -1,9 +1,10 @@
 """Truncated formal power series in one parameter, with element coefficients.
 
 Everything non-perturbative (symmetric exponentials, S-matrices, Green
-functions, the Gaussian determinant identity) is realized as a series cut at
-a finite order -- no topology on the algebra is introduced.  Arithmetic is
-exact through the truncation order.
+functions) is realized as a series cut at a finite order -- no topology on
+the algebra is introduced.  Arithmetic is exact through the truncation
+order.  The identities stated on these series (the simplest Lagrangian, the
+Gaussian determinant) live with their laws in ``checks``.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra import Element, Monomial, _accumulate, _wrap
-from .scalars import ONE, ZERO, Scalar
+from .algebra import Element, Monomial
+from .scalars import ONE, Scalar
 from .tmaps import TContext, t_map, t_scalar, tbar_map, twist
 
 
@@ -38,10 +39,6 @@ class FormalSeries:
         if isinstance(c, Element):
             return c
         return Element.from_scalar(Scalar.coerce(c))
-
-    @classmethod
-    def zero(cls, order: int) -> "FormalSeries":
-        return cls([], order)
 
     @classmethod
     def constant(cls, value, order: int) -> "FormalSeries":
@@ -144,11 +141,6 @@ class FormalSeries:
                 return x
             x = nxt
 
-    def grade_truncate(self, max_grading: int) -> "FormalSeries":
-        return FormalSeries(
-            [c.grade_truncate(max_grading) for c in self.coeffs], self.order
-        )
-
     def __eq__(self, other):
         if not isinstance(other, FormalSeries):
             return NotImplemented
@@ -188,27 +180,6 @@ def vee_exp(u: Element, order: int) -> FormalSeries:
     return FormalSeries(coeffs, order)
 
 
-def series_vee_exp(w: FormalSeries, max_grading: int) -> FormalSeries:
-    """exp of a whole series under the symmetric product, truncated jointly in
-    order and grading.
-
-    Every coefficient of ``w`` must have zero scalar part (grading >= 1), so
-    the grading cut makes the sum finite even at order zero.
-    """
-    for c in w.coeffs:
-        if c.scalar_part():
-            raise ValueError("series exponential needs coefficients without scalar part")
-    total = FormalSeries.constant(1, w.order)
-    term = FormalSeries.constant(1, w.order)
-    m = 1
-    while True:
-        term = ((term * w).grade_truncate(max_grading)) * Scalar(Fraction(1, m))
-        if not term:
-            return total
-        total = total + term
-        m += 1
-
-
 def smatrix(u: Element, ctx: TContext, order: int, renormalised: bool = False) -> FormalSeries:
     """The time-ordered exponential series of a Lagrangian element."""
     base = vee_exp(u, order)
@@ -242,117 +213,3 @@ def green(
         den.append(t_scalar(c, ctx))
     return FormalSeries.from_scalars(num, order).divide(FormalSeries.from_scalars(den, order))
 
-
-def simplest_lagrangian_check(generator: int, ctx: TContext, order: int):
-    """Both sides of: T(exp_v(lambda a)) = e^{lambda^2 (a|a)/2} exp_v(lambda a)."""
-    a = Element.generator(generator)
-    lhs = smatrix(a, ctx, order)
-    s = ctx.pairing.entry(generator, generator)
-    gauss = [ZERO] * (order + 1)
-    k = 0
-    while 2 * k <= order:
-        gauss[2 * k] = (s / 2) ** k / Scalar(factorial(k))
-        k += 1
-    rhs = FormalSeries.from_scalars(gauss, order) * vee_exp(a, order)
-    return lhs, rhs
-
-
-def gaussian_closed_form_check(ctx: TContext, order: int, max_grading: int):
-    """Both sides of the Gaussian-Lagrangian determinant identity.
-
-    The formal parameter scales the pairing (one power per contraction).  The
-    left side is T(exp_v(sum_i e_i v e_i)) with pairing lambda*M, graded by
-    contraction count; the right side is det(1-2 lambda M)^(-1/2) times the
-    symmetric exponential of the geometric-series quadratic form.  Both sides
-    are truncated at the given order and total grading.
-    """
-    L = ctx.pairing
-    d = L.dim
-
-    # Left side: sum_n (1/n!) sum_k lambda^k [k-contraction part of T(u^{v n})].
-    # u is homogeneous of grading 2 and each contraction lowers the grading
-    # by 2, so the k-contraction part of T(u^{v n}) is its grading 2n-2k part.
-    u = Element({Monomial(((i, 2),)): ONE for i in range(1, d + 1)})
-    lhs_terms: list[dict[Monomial, Scalar]] = [{} for _ in range(order + 1)]
-    n_max = (max_grading + 2 * order) // 2
-    power = Element.one()
-    for n in range(0, n_max + 1):
-        if n:
-            power = power.vee(u)
-        inv_fact = Scalar(Fraction(1, factorial(n)))
-        for mono, coeff in t_map(power, ctx).items():
-            k = n - mono.grading // 2
-            if k <= order and mono.grading <= max_grading:
-                _accumulate(lhs_terms[k], mono, coeff * inv_fact)
-    lhs = FormalSeries([_wrap(terms) for terms in lhs_terms], order)
-
-    # Right side: det(1 - 2 lambda M)^(-1/2) * exp_v(sum (2 lambda)^k M^k quadratic).
-    entries = [
-        [
-            FormalSeries(
-                [
-                    Element.from_scalar(ONE if i == j else ZERO),
-                    Element.from_scalar(Scalar(-2) * L.entry(i + 1, j + 1)),
-                ],
-                order,
-            )
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    det = _det_series(entries, order)
-    prefactor = det.inverse_sqrt()
-
-    powers = [_identity_matrix(d)]
-    for _ in range(order):
-        powers.append(_mat_mul(powers[-1], L))
-    w_coeffs = []
-    for k in range(order + 1):
-        two_k = Scalar(2**k)
-        acc = Element.zero()
-        for i in range(d):
-            for j in range(d):
-                c = two_k * powers[k][i][j]
-                if c:
-                    acc = acc + c * Element.from_monomial(
-                        Monomial.from_indices((i + 1, j + 1))
-                    )
-        w_coeffs.append(acc)
-    w = FormalSeries(w_coeffs, order)
-    rhs = (prefactor * series_vee_exp(w, max_grading)).grade_truncate(max_grading)
-    return lhs, rhs
-
-
-def _identity_matrix(d: int):
-    return [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
-
-
-def _mat_mul(A, L):
-    d = len(A)
-    return [
-        [
-            sum((A[i][k] * L.entry(k + 1, j + 1) for k in range(d)), ZERO)
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-
-
-def _det_series(entries, order: int) -> FormalSeries:
-    """Leibniz determinant of a small matrix of scalar series."""
-    from itertools import permutations
-
-    d = len(entries)
-    total = FormalSeries.zero(order)
-    for sigma in permutations(range(d)):
-        sign = 1
-        seen = list(sigma)
-        for i in range(d):
-            for j in range(i + 1, d):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        prod = FormalSeries.constant(1, order)
-        for i in range(d):
-            prod = prod * entries[i][sigma[i]]
-        total = total + sign * prod
-    return total

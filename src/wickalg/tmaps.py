@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import Element, Memo, Monomial, derivation, monomial_splits, sweedler
-from .laplace import PairingMatrix, circle, circle_fold
+from .laplace import PairingMatrix, circle_fold
 from .renorm import LinearFunctional, circle_renorm
 from .scalars import ONE, ZERO, Scalar
 
@@ -254,21 +254,3 @@ def tbar_scalar_by_modified_pairing(u: Element, ctx: TContext) -> Scalar:
 
     return sum((coeff * x(mono) for mono, coeff in u.items()), ZERO)
 
-
-def first_identity_check(u: Element, v: Element, ctx: TContext):
-    """Both sides of: T(u) renorm-circle T(v) = sum Z(u1,v1) T(u2) circle T(v2)."""
-    z = ctx.require_scheme()
-    lhs = circle_renorm(t_map(u, ctx), t_map(v, ctx), z, ctx.pairing)
-    rhs = Element.zero()
-    v_splits = list(sweedler(v))
-    for u1, u2, cu in sweedler(u):
-        for v1, v2, cv in v_splits:
-            f = z._coupling[u1, v1]
-            if not f:
-                continue
-            rhs = rhs + (cu * cv * f) * circle(
-                t_map(Element.from_monomial(u2), ctx),
-                t_map(Element.from_monomial(v2), ctx),
-                ctx.pairing,
-            )
-    return lhs, rhs

@@ -25,19 +25,15 @@ from wickalg import (
     TContext,
     antipode,
     circle,
-    circle_distribute,
     circle_fold,
     convolve,
     coproduct,
     counit,
     exp_sigma,
-    first_identity_check,
-    gaussian_closed_form_check,
     green,
     permanent,
     permanent_by_permutations,
     phi,
-    simplest_lagrangian_check,
     smatrix,
     sweedler,
     t_closed_form,
@@ -51,6 +47,12 @@ from wickalg import (
     vee,
 )
 from wickalg import checks
+from wickalg.checks import (
+    circle_distribute,
+    first_identity_check,
+    gaussian_closed_form_check,
+    simplest_lagrangian_check,
+)
 from wickalg.cli import main as cli_main
 from wickalg.renorm import LinearFunctional
 

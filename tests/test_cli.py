@@ -410,8 +410,9 @@ class TestGreenCommand:
 
 
 class TestLongInput:
-    """A long sum or product is folded in a loop; input nested deeper than
-    the parser can follow is refused with exit 2, never a traceback."""
+    """A long sum, product or scalar chain is read and folded in a loop;
+    input nested deeper than the parser can follow is refused with exit 2,
+    never a traceback."""
 
     def test_long_sum(self, capsys):
         code, out, err = run_cli(
@@ -435,9 +436,17 @@ class TestLongInput:
         text = format_value(u)
         assert evaluate(parse_expr(text), env) == u
 
+    @pytest.mark.parametrize("factors", [990, 1100])
+    def test_long_scalar_chain(self, capsys, factors):
+        code, out, err = run_cli(
+            capsys, "eval", "--config", DEFAULT, "2 * " * factors + "e1"
+        )
+        assert code == 0, err
+        assert out == f"{2**factors} * e1\n"
+
     @pytest.mark.parametrize("expression", [
         "(" * 1200 + "e1" + ")" * 1200,
-        "2 * " * 1100 + "e1",
+        "(" * 800 + "e1" + ")" * 800,
     ])
     def test_deep_nesting_exits_2(self, capsys, expression):
         code, out, err = run_cli(capsys, "eval", "--config", DEFAULT, expression)
@@ -525,6 +534,20 @@ def test_python_dash_m_wickalg_runs_the_cli(capsys):
     assert proc.returncode == 0 == code, proc.stderr
     assert proc.stdout == out
     assert out.count("lambda^") == 3
+
+
+def test_package_exports():
+    import wickalg
+
+    names = wickalg.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        obj = getattr(wickalg, name)
+        # law statements and their helpers stay in checks, out of the API
+        assert getattr(obj, "__module__", "") != "wickalg.checks", name
+    namespace = {}
+    exec("from wickalg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)
 
 
 class TestBenchmarkNames:
