@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 from . import laplace, renorm
 from .algebra import (
@@ -268,8 +268,6 @@ def law_derivations_commute(env: CheckEnv):
 
 
 def law_divided_powers(env: CheckEnv):
-    from math import comb
-
     k = 1
     for n in range(0, 6):
         dp = divided_power(k, n)
@@ -293,9 +291,11 @@ def law_divided_powers(env: CheckEnv):
 def law_permanent_kernels(env: CheckEnv):
     for n in range(0, 6):
         for _ in range(max(2, env.trials // 10)):
-            matrix = [[env.random_scalar() for _ in range(n)] for _ in range(n)]
-            if laplace.permanent(matrix) != laplace.permanent_by_permutations(matrix):
-                return f"n={n}, matrix={matrix}"
+            m1, m2 = env.random_monomial(n, n), env.random_monomial(n, n)
+            matrix = [[env.L.entry(a, b) for b in m2.indices()] for a in m1.indices()]
+            want = laplace.permanent_by_permutations(matrix)
+            if {laplace.pairing_monomials(m1, m2, env.L), laplace.permanent(matrix)} != {want}:
+                return f"({m1}|{m2})"
     return None
 
 
@@ -1082,7 +1082,7 @@ LAWS = [
     ("antipode law and antipode morphism", law_antipode, False, False),
     ("derivations commute", law_derivations_commute, False, False),
     ("divided power laws", law_divided_powers, False, False),
-    ("Ryser permanent equals permutation sum", law_permanent_kernels, False, False),
+    ("permanent equals permutation sum", law_permanent_kernels, False, False),
     ("Laplace expansion identities", law_laplace_identities, False, False),
     ("circle product associativity", law_circle_associative, False, False),
     ("counit of circle product is the pairing", law_circle_counit, False, False),

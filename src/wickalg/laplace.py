@@ -1,7 +1,10 @@
 """Laplace pairing, permanents, the circle product and Wick expansion.
 
 A bilinear form on the generators extends uniquely to the whole symmetric
-algebra: it vanishes across gradings and is a permanent within a grading.
+algebra: it vanishes across gradings and is a permanent within a grading,
+whose rows and columns repeat as often as the letters of the monomials.  One
+kernel, Glynn's formula summed over multiplicities (:func:`_glynn`), takes
+every permanent, and :func:`permanent_by_permutations` is its oracle.
 The circle product u o v = sum u_(1) v v_(1) (u_(2)|v_(2)) deforms the
 symmetric product by a pairing; with a symmetric form it is the time-ordered
 product, with an antisymmetric one the operator product.  One Sweedler loop
@@ -15,6 +18,7 @@ contraction enumeration :func:`wick_expand` for the n-fold circle product.
 from __future__ import annotations
 
 from itertools import permutations
+from math import prod
 
 from .algebra import (
     Element,
@@ -83,50 +87,107 @@ class PairingMatrix:
 
 
 def permanent(matrix) -> Scalar:
-    """Exact permanent by Ryser's inclusion-exclusion, O(2^n * n) arithmetic.
-
-    The entries are brought to one denominator D, so the 2^n * n loop runs
-    on Gaussian integers (pairs of ints) and the result is total / D^n.
-    Column subsets are walked in Gray-code order so each step updates the
-    running row sums by a single column.
-    """
+    """Exact permanent of a square matrix: :func:`_glynn` with every row and
+    column its own letter, 2^(n-1) * n arithmetic on Gaussian integers."""
     n = len(matrix)
     if n == 0:
         return ONE
     for row in matrix:
         if len(row) != n:
             raise ValueError("permanent needs a square matrix")
-    D, rows = common_denominator(matrix)
-    columns = list(zip(*rows))
-    sums_re = [0] * n
-    sums_im = [0] * n
+    ones = [1] * n
+    return _glynn(matrix, ones, ones)
+
+
+def _glynn(entries, row_mults, col_mults) -> Scalar:
+    """The permanent of the n x n matrix in which row r of ``entries`` repeats
+    ``row_mults[r]`` times and column j repeats ``col_mults[j]`` times.
+
+    Glynn's formula, perm A = 2^(1-n) sum (prod_k d_k) prod_r (sum_k d_k a_rk)
+    over the sign vectors d with one entry fixed at +1, grouped by k_j, the
+    number of copies of column j whose sign is flipped: C(c_j, k_j) vectors
+    share a term, where c_j counts the copies free to flip.  A reflected
+    mixed-radix Gray code walks the k_j, so each step moves one k_j by one,
+    the sign flips, the row sums move by -+2 column j and the weight by one
+    exact ratio.  The arithmetic runs on Gaussian integers over the common
+    denominator D of the entries, and the total is divided by 2^(n-1) D^n.
+    Cost: prod (c_j + 1) steps over the distinct rows, 2^(n-1) steps when
+    every column is distinct.
+    """
+    D, rows = common_denominator(entries)
+    n = sum(row_mults)
+    sums_re = [0] * len(rows)
+    sums_im = [0] * len(rows)
+    tops, steps = [], []
+    for j, column in enumerate(zip(*rows)):
+        c = col_mults[j]
+        for r, (a, b) in enumerate(column):
+            sums_re[r] += c * a
+            sums_im[r] += c * b
+        top = c - (j == 0)  # one copy of column 0 keeps the sign +1
+        if top:
+            tops.append(top)
+            steps.append(tuple((r, 2 * a, 2 * b) for r, (a, b) in enumerate(column)))
+    m = len(tops)
+    ks = [0] * m
+    up = [True] * m
+    singles = [r for r, p in enumerate(row_mults) if p == 1]
+    powers = [(r, p) for r, p in enumerate(row_mults) if p > 1]
+    weight, positive = 1, True
     total_re = total_im = 0
-    gray = 0
-    for k in range(1, 1 << n):
-        next_gray = k ^ (k >> 1)
-        flipped = next_gray ^ gray
-        column = columns[flipped.bit_length() - 1]
-        if next_gray & flipped:
-            for i, (a, b) in enumerate(column):
-                sums_re[i] += a
-                sums_im[i] += b
-        else:
-            for i, (a, b) in enumerate(column):
-                sums_re[i] -= a
-                sums_im[i] -= b
-        gray = next_gray
+    while True:
         p_re, p_im = 1, 0
-        for a, b in zip(sums_re, sums_im):
+        for r in singles:
+            a, b = sums_re[r], sums_im[r]
             p_re, p_im = p_re * a - p_im * b, p_re * b + p_im * a
-            if not (p_re or p_im):
-                break
-        if (n - gray.bit_count()) % 2:
-            total_re -= p_re
-            total_im -= p_im
+        for r, p in powers:
+            a, b = _gaussian_power(sums_re[r], sums_im[r], p)
+            p_re, p_im = p_re * a - p_im * b, p_re * b + p_im * a
+        if positive:
+            total_re += weight * p_re
+            total_im += weight * p_im
         else:
-            total_re += p_re
-            total_im += p_im
-    return Scalar.from_integers(total_re, total_im, D**n)
+            total_re -= weight * p_re
+            total_im -= weight * p_im
+        # The lowest k_j that can move on in its direction moves; the ones
+        # below it turn round.
+        j = 0
+        while j < m:
+            k, top = ks[j], tops[j]
+            if up[j]:
+                if k < top:
+                    weight = weight * (top - k) // (k + 1)
+                    ks[j] = k + 1
+                    for r, a, b in steps[j]:
+                        sums_re[r] -= a
+                        sums_im[r] -= b
+                    break
+            elif k:
+                weight = weight * k // (top - k + 1)
+                ks[j] = k - 1
+                for r, a, b in steps[j]:
+                    sums_re[r] += a
+                    sums_im[r] += b
+                break
+            up[j] = not up[j]
+            j += 1
+        else:
+            return Scalar.from_integers(total_re, total_im, D**n << (n - 1))
+        positive = not positive
+
+
+def _gaussian_power(a: int, b: int, p: int) -> tuple[int, int]:
+    """(a + b i)^p for p >= 1, by repeated squaring."""
+    if not b:
+        return a**p, 0
+    r_re, r_im = 1, 0
+    while True:
+        if p & 1:
+            r_re, r_im = r_re * a - r_im * b, r_re * b + r_im * a
+        p >>= 1
+        if not p:
+            return r_re, r_im
+        a, b = a * a - b * b, 2 * a * b
 
 
 def permanent_by_permutations(matrix) -> Scalar:
@@ -144,15 +205,23 @@ def permanent_by_permutations(matrix) -> Scalar:
 
 
 def pairing_monomials(m1: Monomial, m2: Monomial, L: PairingMatrix) -> Scalar:
-    """(m1|m2): zero across gradings, else the permanent of generator pairings."""
+    """(m1|m2): zero across gradings, else the permanent of generator pairings.
+
+    The letters of m1 index the rows and those of m2 the columns, each
+    repeated as often as the letter; :func:`_glynn` reads the table of
+    distinct letters with their counts.  Its Gray walk runs over the
+    columns, so the monomial with fewer states prod (c + 1) takes them:
+    perm A = perm A^T.
+    """
     if m1.grading != m2.grading:
         return ZERO
     if m1.grading == 0:
         return ONE
-    rows_idx = m1.indices()
-    cols_idx = m2.indices()
-    matrix = [[L.entry(i, j) for j in cols_idx] for i in rows_idx]
-    return permanent(matrix)
+    rows, cols, entry = m1.counts, m2.counts, L.entry
+    if prod(c + 1 for _, c in rows) < prod(c + 1 for _, c in cols):
+        rows, cols, entry = cols, rows, lambda a, b: L.entry(b, a)
+    table = [[entry(a, b) for b, _ in cols] for a, _ in rows]
+    return _glynn(table, [c for _, c in rows], [c for _, c in cols])
 
 
 def pairing(u: Element, v: Element, L: PairingMatrix) -> Scalar:

@@ -27,13 +27,14 @@ from .laplace import PairingMatrix, _bilinear, _sweedler_product
 from .scalars import ONE, ZERO, Scalar
 
 
-def _convolve(P, Q, m1: Monomial, m2: Monomial) -> Scalar:
+def _convolve(P, Q, left, right) -> Scalar:
     """(P * Q)(m1, m2) = sum P(m1_(1), m2_(1)) Q(m1_(2), m2_(2)) for pairings
-    ``P(a, b)``, ``Q(a, b)`` of monomials.  P * Q = Q * P (the coproduct is
-    cocommutative); Q is read where P is nonzero, so the sparser goes first."""
+    ``P(a, b)``, ``Q(a, b)`` of monomials, over the splits ``left`` of m1 and
+    ``right`` of m2.  A caller may leave out splits on which P vanishes.
+    P * Q = Q * P (the coproduct is cocommutative); Q is read where P is
+    nonzero, so the sparser goes first."""
     total = ZERO
-    right = monomial_splits(m2)
-    for a1, a2, wa in monomial_splits(m1):
+    for a1, a2, wa in left:
         for b1, b2, wb in right:
             p = P(a1, b1)
             if not p:
@@ -87,10 +88,14 @@ class LinearFunctional:
         return total
 
     def _coupling_value(self, key) -> Scalar:
-        """Z = (z^-1 (x) z^-1) * (z o vee)."""
+        """Z = (z^-1 (x) z^-1) * (z o vee), over the splits where z^-1 does
+        not vanish on either first factor."""
         inv = self._inverse_values
-        return _convolve(lambda a, b: (x := inv[a]) and x * inv[b],
-                         lambda a, b: self(a.vee(b)), *key)
+        m1, m2 = key
+        left = [s for s in monomial_splits(m1) if inv[s[0]]]
+        right = [s for s in monomial_splits(m2) if inv[s[0]]]
+        return _convolve(lambda a, b: inv[a] * inv[b],
+                         lambda a, b: self(a.vee(b)), left, right)
 
     def _modified_memo(self, L: PairingMatrix) -> Memo:
         return Memo(self._modified_value, L)
@@ -98,8 +103,10 @@ class LinearFunctional:
     def _modified_value(self, L: PairingMatrix, key) -> Scalar:
         """Z * Laplace, read as Laplace * Z: Laplace vanishes across gradings."""
         laplace, coupling = L._laplace, self._coupling
+        m1, m2 = key
         return _convolve(lambda a, b: a.grading == b.grading and laplace[a, b],
-                         lambda a, b: coupling[a, b], *key)
+                         lambda a, b: coupling[a, b],
+                         monomial_splits(m1), monomial_splits(m2))
 
 
 class Scheme(LinearFunctional):

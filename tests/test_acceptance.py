@@ -105,7 +105,7 @@ def test_c01_hopf_laws():
 
 def test_c02_laplace_identities_and_permanent_kernels():
     rng = random.Random(SEED + 2)
-    # the law draws trials // 10 matrices of each size n <= 5; n = 6 here
+    # the law draws trials // 10 pairs of monomials of each grading n <= 5; n = 6 here
     assert_laws([checks.law_permanent_kernels], rand_pairing(rng, 4, symmetric=False),
                 seed=SEED + 2, max_grade=3, trials=60)
     for _ in range(6):
@@ -114,7 +114,7 @@ def test_c02_laplace_identities_and_permanent_kernels():
     for symmetric in (False, True):
         assert_laws([checks.law_laplace_identities], rand_pairing(rng, 4, symmetric),
                     seed=SEED + 2, max_grade=3, trials=TRIALS // 2)
-    print("PASS criterion 2: Laplace identities and Ryser = naive permanent for n <= 6")
+    print("PASS criterion 2: Laplace identities and Glynn = naive permanent for n <= 6")
 
 
 def test_c03_circle_product_laws():

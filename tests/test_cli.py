@@ -253,20 +253,21 @@ class TestCheckCommand:
             capsys, "check", "--config", DEFAULT, "--trials", "10", "--max-grade", "3"
         )
         assert code == 1
-        assert "FAIL" in out
+        assert "FAIL  permanent equals permutation sum" in out
         assert "counterexample" in out
 
     def test_exit_code_surfaces_counterexample_law(self, monkeypatch):
+        # Every pairing of monomials runs the multiset kernel; corrupt it at grading 2.
         cfg = load_config(DEFAULT)
-        real = laplace_mod.permanent
+        real = laplace_mod._glynn
 
-        def corrupted(matrix):
-            value = real(matrix)
-            if len(matrix) == 2:
+        def corrupted(entries, row_mults, col_mults):
+            value = real(entries, row_mults, col_mults)
+            if sum(row_mults) == 2:
                 return value + Scalar(1)
             return value
 
-        monkeypatch.setattr(laplace_mod, "permanent", corrupted)
+        monkeypatch.setattr(laplace_mod, "_glynn", corrupted)
         env = CheckEnv(cfg, 3, 20, 0)
         assert law_circle_associative(env) is not None
 

@@ -4,7 +4,10 @@ from math import factorial
 
 import pytest
 
-from conftest import assert_laws, e, mono, rand_element, rand_pairing, rand_scalar
+import wickalg.laplace as laplace_mod
+from conftest import (
+    assert_laws, e, mono, monomials_upto, rand_element, rand_pairing, rand_scalar,
+)
 from wickalg import checks
 from wickalg import (
     Element,
@@ -22,6 +25,7 @@ from wickalg import (
     wick_step,
 )
 from wickalg.checks import circle_distribute
+from wickalg.laplace import pairing_monomials
 
 
 def naive_permanent(matrix):
@@ -163,6 +167,76 @@ class TestPairing:
     def test_coupling_identity(self, rng):
         assert_laws([checks.law_laplace_coupling], rand_pairing(rng, 3, symmetric=False),
                     seed=0, max_grade=2, trials=15)
+
+
+def expanded(m1, m2, L):
+    """The n x n matrix of (m1|m2), one row and column per copy of a letter."""
+    return [[L.entry(a, b) for b in m2.indices()] for a in m1.indices()]
+
+
+class TestMultisetKernel:
+    """``pairing_monomials`` reads letter counts; the expanded matrix is the oracle."""
+
+    def test_every_pair_to_grading_six_on_three_letters(self):
+        L = PairingMatrix([[2, -1, Scalar(1, 1)],
+                           [3, Fraction(1, 2), -2],
+                           [Scalar(0, 1), 1, Fraction(-1, 3)]])
+        monos = monomials_upto(3, 6)
+        for m1 in monos:
+            for m2 in monos:
+                if m1.grading == m2.grading:
+                    want = permanent_by_permutations(expanded(m1, m2, L))
+                    assert pairing_monomials(m1, m2, L) == want, (m1, m2)
+                else:
+                    assert pairing_monomials(m1, m2, L) == 0
+
+    def test_grades_twelve_to_sixteen_on_two_letters(self, rng):
+        L = rand_pairing(rng, 2, symmetric=False)
+        for n in range(12, 17):
+            m1, m2 = (mono(*rng.choices((1, 2), k=n)) for _ in range(2))
+            assert pairing_monomials(m1, m2, L) == permanent(expanded(m1, m2, L)), (m1, m2)
+
+    def test_rank_one_closed_form(self, rng):
+        # L_ab = x_a y_b: every permutation contributes prod x prod y.
+        x = [rand_scalar(rng) or Scalar(1) for _ in range(3)]
+        y = [rand_scalar(rng) or Scalar(2) for _ in range(3)]
+        L = PairingMatrix([[xa * yb for yb in y] for xa in x])
+        for n in (20, 29, 40):
+            m1, m2 = (mono(*rng.choices((1, 2, 3), k=n)) for _ in range(2))
+            want = Scalar(factorial(n))
+            for a, b in zip(m1.indices(), m2.indices()):
+                want = want * x[a - 1] * y[b - 1]
+            assert pairing_monomials(m1, m2, L) == want
+
+    def test_diagonal_closed_form(self, rng):
+        # Only permutations inside each letter's block survive.
+        diag = [rand_scalar(rng) or Scalar(1, 1) for _ in range(3)]
+        L = PairingMatrix([[diag[a] if a == b else 0 for b in range(3)] for a in range(3)])
+        for n in (20, 31, 40):
+            m1 = mono(*rng.choices((1, 2, 3), k=n))
+            want = Scalar(1)
+            for a, c in m1.counts:
+                want = want * Scalar(factorial(c)) * diag[a - 1] ** c
+            assert pairing_monomials(m1, m1, L) == want
+            a = m1.counts[0][0]
+            m2 = m1.remove_one(a).vee(mono(a % 3 + 1))
+            assert pairing_monomials(m1, m2, L) == 0
+
+    def test_transposed_orientation(self, rng, monkeypatch):
+        # e1^4 has 5 Gray states and e1 v e2 v e3 v e4 has 16, so e1^4's one
+        # letter is walked: the kernel sees the transposed table.
+        L = rand_pairing(rng, 4, symmetric=False)
+        m1, m2 = mono(1, 1, 1, 1), mono(1, 2, 3, 4)
+        seen = []
+        real = laplace_mod._glynn
+
+        def spy(entries, row_mults, col_mults):
+            seen.append((entries, row_mults, col_mults))
+            return real(entries, row_mults, col_mults)
+
+        monkeypatch.setattr(laplace_mod, "_glynn", spy)
+        assert pairing_monomials(m1, m2, L) == permanent_by_permutations(expanded(m1, m2, L))
+        assert seen == [([[L.entry(1, b)] for b in (1, 2, 3, 4)], [1, 1, 1, 1], [4])]
 
 
 class TestCircle:

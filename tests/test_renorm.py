@@ -108,6 +108,21 @@ class TestZPairing:
         )
         assert got == expected
 
+    def test_equals_unfiltered_convolution(self, rng):
+        # Z skips the splits where z^-1 vanishes; the oracle sums over all of them.
+        z1 = rand_scheme(rng, 3)
+        monos = monomials_upto(3, 3)
+        for z in (z1, convolve(z1, rand_scheme(rng, 3))):
+            inv = convolution_inverse(z)
+            for m1 in monos:
+                for m2 in monos:
+                    want = Scalar(0)
+                    for a1, a2, wa in m1.splits():
+                        for b1, b2, wb in m2.splits():
+                            want = want + wa * wb * inv(a1) * inv(b1) * z(a2.vee(b2))
+                    u, v = Element.from_monomial(m1), Element.from_monomial(m2)
+                    assert z_pairing(u, v, z) == want, (m1, m2)
+
     def test_symmetry(self, rng):
         # also the unit: (1|u)_Z = eps(u)
         assert_laws([checks.law_z_pairing_symmetry], rand_pairing(rng, 3, symmetric=False),
