@@ -18,6 +18,11 @@ live as long as the functional and hold it weakly; element-level pairings
 and ``circle_renorm`` read them.  An inverse returned by
 :meth:`LinearFunctional.inverse` holds the functional and reads its memo, so
 there is no reference cycle.
+
+A :class:`Scheme`'s table ``values`` is both its rule and its support: the
+scheme vanishes off the unit and the table, so ``tmaps.twist`` walks the
+table instead of a monomial's splits.  Convolved and inverted functionals
+have no table and take the split walk.
 """
 
 from __future__ import annotations
@@ -110,7 +115,10 @@ class LinearFunctional:
 
 
 class Scheme(LinearFunctional):
-    """A finitely presented functional: stored values on monomials of grading >= 2."""
+    """A finitely presented functional: stored values on monomials of grading >= 2.
+
+    ``values`` is the table its rule reads and, with the unit, the support
+    that its twist walks (``tmaps.twist``)."""
 
     def __init__(self, values=None):
         table: dict[Monomial, Scalar] = {}

@@ -201,8 +201,10 @@ def green(
     T is multiplicative and T(e_i v e_j) = e_i o e_j, so for a coefficient c
     of exp_v(u) the numerator (e_i o e_j | T(c)) is t(e_i v e_j v c) and the
     denominator is t(c).  Renormalised, Tbar(c) = T(twist(c, zeta)), so both
-    read t of the twisted c; the legs stay bare.  No T or Tbar element is
-    built; the tests keep the legs paired with :func:`smatrix` as the oracle.
+    read t of the twisted c; the legs stay bare.  A scheme's twist walks its
+    table, not the splits of c, so the renormalised series costs what the
+    bare one costs.  No T or Tbar element is built; the tests keep the legs
+    paired with :func:`smatrix` as the oracle.
     """
     z = ctx.require_scheme() if renormalised else None
     legs = Element.from_monomial(Monomial.from_indices((i, j)))

@@ -9,20 +9,21 @@ the twist sum f(u_(1)) u_(2) (:func:`twist`).  t is the letter loop
 t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b), with oracle
 :func:`t_closed_form`; T is the twist of u by t; and the renormalised maps
 are the same maps on the zeta twist of u: tbar(u) = t(twist(u, zeta)) and
-Tbar(u) = T(twist(u, zeta)).  The circle fold, :func:`exp_sigma` and
-:func:`laplace.wick_expand` are oracles for T, the renormalised circle fold
-(:func:`tbar_map_by_circle_fold`) for Tbar and the modified-pairing
-recursion for tbar.
+Tbar(u) = T(twist(u, zeta)).  A scheme's twist walks the scheme's table, not
+the coproduct, so the renormalised maps cost what the bare ones cost.  The
+circle fold, :func:`exp_sigma` and :func:`laplace.wick_expand` are oracles
+for T, the renormalised circle fold (:func:`tbar_map_by_circle_fold`) for
+Tbar and the modified-pairing recursion for tbar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .algebra import Element, Memo, Monomial, derivation, monomial_splits, sweedler
 from .laplace import PairingMatrix, circle_fold
-from .renorm import LinearFunctional, circle_renorm
+from .renorm import LinearFunctional, Scheme, circle_renorm
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -32,9 +33,11 @@ class TContext:
     Time-ordered maps need the circle product to be commutative, which holds
     exactly when the pairing matrix is symmetric.  The context owns one
     memo, t's, keyed by monomial: it holds every monomial the letter loop
-    reached and every sub-multiset a twist read.  T, Tbar and tbar keep no
-    memo of their own; they read t's.  It lives as long as the context, so
-    build one context per pairing and scheme and pass it around.
+    reached, every sub-multiset of a monomial T was asked for, and each
+    c - s that a scheme's twist reached (s in the scheme's table).  T, Tbar
+    and tbar keep no memo of their own; they read t's.  It lives as long as
+    the context, so build one context per pairing and scheme and pass it
+    around.
     """
 
     def __init__(self, pairing: PairingMatrix, scheme: LinearFunctional | None = None):
@@ -86,8 +89,27 @@ def require_symmetric(L: PairingMatrix) -> None:
 def twist(u: Element, f) -> Element:
     """sum f(u_(1)) u_(2), for ``f`` a scalar function on monomials.  By t
     itself: T(u) = twist(u, t); by a scheme zeta: Tbar(u) = T(twist(u, zeta))
-    and tbar(u) = t(twist(u, zeta))."""
+    and tbar(u) = t(twist(u, zeta)).
+
+    A :class:`Scheme` vanishes off the unit and its table ``values``, so its
+    twist walks that table, not the splits: each entry s <= c (count by
+    count) adds zeta(s) prod C(c_j, s_j) to c - s.  That costs the table's
+    size per monomial instead of prod (c_j + 1) splits, and reads no split
+    list.  Every other ``f`` (t, a convolved or inverted functional) takes
+    the split walk, which is the oracle for a scheme's."""
     out: dict[Monomial, Scalar] = {}
+    if isinstance(f, Scheme):
+        table = [(Monomial.unit(), ONE), *f.values.items()]
+        for c, coeff in u.items():
+            have = dict(c.counts)
+            for s, z in table:
+                weight = 1
+                for idx, k in s.counts:
+                    weight *= comb(have.get(idx, 0), k)
+                if weight:
+                    rest = Monomial(have | {i: have[i] - k for i, k in s.counts})
+                    out[rest] = out.get(rest, ZERO) + coeff * weight * z
+        return Element(out)
     for u1, u2, coeff in sweedler(u):
         x = f(u1)
         if x:
@@ -222,7 +244,8 @@ def tbar_map(u: Element, ctx: TContext) -> Element:
     renormalised circle product.
 
     Computed as T of the zeta twist, Tbar(u) = T(sum zeta(u_(1)) u_(2)), so
-    it reads t's memo and keeps none of its own;
+    it reads t's memo and keeps none of its own.  For a :class:`Scheme` the
+    twist walks the scheme's table, so Tbar costs what T costs;
     :func:`tbar_map_by_circle_fold` is its oracle.
     """
     return t_map(twist(u, ctx.require_scheme()), ctx)
@@ -231,7 +254,9 @@ def tbar_map(u: Element, ctx: TContext) -> Element:
 def tbar_scalar(u: Element, ctx: TContext) -> Scalar:
     """Scalar part of the renormalised time ordering: t of the zeta twist,
     tbar(m) = sum w zeta(m_(1)) t(m_(2)); it reads t's memo and keeps none of
-    its own.  :func:`tbar_scalar_by_modified_pairing` is its oracle."""
+    its own.  For a :class:`Scheme` only the table's entries s <= m are
+    summed, so tbar costs what t costs.
+    :func:`tbar_scalar_by_modified_pairing` is its oracle."""
     return t_scalar(twist(u, ctx.require_scheme()), ctx)
 
 

@@ -14,7 +14,8 @@ import random
 import pytest
 
 from conftest import rand_scheme
-from wickalg.checks import LAWS, rand_pairing, run_checks
+from wickalg import laplace
+from wickalg.checks import LAWS, CheckEnv, law_permanent_kernels, rand_pairing, run_checks
 from wickalg.config import Config, load_config
 from wickalg.fock import FockStructure
 
@@ -77,3 +78,16 @@ def test_each_law_runs_on_some_config():
     # A law whose needs no config meets would pass everywhere as a skip.
     ran = {report.name for name in CONFIGS for report in reports(name) if report.status == "ok"}
     assert ran == {law[0] for law in LAWS}
+
+
+def test_permanent_law_compares_mostly_nonzero_values(monkeypatch):
+    # asymmetric.json's pairing has a zero diagonal, so on it alone most
+    # (m1|m2) vanish and the law would compare 0 with 0.
+    config = CONFIGS["asymmetric.json"]
+    oracle, values = laplace.permanent_by_permutations, []
+    monkeypatch.setattr(laplace, "permanent_by_permutations",
+                        lambda matrix: values.append(oracle(matrix)) or values[-1])
+    env = CheckEnv(config, config.max_grade, config.trials, config.seed)
+    assert law_permanent_kernels(env) is None
+    assert len(values) == 60
+    assert sum(1 for v in values if v) > len(values) / 2

@@ -27,6 +27,7 @@ from wickalg.checks import (
     simplest_lagrangian_check,
 )
 from wickalg.config import load_config
+from wickalg.renorm import LinearFunctional
 
 DEFAULT = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json")
 
@@ -222,6 +223,27 @@ class TestGreen:
         ctx = TContext(L, Scheme())
         u = rand_element(rng, 2, 2)
         assert green(1, 2, u, ctx, 2, renormalised=True) == green(1, 2, u, ctx, 2)
+
+
+class TestRenormalisedGreenBySplitWalk:
+    """A Scheme's twist walks its table; LinearFunctional(scheme) holds the
+    same values without one, so its twist walks the coproduct splits."""
+
+    @pytest.mark.parametrize("u", [
+        Element.from_monomial(mono(1, 2, 3, 4)),
+        Element.from_monomial(mono(1, 1, 2))
+        + Scalar(Fraction(1, 2)) * Element.from_monomial(mono(3, 4)),
+        Scalar(Fraction(1, 2)) * Element.from_monomial(mono(1, 1))
+        + Scalar(Fraction(-1, 3)) * Element.from_monomial(mono(1, 1, 1)),
+    ], ids=["e1e2e3e4", "e1^2e2+e3e4/2", "mass+cubic"])
+    def test_matches_to_order_eight(self, u):
+        cfg = load_config(DEFAULT)
+        by_table = TContext(cfg.pairing, cfg.scheme)
+        by_splits = TContext(cfg.pairing, LinearFunctional(cfg.scheme))
+        for order in range(9):
+            for i, j in ((1, 2), (1, 1)):
+                got = green(i, j, u, by_table, order, renormalised=True)
+                assert got == green(i, j, u, by_splits, order, renormalised=True), (order, i, j)
 
 
 class TestGreenNumeratorAsPairing:

@@ -1,10 +1,22 @@
 import gc
+import random
 import weakref
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from conftest import assert_laws, e, mono, monomials_upto, rand_element, rand_pairing, rand_scheme
+from conftest import (
+    assert_laws,
+    e,
+    mono,
+    monomials_upto,
+    rand_element,
+    rand_monomial,
+    rand_pairing,
+    rand_scalar,
+    rand_scheme,
+)
 from wickalg import checks
 from wickalg import (
     Element,
@@ -37,7 +49,7 @@ from wickalg import (
 from wickalg.algebra import Memo
 from wickalg.checks import first_identity_check
 from wickalg.renorm import LinearFunctional
-from wickalg.tmaps import tbar_scalar_by_modified_pairing
+from wickalg.tmaps import tbar_scalar_by_modified_pairing, twist
 
 
 @pytest.fixture
@@ -323,6 +335,50 @@ class TestClosedForms:
         ctx = TContext(ones)
         assert t_closed_form((1,) * 8, ctx) == 105
         assert t_closed_form((1,) * 6, ctx) == 15
+
+
+class TestSchemeTwist:
+    """A scheme's twist walks the unit and the scheme's table; the split walk,
+    reached through any function that is not a Scheme, is its oracle."""
+
+    @staticmethod
+    def seeded_schemes():
+        """Schemes at d = 4 with support gradings 2..6, each with a repeated
+        letter, plus the empty scheme and one supported above grading 6."""
+        schemes = [Scheme(), Scheme({mono(1, 1, 2, 2, 3, 3, 4): 2, mono(*(4,) * 8): -1})]
+        for seed in range(4):
+            rng = random.Random(7000 + seed)
+            values = {}
+            for g in range(2, 7):
+                a = rng.randint(1, 4)
+                values[mono(a, a, *rng.choices(range(1, 5), k=g - 2))] = rand_scalar(rng)
+                values[rand_monomial(rng, 4, g, min_grade=g)] = rand_scalar(rng)
+            schemes.append(Scheme(values))
+        return schemes
+
+    def test_matches_the_split_walk_to_grading_six(self):
+        monomials = monomials_upto(4, 6)
+        rng = random.Random(7100)
+        for z in self.seeded_schemes():
+            by_splits = lambda m: z(m)  # noqa: E731  (not a Scheme: the split walk)
+            for m in monomials:
+                u = Element.from_monomial(m, rand_scalar(rng) or Scalar(1))
+                assert twist(u, z) == twist(u, by_splits), (z, m)
+            u = rand_element(rng, 4, 6, terms=5)
+            assert twist(u, z) == twist(u, by_splits), (z, u)
+
+    def test_weight_and_unit_term(self):
+        a = Scalar(Fraction(2, 7), Fraction(1, 3))
+        got = twist(Element.from_monomial(mono(1, 1, 1)), Scheme({mono(1, 1): a}))
+        assert got == Element.from_monomial(mono(1, 1, 1)) + 3 * a * e(1)
+
+    def test_reads_no_split_list(self, monkeypatch):
+        def no_splits(m):
+            raise AssertionError(f"split list read for {m}")
+
+        monkeypatch.setattr("wickalg.algebra.monomial_splits", no_splits)
+        u = Element.from_monomial(mono(*(1, 2, 3, 4) * 6))
+        twist(u, self.seeded_schemes()[2])
 
 
 class TestRenormalisedT:
