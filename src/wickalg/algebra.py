@@ -5,6 +5,12 @@ Monomials are multisets of generator indices (the basis words
 Gaussian-rational coefficients, and the coproduct splits a monomial over all
 sub-multisets with binomial multiplicities -- the merged form of the
 labelled-position shuffle.  All values are immutable; all operations are pure.
+
+Monomials are interned: the module-level memo ``_MONOMIALS``, keyed by the
+canonical counts tuple and kept for the life of the process, holds the one
+object of each multiset.  Equal monomials are therefore the same object, and
+monomial equality and hashing are the object defaults (identity).  The table
+takes no lock: the package runs in one thread.
 """
 
 from __future__ import annotations
@@ -21,29 +27,35 @@ from .scalars import ONE, ZERO, Scalar, display_negative
 class Monomial:
     """A multiset of generator indices, e.g. ``{1: 2, 3: 1}`` = e1 v e1 v e3.
 
-    The empty monomial is the algebra unit.  Equality and hashing go through
-    the canonical sorted ``(index, multiplicity)`` tuple.
+    The empty monomial is the algebra unit.  ``counts`` is the canonical
+    sorted ``(index, multiplicity)`` tuple.  Every constructor returns the
+    interned object for its counts, so two monomials are equal exactly when
+    they are the same object: equality and hashing are by identity.
     """
 
-    __slots__ = ("counts", "grading", "_hash")
+    __slots__ = ("counts", "grading")
 
-    def __init__(self, counts=()):
+    def __new__(cls, counts=()):
         if isinstance(counts, dict):
             items = counts.items()
         else:
             items = counts
         merged: dict[int, int] = {}
         for idx, mult in items:
+            if not isinstance(mult, int) or mult < 0:
+                raise ValueError(f"multiplicity must be a non-negative int, got {mult!r}")
             if mult == 0:
                 continue
             if not isinstance(idx, int) or idx < 1:
                 raise ValueError(f"generator index must be a positive int, got {idx!r}")
-            if mult < 0:
-                raise ValueError(f"negative multiplicity for generator {idx}")
+            # The table keys on exact ints: a bool enters as its int.
+            idx, mult = int(idx), int(mult)
             merged[idx] = merged.get(idx, 0) + mult
-        self.counts = tuple(sorted(merged.items()))
-        self.grading = sum(m for _, m in self.counts)
-        self._hash = hash(self.counts)
+        return _canonical(tuple(sorted(merged.items())))
+
+    def __reduce__(self):
+        # Copies and unpickled values go through the table, not __new__().
+        return (Monomial, (self.counts,))
 
     @classmethod
     def unit(cls) -> "Monomial":
@@ -81,7 +93,7 @@ class Monomial:
         merged = dict(self.counts)
         for idx, mult in other.counts:
             merged[idx] = merged.get(idx, 0) + mult
-        return _canonical(tuple(sorted(merged.items())), self.grading + other.grading)
+        return _canonical(tuple(sorted(merged.items())))
 
     def remove_one(self, index: int) -> "Monomial":
         """The monomial with one copy of ``index`` deleted (must be present)."""
@@ -89,7 +101,7 @@ class Monomial:
         for k, (idx, mult) in enumerate(counts):
             if idx == index:
                 kept = ((idx, mult - 1),) if mult > 1 else ()
-                return _canonical(counts[:k] + kept + counts[k + 1:], self.grading - 1)
+                return _canonical(counts[:k] + kept + counts[k + 1:])
         raise ValueError(f"generator {index} not in monomial {self}")
 
     def splits(self):
@@ -110,19 +122,10 @@ class Monomial:
                     left.append((idx, j))
                 if mult - j:
                     right.append((idx, mult - j))
-            g = sum(choice)
-            yield _canonical(tuple(left), g), _canonical(tuple(right), self.grading - g), weight
+            yield _canonical(tuple(left)), _canonical(tuple(right)), weight
 
     def sort_key(self):
         return (-self.grading, self.indices())
-
-    def __eq__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.counts == other.counts
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         if not self.counts:
@@ -131,16 +134,6 @@ class Monomial:
 
     def __repr__(self):
         return f"Monomial({dict(self.counts)!r})"
-
-
-def _canonical(counts: tuple, grading: int) -> Monomial:
-    """Trusted constructor: ``counts`` is canonical and sums to ``grading``."""
-    m = object.__new__(Monomial)
-    m.counts, m.grading, m._hash = counts, grading, hash(counts)
-    return m
-
-
-_UNIT = Monomial()
 
 
 class Memo(dict):
@@ -170,6 +163,23 @@ class Memo(dict):
             value = self[key] = self._function(self._owner(), *self._args, key)
         return value
 
+
+def _intern(counts: tuple) -> Monomial:
+    m = object.__new__(Monomial)
+    m.counts, m.grading = counts, sum(k for _, k in counts)
+    return m
+
+
+# The monomial table: one object per multiset, keyed by its canonical counts
+# tuple.  A monomial depends on its counts alone, so it lives for the process.
+_MONOMIALS = Memo(_intern)
+
+# Trusted constructor: ``_canonical(counts)`` for an already canonical counts
+# tuple (sorted indices, positive multiplicities).  Bound to the memo's
+# ``__getitem__`` so that a hit runs no Python frame.
+_canonical = _MONOMIALS.__getitem__
+
+_UNIT = Monomial()
 
 # Monomial coproducts recur in every pairing and convolution.  A split list
 # depends on the monomial alone, so this memo lives for the process.

@@ -173,6 +173,13 @@ class Scalar:
     def __mul__(self, other):
         if type(other) is Scalar:
             c, e, d = other._re, other._im, other._den
+        elif type(other) is int:
+            if other == 1:
+                return self
+            d = self._den
+            if d == 1:
+                return _raw(self._re * other, self._im * other, 1)
+            return _reduced(self._re * other, self._im * other, d)
         elif isinstance(other, (int, Fraction)):
             c, e, d = _triple(other)
         else:

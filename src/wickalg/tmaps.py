@@ -21,7 +21,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .algebra import Element, Memo, Monomial, derivation, monomial_splits, sweedler
+from .algebra import (
+    Element,
+    Memo,
+    Monomial,
+    _canonical,
+    derivation,
+    monomial_splits,
+    sweedler,
+)
 from .laplace import PairingMatrix, circle_fold
 from .renorm import LinearFunctional, Scheme, circle_renorm
 from .scalars import ONE, ZERO, Scalar
@@ -99,15 +107,17 @@ def twist(u: Element, f) -> Element:
     the split walk, which is the oracle for a scheme's."""
     out: dict[Monomial, Scalar] = {}
     if isinstance(f, Scheme):
-        table = [(Monomial.unit(), ONE), *f.values.items()]
+        table = [({}, ONE), *((dict(s.counts), z) for s, z in f.values.items())]
         for c, coeff in u.items():
             have = dict(c.counts)
-            for s, z in table:
+            for take, z in table:
                 weight = 1
-                for idx, k in s.counts:
+                for idx, k in take.items():
                     weight *= comb(have.get(idx, 0), k)
                 if weight:
-                    rest = Monomial(have | {i: have[i] - k for i, k in s.counts})
+                    # c.counts is sorted, so the counts of c - s come out canonical.
+                    rest = _canonical(tuple(
+                        (i, r) for i, m in c.counts if (r := m - take.get(i, 0))))
                     out[rest] = out.get(rest, ZERO) + coeff * weight * z
         return Element(out)
     for u1, u2, coeff in sweedler(u):

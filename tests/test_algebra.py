@@ -1,5 +1,7 @@
+import copy
+import pickle
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -17,6 +19,7 @@ from wickalg import (
     iterated_coproduct,
     vee,
 )
+from wickalg import algebra
 
 
 def shuffle_coproduct_oracle(indices):
@@ -217,14 +220,11 @@ class TestDisplay:
 
 class TestTrustedConstructor:
     """remove_one, vee and splits build their monomials without validation;
-    each result equals the validated constructor's on the same letters."""
+    each result is the validated constructor's object on the same letters."""
 
     @staticmethod
     def assert_same(got, indices):
-        want = Monomial.from_indices(indices)
-        assert got.counts == want.counts
-        assert got.grading == want.grading
-        assert got == want and hash(got) == hash(want)
+        assert got is Monomial.from_indices(indices)
 
     def test_results_equal_validated_monomials(self):
         monos = monomials_upto(3, 6)
@@ -239,3 +239,37 @@ class TestTrustedConstructor:
                 self.assert_same(left, left.indices())
                 self.assert_same(right, right.indices())
                 self.assert_same(left.vee(right), m.indices())
+
+
+class TestInterning:
+    """Each multiset exists once: every constructor returns its one object.
+    TestTrustedConstructor checks the same of every split half."""
+
+    def test_every_constructor_returns_the_same_object(self):
+        m = Monomial({1: 2, 3: 1})
+        assert Monomial(((3, 1), (1, 1), (2, 0), (1, 1))) is m
+        for order in permutations((1, 1, 3)):
+            assert Monomial.from_indices(order) is m
+        assert Monomial.generator(2) is Monomial({2: 1}) is mono(2)
+        assert Monomial.unit() is Monomial() is Monomial({4: 0}) is mono()
+        assert mono(1, 3).vee(mono(1)) is m is mono(1).vee(mono(1, 3))
+        assert mono(1, 1, 3, 3).remove_one(3) is m
+        assert Monomial({True: 1}) is mono(1) and type(mono(1).counts[0][0]) is int
+
+    @pytest.mark.parametrize("counts", [
+        {0: 1}, {-2: 1}, {"e1": 1}, {1.0: 1}, {1: -1}, {1: 1.5}, {1: 2, 7: -1},
+    ])
+    def test_rejected_input_leaves_the_table_unchanged(self, counts):
+        size = len(algebra._MONOMIALS)
+        with pytest.raises(ValueError):
+            Monomial(counts)
+        assert len(algebra._MONOMIALS) == size
+
+    def test_copy_and_pickle_return_the_interned_object(self):
+        for m in (mono(), mono(2), mono(1, 1, 2)):
+            assert copy.copy(m) is m
+            assert copy.deepcopy(m) is m
+            assert pickle.loads(pickle.dumps(m)) is m
+        u = e(1).vee(e(2)) + Element.from_scalar(3)
+        assert pickle.loads(pickle.dumps(u)) == u == copy.deepcopy(u)
+        assert Monomial.unit().counts == () and Monomial.unit().grading == 0

@@ -524,17 +524,36 @@ class TestDeepWords:
             assert tbar_map(divided_power(1, n), ctx) == tbar_of_divided_power(n), n
 
 
-def test_python_dash_m_wickalg_runs_the_cli(capsys):
-    argv = ["green", "--config", DEFAULT, "1", "2", "e1 v e2", "--order", "2"]
-    env = dict(os.environ)
+def run_module(argv, **environ):
+    """``python -m wickalg *argv`` in a fresh interpreter, source tree on the path."""
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "wickalg", *argv], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, "-m", "wickalg", *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_wickalg_runs_the_cli(capsys):
+    argv = ["green", "--config", DEFAULT, "1", "2", "e1 v e2", "--order", "2"]
+    proc = run_module(argv)
     code, out, _ = run_cli(capsys, *argv)
     assert proc.returncode == 0 == code, proc.stderr
     assert proc.stdout == out
     assert out.count("lambda^") == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--config", ASYMMETRIC, "--trials", "3"],
+    ["green", "--config", DEFAULT, "1", "2", "e1 v e2 v e3 v e4", "--order", "4"],
+    ["green", "--config", DEFAULT, "1", "2", "e1 v e2 v e3 v e4", "--order", "4",
+     "--renormalised"],
+])
+def test_output_does_not_depend_on_hashing(argv):
+    """Monomials hash by identity, so a set of them iterates in address order;
+    no printed line may depend on that order or on the string hash seed."""
+    runs = [run_module(argv, PYTHONHASHSEED=seed) for seed in ("0", "4242")]
+    assert [p.returncode for p in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_package_exports():

@@ -12,11 +12,13 @@ st = hypothesis.strategies
 given = hypothesis.given
 
 from wickalg import Scalar  # noqa: E402
+from wickalg.scalars import common_denominator  # noqa: E402
 
 SETTINGS = hypothesis.settings(
     max_examples=150, deadline=None, derandomize=True, database=None
 )
 
+ints = st.sampled_from([0, 1, -1, 2**100, -(2**100)]) | st.integers(-(2**90), 2**90)
 rationals = st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**70))
 scalars = st.builds(Scalar, rationals, rationals | st.just(Fraction(0)))
 nonzero = scalars.filter(bool)
@@ -75,3 +77,13 @@ def test_parse_print_fixed_point(a):
     text = str(a)
     assert Scalar.parse(text) == a
     assert str(Scalar.parse(text)) == text
+
+
+@SETTINGS
+@given(scalars, ints)
+def test_int_operands_multiply_as_scalars(s, k):
+    for product in (s * k, k * s):
+        assert product == s * Scalar(k) == s * Fraction(k)
+        den, [[(re, im)]] = common_denominator([[product]])
+        assert product == Scalar.from_integers(re, im, den)  # reduced triple
+    assert s * True == s and s * False == 0
