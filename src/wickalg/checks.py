@@ -81,11 +81,13 @@ class LawReport:
 
 # Seeded random data; CheckEnv's methods and the pytest suite both draw here.
 def rand_scalar(rng, allow_imag=True) -> Scalar:
-    re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    im = Fraction(0)
+    """p/q + (r/s) i with |p| <= 3, q <= 3, and a quarter of the time (when
+    allowed) |r| <= 2, s <= 2; else r = 0."""
+    p, q = rng.randint(-3, 3), rng.randint(1, 3)
     if allow_imag and rng.random() < 0.25:
-        im = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-    return Scalar(re, im)
+        r, s = rng.randint(-2, 2), rng.randint(1, 2)
+        return Scalar.from_integers(p * s, r * q, q * s)
+    return Scalar.from_integers(p, 0, q)
 
 
 def rand_monomial(rng, d, max_grade, min_grade=0) -> Monomial:

@@ -58,7 +58,7 @@ class PairingMatrix:
         self.rows = rows
         self.dim = d
         self.symmetric = symmetric
-        self._hash = hash((rows, symmetric))
+        self._hash = None
         self._laplace = Memo(self._laplace_value)
 
     def _laplace_value(self, key) -> Scalar:
@@ -80,6 +80,10 @@ class PairingMatrix:
         return self.symmetric == other.symmetric and self.rows == other.rows
 
     def __hash__(self):
+        # Taken on first use: hashing non-integer entries builds Fractions,
+        # and most matrices are never used as a key.
+        if self._hash is None:
+            self._hash = hash((self.rows, self.symmetric))
         return self._hash
 
     def __repr__(self):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import Element, Monomial
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 from .tmaps import TContext, t_map, t_scalar, tbar_map, twist
 
 
@@ -108,18 +108,8 @@ class FormalSeries:
         """Division by a scalar series with invertible constant term."""
         if not den.is_scalar():
             raise ValueError("can only divide by a scalar series")
-        d = den.scalars()
-        if not d[0]:
-            raise ZeroDivisionError("division by a series with zero constant term")
         n = min(self.order, den.order)
-        out: list[Element] = []
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k + 1):
-                if d[j]:
-                    acc = acc - d[j] * out[k - j]
-            out.append(acc / d[0])
-        return FormalSeries(out, n)
+        return FormalSeries(_divide(self.coeffs[: n + 1], den.scalars()), n)
 
     def __truediv__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -203,15 +193,33 @@ def green(
     denominator is t(c).  Renormalised, Tbar(c) = T(twist(c, zeta)), so both
     read t of the twisted c; the legs stay bare.  A scheme's twist walks its
     table, not the splits of c, so the renormalised series costs what the
-    bare one costs.  No T or Tbar element is built; the tests keep the legs
-    paired with :func:`smatrix` as the oracle.
+    bare one costs.  Both sums, of coeff t(e_i v e_j v m) and of coeff t(m)
+    over the terms m of c, read t's memo directly, and the scalar quotient
+    runs the recurrence of :meth:`FormalSeries.divide`.  No T or Tbar element
+    and no product element is built; the tests keep the legs paired with
+    :func:`smatrix` as the oracle.
     """
     z = ctx.require_scheme() if renormalised else None
-    legs = Element.from_monomial(Monomial.from_indices((i, j)))
+    legs = Monomial.from_indices((i, j))
+    t = ctx._t_scalar
     num, den = [], []
     for c in vee_exp(u, order).coeffs:
         c = c if z is None else twist(c, z)
-        num.append(t_scalar(legs.vee(c), ctx))
+        num.append(sum((coeff * t[legs.vee(m)] for m, coeff in c.items()), ZERO))
         den.append(t_scalar(c, ctx))
-    return FormalSeries.from_scalars(num, order).divide(FormalSeries.from_scalars(den, order))
+    return FormalSeries.from_scalars(_divide(num, den), order)
 
+
+def _divide(num: list, den: list[Scalar]) -> list:
+    """The first len(num) coefficients q_k of num / den, for series given by
+    their coefficients: q_k = (num_k - sum_{j=1..k} den_j q_(k-j)) / den_0.
+    The num_k may be Elements or Scalars; the den_j are Scalars."""
+    if not den[0]:
+        raise ZeroDivisionError("division by a series with zero constant term")
+    out = []
+    for k, acc in enumerate(num):
+        for j in range(1, k + 1):
+            if den[j]:
+                acc = acc - den[j] * out[k - j]
+        out.append(acc / den[0])
+    return out

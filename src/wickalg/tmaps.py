@@ -6,7 +6,8 @@ defined when the circle product is commutative, i.e. when the pairing is
 symmetric; asymmetric pairings are a hard error here, never a silent choice
 of factor order.  Every time-ordering quantity comes from the scalar t and
 the twist sum f(u_(1)) u_(2) (:func:`twist`).  t is the letter loop
-t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b), with oracle
+t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b), run on Gaussian
+integers over a common denominator of the pairing's entries, with oracle
 :func:`t_closed_form`; T is the twist of u by t; and the renormalised maps
 are the same maps on the zeta twist of u: tbar(u) = t(twist(u, zeta)) and
 Tbar(u) = T(twist(u, zeta)).  A scheme's twist walks the scheme's table, not
@@ -19,7 +20,7 @@ Tbar and the modified-pairing recursion for tbar.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .algebra import (
     Element,
@@ -32,7 +33,7 @@ from .algebra import (
 )
 from .laplace import PairingMatrix, circle_fold
 from .renorm import LinearFunctional, Scheme, circle_renorm
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, common_denominator, numerator_over
 
 
 class TContext:
@@ -45,13 +46,18 @@ class TContext:
     c - s that a scheme's twist reached (s in the scheme's table).  T, Tbar
     and tbar keep no memo of their own; they read t's.  It lives as long as
     the context, so build one context per pairing and scheme and pass it
-    around.
+    around.  The context also takes the pairing over its common denominator
+    D once, as the Gaussian integers D (a|b), on which the letter loop runs,
+    with the denominator of each entry.
     """
 
     def __init__(self, pairing: PairingMatrix, scheme: LinearFunctional | None = None):
         require_symmetric(pairing)
         self.pairing = pairing
         self.scheme = scheme
+        D, table = common_denominator(pairing.rows)
+        self._den, self._table = D, table
+        self._dens = [[D // gcd(D, re, im) for re, im in row] for row in table]
         self._t_scalar = Memo(self._t_scalar_monomial)
         self._t_scalar[Monomial.unit()] = ONE
 
@@ -62,23 +68,68 @@ class TContext:
 
     def _t_scalar_monomial(self, m: Monomial) -> Scalar:
         """The letter loop t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b),
-        a the smallest letter: an explicit stack collects the words it reaches
-        and they are filled in by grading, so no Python frame nests per letter."""
+        a the smallest letter, on Gaussian integers over E, the common
+        denominator of the entries (a|b) with a and b letters of m.  E divides
+        the pairing's D and is smaller when m leaves letters out.  Each entry
+        is reduced by a gcd with E^k, so on configs/default.json t(e1^5000)
+        reduces over 2^k, not 840^k.
+
+        The words it reaches are collected one grading at a time, from m's
+        down, so no Python frame nests per letter; entries that earlier
+        calls stored are read back as E^k t(x), 2k their grading.  Then the
+        gradings are filled bottom up: a new entry x of grading 2k is
+        E^k t(x), the sum of mult_b(rest) D (a|b) times E^(k-1) t(rest - e_b),
+        with integer multiply-adds, divided by D / E; it is stored as one
+        reduced Scalar.
+        """
         if m.grading % 2:
             return ZERO
-        memo, entry = self._t_scalar, self.pairing.entry
-        terms, todo = {}, [m]
-        while todo:
-            x = todo.pop()
-            if x in memo or x in terms:
-                continue
-            a = x.counts[0][0]
-            rest = x.remove_one(a)
-            terms[x] = [(mult * f, rest.remove_one(b))
-                        for b, mult in rest.counts if (f := entry(a, b))]
-            todo.extend(r for _, r in terms[x])
-        for x in sorted(terms, key=lambda y: y.grading):
-            memo[x] = sum((w * memo[r] for w, r in terms[x]), ZERO)
+        if m.counts[-1][0] > self.pairing.dim:
+            raise ValueError(
+                f"generator index out of range: {m.counts[-1][0]} with d={self.pairing.dim}")
+        memo, table, dens = self._t_scalar, self._table, self._dens
+        letters = [a for a, _ in m.counts]
+        E = lcm(*[dens[a - 1][b - 1] for a in letters for b in letters])
+        q = self._den // E
+        top = m.grading >> 1
+        powers = [E**k for k in range(top + 1)]
+        values: dict[Monomial, tuple[int, int]] = {}
+        levels, level = [], [m]
+        for k in range(top - 1, -1, -1):
+            if not level:
+                break
+            steps, below = [], {}
+            for x in level:
+                counts = x.counts
+                a, c = counts[0]
+                rest = ((a, c - 1),) + counts[1:] if c > 1 else counts[1:]
+                row = table[a - 1]
+                # rest - e_b for each letter b of rest with (a|b) != 0, weighted
+                # by mult_b(rest) D (a|b); rest is canonical, so these are too.
+                x_steps = []
+                for j, (b, mult) in enumerate(rest):
+                    re, im = row[b - 1]
+                    if re or im:
+                        kept = ((b, mult - 1),) if mult > 1 else ()
+                        r = _canonical(rest[:j] + kept + rest[j + 1:])
+                        x_steps.append((mult * re, mult * im, r))
+                        if r not in values and r not in below:
+                            if r in memo:
+                                values[r] = numerator_over(memo[r], powers[k])
+                            else:
+                                below[r] = None
+                steps.append(x_steps)
+            levels.append((k + 1, level, steps))
+            level = list(below)
+        for k, level, steps in reversed(levels):
+            for x, x_steps in zip(level, steps):
+                re = im = 0
+                for wr, wi, r in x_steps:
+                    cr, ci = values[r]
+                    re += wr * cr - wi * ci
+                    im += wr * ci + wi * cr
+                values[x] = re, im = re // q, im // q
+                memo[x] = Scalar.from_integers(re, im, powers[k])
         return memo[m]
 
     def __repr__(self):

@@ -7,6 +7,7 @@ import pytest
 import wickalg.laplace as laplace_mod
 from conftest import (
     assert_laws, e, mono, monomials_upto, rand_element, rand_pairing, rand_scalar,
+    rand_scheme,
 )
 from wickalg import checks
 from wickalg import (
@@ -15,6 +16,7 @@ from wickalg import (
     Scalar,
     circle,
     circle_fold,
+    circle_renorm,
     counit,
     divided_power,
     pairing,
@@ -403,3 +405,16 @@ def test_value_semantics(rng):
     sym = PairingMatrix.from_strings([["1", "1/2"], ["1/2", "1"]], symmetric=True)
     plain = PairingMatrix.from_strings([["1", "1/2"], ["1/2", "1"]])
     assert sym != plain
+
+
+def test_equal_matrices_share_one_modified_pairing(rng):
+    # The hash is taken on first use; equal matrices still hash equal, so a
+    # scheme keeps one modified pairing for them.
+    rows = [[rand_scalar(rng) for _ in range(3)] for _ in range(3)]
+    a = PairingMatrix(rows)
+    b = PairingMatrix([list(row) for row in rows])
+    z = rand_scheme(rng, 3)
+    u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
+    assert circle_renorm(u, v, z, a) == circle_renorm(u, v, z, b)
+    assert hash(a) == hash(b)
+    assert len(z._modified) == 1 and z._modified[b] is z._modified[a]

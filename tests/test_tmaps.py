@@ -31,6 +31,7 @@ from wickalg import (
     coproduct,
     counit,
     exp_sigma,
+    green,
     pairing,
     sigma_apply,
     sweedler,
@@ -201,6 +202,51 @@ class TestSplittingRecursionOracles:
         for m in monomials_upto(3, 5):
             u = Element.from_monomial(m)
             assert tbar_scalar(u, ctx) == counit(tbar_map_by_circle_fold(u, ctx)), m
+
+
+class TestGaussianIntegerLetterLoop:
+    """The letter loop runs on Gaussian integers over the common denominator
+    D of the pairing.  Entries of unequal denominators, imaginary parts and a
+    zero entry make D = 420 and give every term of D^n t(x) a part to lose;
+    asked in increasing grading the loop reads entries back from earlier
+    calls, asked in decreasing grading it computes them cold."""
+
+    PAIRING = PairingMatrix.from_strings([
+        ["1/2", "2/3+1/5 i", "0-3/7 i"],
+        ["2/3+1/5 i", "0", "5/4-1/6 i"],
+        ["0-3/7 i", "5/4-1/6 i", "1/3"],
+    ], symmetric=True)
+
+    @pytest.mark.parametrize("decreasing", [False, True])
+    def test_t_scalar_matches_perfect_matchings_to_grading_eight(self, decreasing):
+        ctx = TContext(self.PAIRING)
+        for m in sorted(monomials_upto(3, 8), key=lambda m: m.grading, reverse=decreasing):
+            got = t_scalar(Element.from_monomial(m), ctx)
+            assert got == t_closed_form(m.indices(), ctx), m
+            if m.grading % 2:
+                assert got == 0
+
+    @pytest.mark.parametrize("decreasing", [False, True])
+    def test_t_map_matches_exp_sigma_to_grading_six(self, decreasing):
+        ctx = TContext(self.PAIRING)
+        for m in sorted(monomials_upto(3, 6), key=lambda m: m.grading, reverse=decreasing):
+            u = Element.from_monomial(m)
+            assert t_map(u, ctx) == exp_sigma(u, ctx), m
+
+    def test_letter_outside_the_pairing_is_a_value_error(self):
+        ctx = TContext(self.PAIRING, Scheme({mono(1, 2): Scalar(Fraction(1, 7))}))
+        for m in (mono(1, 4), mono(4, 4), mono(1, 1, 1, 5), mono(2, 2, 3, 7)):
+            u = Element.from_monomial(m)
+            with pytest.raises(ValueError):
+                t_scalar(u, ctx)
+            with pytest.raises(ValueError):
+                t_map(u, ctx)
+        for renormalised in (False, True):
+            with pytest.raises(ValueError):
+                green(1, 4, e(1), ctx, 2, renormalised=renormalised)
+            with pytest.raises(ValueError):
+                green(1, 2, Element.from_monomial(mono(4, 4)), ctx, 1,
+                      renormalised=renormalised)
 
 
 class TestSigma:
