@@ -58,10 +58,10 @@ from .tmaps import (
     TContext,
     exp_sigma,
     sigma_apply,
+    t_by_moments,
     t_closed_form,
     t_map,
     t_map_by_circle_fold,
-    t_permutation_form,
     t_scalar,
     tbar_map,
     tbar_map_by_circle_fold,
@@ -105,10 +105,10 @@ __all__ = [
     "sigma_apply",
     "smatrix",
     "sweedler",
+    "t_by_moments",
     "t_closed_form",
     "t_map",
     "t_map_by_circle_fold",
-    "t_permutation_form",
     "t_scalar",
     "tbar_map",
     "tbar_map_by_circle_fold",

@@ -20,14 +20,16 @@ and ``circle_renorm`` read them.  An inverse returned by
 there is no reference cycle.
 
 A :class:`Scheme`'s table ``values`` is both its rule and its support: the
-scheme vanishes off the unit and the table, so ``tmaps.twist`` walks the
-table instead of a monomial's splits.  Convolved and inverted functionals
-have no table and take the split walk.
+scheme vanishes off the unit and the table, so its action :func:`twist`
+walks the table instead of a monomial's splits.  Convolved and inverted
+functionals have no table and take the split walk.
 """
 
 from __future__ import annotations
 
-from .algebra import Element, Memo, Monomial, monomial_splits
+from math import comb
+
+from .algebra import Element, Memo, Monomial, _canonical, monomial_splits, sweedler
 from .laplace import PairingMatrix, _bilinear, _sweedler_product
 from .scalars import ONE, ZERO, Scalar
 
@@ -118,7 +120,7 @@ class Scheme(LinearFunctional):
     """A finitely presented functional: stored values on monomials of grading >= 2.
 
     ``values`` is the table its rule reads and, with the unit, the support
-    that its twist walks (``tmaps.twist``)."""
+    that its twist walks (:func:`twist`)."""
 
     def __init__(self, values=None):
         table: dict[Monomial, Scalar] = {}
@@ -137,6 +139,36 @@ class Scheme(LinearFunctional):
 
     def __repr__(self):
         return f"Scheme({{{', '.join(f'{m}: {c}' for m, c in self.values.items())}}})"
+
+
+def twist(u: Element, f) -> Element:
+    """The action sum f(u_(1)) u_(2) of ``f``, a scalar function on monomials:
+    T(u) = twist(u, t), Tbar(u) = T(twist(u, zeta)), tbar(u) = t(twist(u, zeta)).
+
+    A :class:`Scheme` vanishes off the unit and its table ``values``, so its
+    twist walks that table: each entry s <= c (count by count) adds
+    zeta(s) prod C(c_j, s_j) to c - s, and no split list is read.  Every
+    other ``f`` takes the split walk, the oracle for a scheme's."""
+    out: dict[Monomial, Scalar] = {}
+    if isinstance(f, Scheme):
+        table = [({}, ONE), *((dict(s.counts), z) for s, z in f.values.items())]
+        for c, coeff in u.items():
+            have = dict(c.counts)
+            for take, z in table:
+                weight = 1
+                for idx, k in take.items():
+                    weight *= comb(have.get(idx, 0), k)
+                if weight:
+                    # c.counts is sorted, so the counts of c - s come out canonical.
+                    rest = _canonical(tuple(
+                        (i, r) for i, m in c.counts if (r := m - take.get(i, 0))))
+                    out[rest] = out.get(rest, ZERO) + coeff * weight * z
+        return Element(out)
+    for u1, u2, coeff in sweedler(u):
+        x = f(u1)
+        if x:
+            out[u2] = out.get(u2, ZERO) + coeff * x
+    return Element(out)
 
 
 def convolve(z1: LinearFunctional, z2: LinearFunctional) -> LinearFunctional:

@@ -14,7 +14,8 @@ from math import factorial
 
 from .algebra import Element, Monomial
 from .scalars import ONE, ZERO, Scalar
-from .tmaps import TContext, t_map, t_scalar, tbar_map, twist
+from .renorm import twist
+from .tmaps import TContext, t_map, t_scalar, tbar_map
 
 
 class FormalSeries:

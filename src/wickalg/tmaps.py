@@ -5,34 +5,30 @@ T sends a basis word to the circle product of its letters, so it is only well
 defined when the circle product is commutative, i.e. when the pairing is
 symmetric; asymmetric pairings are a hard error here, never a silent choice
 of factor order.  Every time-ordering quantity comes from the scalar t and
-the twist sum f(u_(1)) u_(2) (:func:`twist`).  t is the letter loop
+the twist sum f(u_(1)) u_(2) (:func:`renorm.twist`).  t is the letter loop
 t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b), run on Gaussian
-integers over a common denominator of the pairing's entries, with oracle
-:func:`t_closed_form`; T is the twist of u by t; and the renormalised maps
-are the same maps on the zeta twist of u: tbar(u) = t(twist(u, zeta)) and
-Tbar(u) = T(twist(u, zeta)).  A scheme's twist walks the scheme's table, not
-the coproduct, so the renormalised maps cost what the bare ones cost.  The
-circle fold, :func:`exp_sigma` and :func:`laplace.wick_expand` are oracles
-for T, the renormalised circle fold (:func:`tbar_map_by_circle_fold`) for
-Tbar and the modified-pairing recursion for tbar.
+integers over a common denominator of the pairing's entries, with oracles
+the matching sum :func:`t_closed_form` and Kan's moment formula
+:func:`t_by_moments`, polynomial in the grading; T is the twist of u by t;
+and the renormalised maps are the same maps on the zeta twist of u:
+tbar(u) = t(twist(u, zeta)) and Tbar(u) = T(twist(u, zeta)).  A scheme's
+twist walks the scheme's table, not the coproduct, so the renormalised maps
+cost what the bare ones cost.  The circle fold, :func:`exp_sigma` and
+:func:`laplace.wick_expand` are oracles for T, the renormalised circle fold
+(:func:`tbar_map_by_circle_fold`) for Tbar and the modified-pairing
+recursion for tbar.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from itertools import product
+from math import comb, factorial, gcd, lcm, prod
 
-from .algebra import (
-    Element,
-    Memo,
-    Monomial,
-    _canonical,
-    derivation,
-    monomial_splits,
-    sweedler,
-)
-from .laplace import PairingMatrix, circle_fold
-from .renorm import LinearFunctional, Scheme, circle_renorm
+from .algebra import Element, Memo, Monomial, _canonical, derivation, monomial_splits
+from .laplace import PairingMatrix, _gaussian_power, circle_fold
+from .renorm import LinearFunctional, circle_renorm, twist
 from .scalars import ONE, ZERO, Scalar, common_denominator, numerator_over
 
 
@@ -52,7 +48,10 @@ class TContext:
     """
 
     def __init__(self, pairing: PairingMatrix, scheme: LinearFunctional | None = None):
-        require_symmetric(pairing)
+        if not pairing.symmetric:
+            raise ValueError(
+                "time-ordering requires a symmetric pairing: the circle product must be "
+                "commutative for products of more than two factors to be order independent")
         self.pairing = pairing
         self.scheme = scheme
         D, table = common_denominator(pairing.rows)
@@ -82,11 +81,11 @@ class TContext:
         with integer multiply-adds, divided by D / E; it is stored as one
         reduced Scalar.
         """
-        if m.grading % 2:
-            return ZERO
         if m.counts[-1][0] > self.pairing.dim:
             raise ValueError(
                 f"generator index out of range: {m.counts[-1][0]} with d={self.pairing.dim}")
+        if m.grading % 2:
+            return ZERO
         memo, table, dens = self._t_scalar, self._table, self._dens
         letters = [a for a, _ in m.counts]
         E = lcm(*[dens[a - 1][b - 1] for a in letters for b in letters])
@@ -134,48 +133,6 @@ class TContext:
 
     def __repr__(self):
         return f"TContext(pairing={self.pairing!r}, scheme={self.scheme!r})"
-
-
-def require_symmetric(L: PairingMatrix) -> None:
-    if L.symmetric:
-        return
-    raise ValueError(
-        "time-ordering requires a symmetric pairing: the circle product must be "
-        "commutative for products of more than two factors to be order independent"
-    )
-
-
-def twist(u: Element, f) -> Element:
-    """sum f(u_(1)) u_(2), for ``f`` a scalar function on monomials.  By t
-    itself: T(u) = twist(u, t); by a scheme zeta: Tbar(u) = T(twist(u, zeta))
-    and tbar(u) = t(twist(u, zeta)).
-
-    A :class:`Scheme` vanishes off the unit and its table ``values``, so its
-    twist walks that table, not the splits: each entry s <= c (count by
-    count) adds zeta(s) prod C(c_j, s_j) to c - s.  That costs the table's
-    size per monomial instead of prod (c_j + 1) splits, and reads no split
-    list.  Every other ``f`` (t, a convolved or inverted functional) takes
-    the split walk, which is the oracle for a scheme's."""
-    out: dict[Monomial, Scalar] = {}
-    if isinstance(f, Scheme):
-        table = [({}, ONE), *((dict(s.counts), z) for s, z in f.values.items())]
-        for c, coeff in u.items():
-            have = dict(c.counts)
-            for take, z in table:
-                weight = 1
-                for idx, k in take.items():
-                    weight *= comb(have.get(idx, 0), k)
-                if weight:
-                    # c.counts is sorted, so the counts of c - s come out canonical.
-                    rest = _canonical(tuple(
-                        (i, r) for i, m in c.counts if (r := m - take.get(i, 0))))
-                    out[rest] = out.get(rest, ZERO) + coeff * weight * z
-        return Element(out)
-    for u1, u2, coeff in sweedler(u):
-        x = f(u1)
-        if x:
-            out[u2] = out.get(u2, ZERO) + coeff * x
-    return Element(out)
 
 
 def t_map(u: Element, ctx: TContext) -> Element:
@@ -254,9 +211,8 @@ def t_scalar(u: Element, ctx: TContext) -> Scalar:
 
 
 def t_closed_form(generators, ctx: TContext) -> Scalar:
-    """Perfect-matching sum over an ordered generator list ((2n-1)!! branches).
-
-    Odd lists have no perfect matching and give zero.
+    """Oracle for t: the perfect-matching sum over an ordered generator list
+    ((2n-1)!! branches).  Odd lists have no perfect matching and give zero.
     """
     gens = tuple(generators)
     if len(gens) % 2:
@@ -277,27 +233,37 @@ def t_closed_form(generators, ctx: TContext) -> Scalar:
     return match(gens)
 
 
-def t_permutation_form(generators, ctx: TContext) -> Scalar:
-    """All-permutations form of the scalar t-map: brute-force oracle.
-
-    1/(2^n n!) times the sum over every ordering of products of consecutive
-    pairs; exponential cost, for cross-validation only.
+def t_by_moments(generators, ctx: TContext) -> Scalar:
+    """Oracle for t: the Gaussian moment E[prod x_a^s_a] with covariance the
+    pairing A (Isserlis), s_a the multiplicity of letter a, by Kan's closed
+    form (R. Kan, J. Multivariate Anal. 99 (2008) 542):
+    sum over 0 <= v <= s of (-1)^|v| prod C(s_a, v_a) (h^T A h / 2)^r / r!,
+    h = s/2 - v and r = |s|/2.  It reads only the pairing's entries, as
+    Gaussian integers D A over their common denominator D: with g = s - 2v,
+    h^T A h / 2 = g^T (D A) g / 8D.  v and s - v give the same term, so v_1
+    stops at s_1/2 and the terms below it count twice: about
+    prod (s_a + 1) / 2 terms, polynomial in the grading.
     """
-    from itertools import permutations
-
-    gens = tuple(generators)
-    if len(gens) % 2:
-        return ZERO
-    n = len(gens) // 2
-    total = ZERO
-    for sigma in permutations(gens):
-        prod = ONE
-        for k in range(n):
-            prod = prod * ctx.pairing.entry(sigma[2 * k], sigma[2 * k + 1])
-            if not prod:
-                break
-        total = total + prod
-    return total / Scalar(2**n * factorial(n))
+    counts = Counter(generators)
+    letters = sorted(counts)
+    s = [counts[a] for a in letters]
+    r, odd = divmod(sum(s), 2)
+    if odd or not r:
+        return ZERO if odd else ONE
+    D, A = common_denominator([[ctx.pairing.entry(a, b) for b in letters] for a in letters])
+    total_re = total_im = 0
+    for v in product(range(s[0] // 2 + 1), *(range(c + 1) for c in s[1:])):
+        g = [c - 2 * x for c, x in zip(s, v)]
+        q_re = q_im = 0
+        for gi, row in zip(g, A):
+            for gj, (re, im) in zip(g, row):
+                q_re += gi * gj * re
+                q_im += gi * gj * im
+        q_re, q_im = _gaussian_power(q_re, q_im, r)
+        w = (-1) ** sum(v) * (1 if 2 * v[0] == s[0] else 2) * prod(map(comb, s, v))
+        total_re += w * q_re
+        total_im += w * q_im
+    return Scalar.from_integers(total_re, total_im, factorial(r) * (8 * D) ** r)
 
 
 def tbar_map(u: Element, ctx: TContext) -> Element:

@@ -36,10 +36,10 @@ from wickalg import (
     phi,
     smatrix,
     sweedler,
+    t_by_moments,
     t_closed_form,
     t_map,
     t_map_by_circle_fold,
-    t_permutation_form,
     t_scalar,
     tbar_map,
     tbar_map_by_circle_fold,
@@ -243,16 +243,18 @@ def test_c07_t_map_routes_and_scalar_forms():
         ],
         L, seed=SEED + 7, max_grade=4, trials=TRIALS // 2,
     )
-    # law_t_closed_forms stops at six letters, and at four for the permutation form
+    # law_t_closed_forms stops at six letters; the two oracles of t, the
+    # matching sum and Kan's moment formula, agree with the letter loop at eight
     for length in (2, 4, 6, 8):
         gens = tuple(rng.randint(1, 4) for _ in range(length))
         rec = t_scalar(Element.from_monomial(Monomial.from_indices(gens)), ctx)
         closed = t_closed_form(gens, ctx)
         assert rec == closed
-        assert closed == t_permutation_form(gens, ctx)
+        assert closed == t_by_moments(gens, ctx)
     ones = TContext(PairingMatrix([[Scalar(1)]], symmetric=True))
     assert t_closed_form((1,) * 8, ones) == 105  # (2n-1)!! matchings at 2n = 8
-    print("PASS criterion 7: T-map routes agree to grading 6; scalar t closed forms agree to eight letters")
+    print("PASS criterion 7: T-map routes agree to grading 6; scalar t, its matching sum "
+          "and its moment formula agree to eight letters")
 
 
 def test_c08_renormalisation_identities():

@@ -1,8 +1,10 @@
 import gc
+import os
 import random
 import weakref
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -20,6 +22,7 @@ from conftest import (
 from wickalg import checks
 from wickalg import (
     Element,
+    FormalSeries,
     Monomial,
     PairingMatrix,
     Scalar,
@@ -35,10 +38,10 @@ from wickalg import (
     pairing,
     sigma_apply,
     sweedler,
+    t_by_moments,
     t_closed_form,
     t_map,
     t_map_by_circle_fold,
-    t_permutation_form,
     t_scalar,
     tbar_map,
     tbar_map_by_circle_fold,
@@ -49,8 +52,9 @@ from wickalg import (
 )
 from wickalg.algebra import Memo
 from wickalg.checks import first_identity_check
-from wickalg.renorm import LinearFunctional
-from wickalg.tmaps import tbar_scalar_by_modified_pairing, twist
+from wickalg.config import load_config
+from wickalg.renorm import LinearFunctional, twist
+from wickalg.tmaps import tbar_scalar_by_modified_pairing
 
 
 @pytest.fixture
@@ -79,6 +83,14 @@ def matching_sum_oracle(gens, L):
             prod = prod * L.entry(gens[sigma[j]], gens[sigma[n + j]])
         total = total + prod
     return total
+
+
+def loop_equals_moments(gens, ctx):
+    """t of the word ``gens`` by the letter loop, checked against Kan's
+    moment formula; returns the value."""
+    moment = t_by_moments(gens, ctx)
+    assert t_scalar(Element.from_monomial(Monomial.from_indices(gens)), ctx) == moment, gens
+    return moment
 
 
 class TestTContext:
@@ -233,14 +245,24 @@ class TestGaussianIntegerLetterLoop:
             u = Element.from_monomial(m)
             assert t_map(u, ctx) == exp_sigma(u, ctx), m
 
+    @pytest.mark.parametrize("decreasing", [False, True])
+    def test_t_scalar_matches_moments_over_a_divisor_of_the_denominator(self, decreasing):
+        """e1 and e3 alone have entries 1/2, -3/7 i and 1/3, so the loop runs
+        over E = 42, not D = 420, and divides each entry by D / E = 10; the
+        words e1^2k e3^2k reach grading 16, past the matching sums."""
+        ctx = TContext(self.PAIRING)
+        for k in sorted((1, 2, 3, 4), reverse=decreasing):
+            loop_equals_moments((1, 1, 3, 3) * k, ctx)
+
     def test_letter_outside_the_pairing_is_a_value_error(self):
         ctx = TContext(self.PAIRING, Scheme({mono(1, 2): Scalar(Fraction(1, 7))}))
-        for m in (mono(1, 4), mono(4, 4), mono(1, 1, 1, 5), mono(2, 2, 3, 7)):
+        words = (mono(1, 4), mono(4, 4), mono(1, 1, 1, 5), mono(2, 2, 3, 7),
+                 mono(4), mono(1, 1, 4), mono(5, 5, 5))
+        for m in words:
             u = Element.from_monomial(m)
-            with pytest.raises(ValueError):
-                t_scalar(u, ctx)
-            with pytest.raises(ValueError):
-                t_map(u, ctx)
+            for t in (t_scalar, t_map, tbar_map):
+                with pytest.raises(ValueError):
+                    t(u, ctx)
         for renormalised in (False, True):
             with pytest.raises(ValueError):
                 green(1, 4, e(1), ctx, 2, renormalised=renormalised)
@@ -342,30 +364,46 @@ class TestScalarT:
 
 
 class TestClosedForms:
+    """t's two oracles: the perfect-matching sum and Kan's moment formula."""
+
+    ORACLES = (t_closed_form, t_by_moments)
+
     def test_single_pair(self, ctx):
-        assert t_closed_form((1, 2), ctx) == ctx.pairing.entry(1, 2)
-        assert t_closed_form((), ctx) == 1
+        for t in self.ORACLES:
+            for i in (1, 2, 3):
+                for j in (1, 2, 3):
+                    assert t((i, j), ctx) == ctx.pairing.entry(i, j), (t, i, j)
+            assert t((), ctx) == 1
 
     def test_odd_defined_zero(self, ctx):
-        assert t_closed_form((1, 2, 3), ctx) == 0
+        for t in self.ORACLES:
+            for gens in ((1,), (1, 2, 3), (2, 2, 2), (1, 1, 3, 3, 3)):
+                assert t(gens, ctx) == 0, (t, gens)
 
     def test_three_matchings(self, ctx):
         def p(i, j):
             return ctx.pairing.entry(i, j)
 
-        got = t_closed_form((1, 2, 3, 1), ctx)
         expected = p(1, 2) * p(3, 1) + p(1, 3) * p(2, 1) + p(1, 1) * p(2, 3)
-        assert got == expected
+        for t in self.ORACLES:
+            assert t((1, 2, 3, 1), ctx) == expected
+
+    def test_three_matchings_with_complex_entries(self):
+        ctx = TContext(TestGaussianIntegerLetterLoop.PAIRING)
+        # 2 (2/3 + 1/5 i)(-3/7 i) + (1/2)(5/4 - 1/6 i) = (6/35 - 4/7 i) + (5/8 - 1/12 i)
+        expected = Scalar(Fraction(223, 280), Fraction(-55, 84))
+        for t in self.ORACLES:
+            assert t((1, 2, 3, 1), ctx) == expected
 
     def test_matches_filtered_permutation_oracle(self, ctx, rng):
         for length in (2, 4, 6):
             gens = tuple(rng.randint(1, 3) for _ in range(length))
             assert t_closed_form(gens, ctx) == matching_sum_oracle(gens, ctx.pairing)
 
-    def test_matches_permutation_form(self, ctx, rng):
+    def test_matches_moments(self, ctx, rng):
         for length in (0, 2, 4, 6):
             gens = tuple(rng.randint(1, 3) for _ in range(length))
-            assert t_closed_form(gens, ctx) == t_permutation_form(gens, ctx)
+            assert t_closed_form(gens, ctx) == t_by_moments(gens, ctx)
 
     def test_all_routes_at_eight_letters(self, rng):
         L = rand_pairing(rng, 2, symmetric=True)
@@ -373,14 +411,45 @@ class TestClosedForms:
         gens = (1, 2, 1, 2, 1, 1, 2, 2)
         rec = t_scalar(Element.from_monomial(Monomial.from_indices(gens)), ctx)
         closed = t_closed_form(gens, ctx)
-        brute = t_permutation_form(gens, ctx)
-        assert rec == closed == brute
+        moments = t_by_moments(gens, ctx)
+        assert rec == closed == moments
 
     def test_matching_count_105_at_eight(self):
         ones = PairingMatrix([[Scalar(1)]], symmetric=True)
         ctx = TContext(ones)
-        assert t_closed_form((1,) * 8, ctx) == 105
-        assert t_closed_form((1,) * 6, ctx) == 15
+        for t in self.ORACLES:
+            assert t((1,) * 8, ctx) == 105
+            assert t((1,) * 6, ctx) == 15
+
+
+class TestLetterLoopAgainstMoments:
+    """The letter loop against Kan's moment formula at gradings 16-40, where
+    the matching sums' (2n-1)!! branches cannot go.  Asked in increasing
+    grading on one context the loop reads entries back from earlier calls,
+    asked in decreasing grading it computes them cold."""
+
+    @pytest.fixture(scope="class")
+    def default(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json")
+        return load_config(path).pairing
+
+    @pytest.mark.parametrize("decreasing", [False, True])
+    def test_four_letters_to_grading_forty(self, default, decreasing):
+        ctx = TContext(default)
+        for k in sorted((4, 6, 8, 10), reverse=decreasing):
+            loop_equals_moments((1, 2, 3, 4) * k, ctx)
+
+    def test_quartic_green_to_order_eight(self, default):
+        """green(1, 2) of e1 v e2 v e3 v e4 reads t(e1 v e2 v m) and t(m) for
+        m = (e1 v e2 v e3 v e4)^n, n <= 8: gradings up to 34."""
+        ctx = TContext(default)
+        order, quartic, legs = 8, (1, 2, 3, 4), (1, 2)
+        got = green(1, 2, Element.from_monomial(mono(*quartic)), ctx, order)
+        num, den = [], []
+        for n in range(order + 1):
+            num.append(loop_equals_moments(legs + quartic * n, ctx) / factorial(n))
+            den.append(loop_equals_moments(quartic * n, ctx) / factorial(n))
+        assert got * FormalSeries.from_scalars(den) == FormalSeries.from_scalars(num)
 
 
 class TestSchemeTwist:
