@@ -14,8 +14,7 @@ are.  Arithmetic runs on Python ints and normalises once per operation with
 a three-way gcd.  All of it is exact; floats are refused at the door, so
 identity checks can demand structural equality.  No other module reads the
 triple: they use ``.re``/``.im`` (as ``Fraction``), the operators,
-:meth:`Scalar.from_integers`, :func:`common_denominator` and
-:func:`numerator_over`.
+:meth:`Scalar.from_integers` and :func:`common_denominator`.
 """
 
 from __future__ import annotations
@@ -284,14 +283,3 @@ def common_denominator(matrix) -> tuple[int, list[list[tuple[int, int]]]]:
     return D, [[(a * (D // d), b * (D // d)) for a, b, d in row]
                for row in triples]
 
-
-def numerator_over(s: Scalar, den: int) -> tuple[int, int]:
-    """The Gaussian integer ``(re, im)`` with ``s == (re + im*i) / den``.
-
-    ``den`` must be a positive multiple of the denominator of ``s``; else
-    ``ValueError``.
-    """
-    q, r = divmod(den, s._den)
-    if r or q <= 0:
-        raise ValueError(f"{den} is not a positive multiple of the denominator of {s}")
-    return s._re * q, s._im * q

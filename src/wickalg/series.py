@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import Element, Monomial
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 from .renorm import twist
 from .tmaps import TContext, t_map, t_scalar, tbar_map
 
@@ -195,18 +195,17 @@ def green(
     read t of the twisted c; the legs stay bare.  A scheme's twist walks its
     table, not the splits of c, so the renormalised series costs what the
     bare one costs.  Both sums, of coeff t(e_i v e_j v m) and of coeff t(m)
-    over the terms m of c, read t's memo directly, and the scalar quotient
-    runs the recurrence of :meth:`FormalSeries.divide`.  No T or Tbar element
-    and no product element is built; the tests keep the legs paired with
+    over the terms m of c, are :func:`t_scalar`'s integer sums, and the
+    scalar quotient runs the recurrence of :meth:`FormalSeries.divide`.  No
+    T or Tbar element is built; the tests keep the legs paired with
     :func:`smatrix` as the oracle.
     """
     z = ctx.require_scheme() if renormalised else None
     legs = Monomial.from_indices((i, j))
-    t = ctx._t_scalar
     num, den = [], []
     for c in vee_exp(u, order).coeffs:
         c = c if z is None else twist(c, z)
-        num.append(sum((coeff * t[legs.vee(m)] for m, coeff in c.items()), ZERO))
+        num.append(t_scalar(Element({legs.vee(m): coeff for m, coeff in c.items()}), ctx))
         den.append(t_scalar(c, ctx))
     return FormalSeries.from_scalars(_divide(num, den), order)
 

@@ -6,9 +6,11 @@ defined when the circle product is commutative, i.e. when the pairing is
 symmetric; asymmetric pairings are a hard error here, never a silent choice
 of factor order.  Every time-ordering quantity comes from the scalar t and
 the twist sum f(u_(1)) u_(2) (:func:`renorm.twist`).  t is the letter loop
-t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b), run on Gaussian
-integers over a common denominator of the pairing's entries, with oracles
-the matching sum :func:`t_closed_form` and Kan's moment formula
+t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b), run on counts
+tuples and on the Gaussian integers D^k t(x), D the pairing's common
+denominator and 2k the grading, so it interns no monomial and reduces no
+value; :func:`t_scalar` sums an element's numerators and reduces once.  Its
+oracles are the matching sum :func:`t_closed_form` and Kan's moment formula
 :func:`t_by_moments`, polynomial in the grading; T is the twist of u by t;
 and the renormalised maps are the same maps on the zeta twist of u:
 tbar(u) = t(twist(u, zeta)) and Tbar(u) = T(twist(u, zeta)).  A scheme's
@@ -24,27 +26,26 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, prod
 
-from .algebra import Element, Memo, Monomial, _canonical, derivation, monomial_splits
+from .algebra import Element, Memo, Monomial, derivation, monomial_splits
 from .laplace import PairingMatrix, _gaussian_power, circle_fold
 from .renorm import LinearFunctional, circle_renorm, twist
-from .scalars import ONE, ZERO, Scalar, common_denominator, numerator_over
+from .scalars import ONE, ZERO, Scalar, common_denominator
 
 
 class TContext:
     """A symmetric pairing plus an optional renormalisation scheme.
 
     Time-ordered maps need the circle product to be commutative, which holds
-    exactly when the pairing matrix is symmetric.  The context owns one
-    memo, t's, keyed by monomial: it holds every monomial the letter loop
-    reached, every sub-multiset of a monomial T was asked for, and each
-    c - s that a scheme's twist reached (s in the scheme's table).  T, Tbar
-    and tbar keep no memo of their own; they read t's.  It lives as long as
-    the context, so build one context per pairing and scheme and pass it
-    around.  The context also takes the pairing over its common denominator
-    D once, as the Gaussian integers D (a|b), on which the letter loop runs,
-    with the denominator of each entry.
+    exactly when the pairing matrix is symmetric.  The context takes the
+    pairing over its common denominator D once, as the Gaussian integers
+    D (a|b) on which the letter loop runs, and owns one memo, t's, keyed by
+    a word's counts tuple: for each even word x of grading 2k the letter
+    loop reached, it holds the Gaussian integer D^k t(x) as an int pair.
+    T, Tbar, tbar and green keep no memo of their own; they read t's.  It
+    lives as long as the context, so build one context per pairing and
+    scheme and pass it around.
     """
 
     def __init__(self, pairing: PairingMatrix, scheme: LinearFunctional | None = None):
@@ -54,54 +55,50 @@ class TContext:
                 "commutative for products of more than two factors to be order independent")
         self.pairing = pairing
         self.scheme = scheme
-        D, table = common_denominator(pairing.rows)
-        self._den, self._table = D, table
-        self._dens = [[D // gcd(D, re, im) for re, im in row] for row in table]
-        self._t_scalar = Memo(self._t_scalar_monomial)
-        self._t_scalar[Monomial.unit()] = ONE
+        self._den, self._table = common_denominator(pairing.rows)
+        self._t_numerators = Memo(self._t_numerator)
+        self._t_numerators[()] = (1, 0)
 
     def require_scheme(self) -> LinearFunctional:
         if self.scheme is None:
             raise ValueError("renormalised time-ordering needs a scheme in the context")
         return self.scheme
 
-    def _t_scalar_monomial(self, m: Monomial) -> Scalar:
-        """The letter loop t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b),
-        a the smallest letter, on Gaussian integers over E, the common
-        denominator of the entries (a|b) with a and b letters of m.  E divides
-        the pairing's D and is smaller when m leaves letters out.  Each entry
-        is reduced by a gcd with E^k, so on configs/default.json t(e1^5000)
-        reduces over 2^k, not 840^k.
-
-        The words it reaches are collected one grading at a time, from m's
-        down, so no Python frame nests per letter; entries that earlier
-        calls stored are read back as E^k t(x), 2k their grading.  Then the
-        gradings are filled bottom up: a new entry x of grading 2k is
-        E^k t(x), the sum of mult_b(rest) D (a|b) times E^(k-1) t(rest - e_b),
-        with integer multiply-adds, divided by D / E; it is stored as one
-        reduced Scalar.
-        """
-        if m.counts[-1][0] > self.pairing.dim:
+    def _t_half_grading(self, m: Monomial) -> int | None:
+        """k with 2k the grading of m, or None when it is odd and t(m) = 0; a
+        letter outside 1..d is a ``ValueError`` at any grading."""
+        if m.counts and m.counts[-1][0] > self.pairing.dim:
             raise ValueError(
                 f"generator index out of range: {m.counts[-1][0]} with d={self.pairing.dim}")
-        if m.grading % 2:
+        k, odd = divmod(m.grading, 2)
+        return None if odd else k
+
+    def _t_value(self, m: Monomial) -> Scalar:
+        """t(m) as a Scalar, the memo's D^k t(m) over D^k."""
+        k = self._t_half_grading(m)
+        if k is None:
             return ZERO
-        memo, table, dens = self._t_scalar, self._table, self._dens
-        letters = [a for a, _ in m.counts]
-        E = lcm(*[dens[a - 1][b - 1] for a in letters for b in letters])
-        q = self._den // E
-        top = m.grading >> 1
-        powers = [E**k for k in range(top + 1)]
-        values: dict[Monomial, tuple[int, int]] = {}
-        levels, level = [], [m]
-        for k in range(top - 1, -1, -1):
-            if not level:
-                break
+        re, im = self._t_numerators[m.counts]
+        return Scalar.from_integers(re, im, self._den**k)
+
+    def _t_numerator(self, counts: tuple) -> tuple[int, int]:
+        """D^k t(x) for the even word x with counts ``counts``, 2k its grading,
+        by the letter loop t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b),
+        a the smallest letter: D^k t(x) is the sum of mult_b(rest) D (a|b)
+        times D^(k-1) t(rest - e_b), so every value is an integer multiply-add
+        and none is reduced.
+
+        The words it reaches are collected one grading at a time, from x's
+        down, as counts tuples (no monomial is interned), so no Python frame
+        nests per letter; then the gradings are filled bottom up.
+        """
+        memo, table = self._t_numerators, self._table
+        levels, level = [], [counts]
+        while level:
             steps, below = [], {}
             for x in level:
-                counts = x.counts
-                a, c = counts[0]
-                rest = ((a, c - 1),) + counts[1:] if c > 1 else counts[1:]
+                a, c = x[0]
+                rest = ((a, c - 1),) + x[1:] if c > 1 else x[1:]
                 row = table[a - 1]
                 # rest - e_b for each letter b of rest with (a|b) != 0, weighted
                 # by mult_b(rest) D (a|b); rest is canonical, so these are too.
@@ -110,26 +107,22 @@ class TContext:
                     re, im = row[b - 1]
                     if re or im:
                         kept = ((b, mult - 1),) if mult > 1 else ()
-                        r = _canonical(rest[:j] + kept + rest[j + 1:])
+                        r = rest[:j] + kept + rest[j + 1:]
                         x_steps.append((mult * re, mult * im, r))
-                        if r not in values and r not in below:
-                            if r in memo:
-                                values[r] = numerator_over(memo[r], powers[k])
-                            else:
-                                below[r] = None
+                        if r not in memo:
+                            below[r] = None
                 steps.append(x_steps)
-            levels.append((k + 1, level, steps))
+            levels.append((level, steps))
             level = list(below)
-        for k, level, steps in reversed(levels):
+        for level, steps in reversed(levels):
             for x, x_steps in zip(level, steps):
                 re = im = 0
                 for wr, wi, r in x_steps:
-                    cr, ci = values[r]
+                    cr, ci = memo[r]
                     re += wr * cr - wi * ci
                     im += wr * ci + wi * cr
-                values[x] = re, im = re // q, im // q
-                memo[x] = Scalar.from_integers(re, im, powers[k])
-        return memo[m]
+                memo[x] = re, im
+        return memo[counts]
 
     def __repr__(self):
         return f"TContext(pairing={self.pairing!r}, scheme={self.scheme!r})"
@@ -142,7 +135,7 @@ def t_map(u: Element, ctx: TContext) -> Element:
     reading t's memo.  :func:`t_map_by_circle_fold`, :func:`exp_sigma` and
     :func:`laplace.wick_expand` are its oracles.
     """
-    return twist(u, ctx._t_scalar.__getitem__)
+    return twist(u, ctx._t_value)
 
 
 def t_map_by_circle_fold(u: Element, ctx: TContext) -> Element:
@@ -205,9 +198,24 @@ def t_scalar(u: Element, ctx: TContext) -> Scalar:
     """The scalar part of time ordering, by the letter loop.
 
     t(1)=1, t(a)=0 and t(a v rest) contracts a against one letter of rest.
-    Vanishes in odd gradings.  :func:`t_closed_form` is its oracle.
+    Vanishes in odd gradings.  The sum of coeff t(m) over the terms m of u
+    runs on integers: with the coefficients over their common denominator
+    C and K the largest half grading of an even term, it sums
+    C coeff D^(K-k) D^k t(m) and reduces once, over C D^K.
+    :func:`t_closed_form` is its oracle.
     """
-    return sum((coeff * ctx._t_scalar[mono] for mono, coeff in u.items()), ZERO)
+    words = [(k, coeff, ctx._t_numerators[m.counts]) for m, coeff in u.items()
+             if (k := ctx._t_half_grading(m)) is not None]
+    if not words:
+        return ZERO
+    C, (coeffs,) = common_denominator([[coeff for _, coeff, _ in words]])
+    D, K = ctx._den, max(k for k, _, _ in words)
+    re = im = 0
+    for (k, _, (nr, ni)), (cr, ci) in zip(words, coeffs):
+        w = D ** (K - k)
+        re += w * (cr * nr - ci * ni)
+        im += w * (cr * ni + ci * nr)
+    return Scalar.from_integers(re, im, C * D**K)
 
 
 def t_closed_form(generators, ctx: TContext) -> Scalar:

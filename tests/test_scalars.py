@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wickalg import Scalar
-from wickalg.scalars import display_negative, numerator_over
+from wickalg.scalars import display_negative
 
 
 def test_construction_and_equality():
@@ -235,14 +235,3 @@ def test_from_integers_reduces():
         Scalar.from_integers(1, 0, 0)
     with pytest.raises(TypeError):
         Scalar.from_integers(1.5, 0, 1)
-
-
-def test_numerator_over_a_multiple_of_the_denominator():
-    s = Scalar(Fraction(1, 2), Fraction(-1, 3))
-    assert numerator_over(s, 6) == (3, -2)
-    assert numerator_over(s, 6 * 35) == (105, -70)
-    assert numerator_over(Scalar(0), 7) == (0, 0)
-    assert numerator_over(Scalar(-4), 1) == (-4, 0)
-    for den in (4, 0, -6):
-        with pytest.raises(ValueError):
-            numerator_over(s, den)

@@ -29,6 +29,7 @@ from wickalg import (
     Scheme,
     TContext,
     TensorElement,
+    circle,
     circle_renorm,
     convolve,
     coproduct,
@@ -37,6 +38,7 @@ from wickalg import (
     green,
     pairing,
     sigma_apply,
+    smatrix,
     sweedler,
     t_by_moments,
     t_closed_form,
@@ -48,8 +50,10 @@ from wickalg import (
     tbar_scalar,
     tensor_product,
     vee,
+    vee_exp,
     wick_expand,
 )
+from wickalg import algebra
 from wickalg.algebra import Memo
 from wickalg.checks import first_identity_check
 from wickalg.config import load_config
@@ -61,6 +65,12 @@ from wickalg.tmaps import tbar_scalar_by_modified_pairing
 def ctx(rng):
     L = rand_pairing(rng, 3, symmetric=True)
     return TContext(L, rand_scheme(rng, 3))
+
+
+@pytest.fixture(scope="module")
+def default():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json")
+    return load_config(path)
 
 
 def matching_sum_oracle(gens, L):
@@ -175,9 +185,11 @@ class TestWickRecursionOracles:
         u = Element.from_monomial(mono(*(1,) * 6 + (2,) * 6))
         assert t_map(u, ctx) == exp_sigma(u, ctx)
         memos = [v for v in vars(ctx).values() if isinstance(v, Memo)]
-        assert memos == [ctx._t_scalar]
-        assert set(ctx._t_scalar) == {
-            Monomial({1: i, 2: j}) for i in range(7) for j in range(7)
+        assert memos == [ctx._t_numerators]
+        # T asks t for every sub-multiset; the memo, keyed by counts tuple,
+        # keeps the even ones (odd words are 0 and stored nowhere).
+        assert set(ctx._t_numerators) == {
+            Monomial({1: i, 2: j}).counts for i in range(7) for j in range(7) if (i + j) % 2 == 0
         }
 
     def test_tbar_matches_renormalised_circle_fold_to_grading_five(self, rng):
@@ -200,7 +212,7 @@ class TestSplittingRecursionOracles:
         ctx = TContext(rand_pairing(rng, 3, symmetric=True))
         m = mono(1, 1, 2, 3, 3)
         assert t_scalar(Element.from_monomial(m), ctx) == 0
-        assert set(ctx._t_scalar) == {Monomial.unit(), m}
+        assert set(ctx._t_numerators) == {Monomial.unit().counts}
 
     def test_tbar_scalar_matches_modified_pairing_recursion(self, rng):
         for d in (1, 2, 3):
@@ -217,11 +229,12 @@ class TestSplittingRecursionOracles:
 
 
 class TestGaussianIntegerLetterLoop:
-    """The letter loop runs on Gaussian integers over the common denominator
-    D of the pairing.  Entries of unequal denominators, imaginary parts and a
-    zero entry make D = 420 and give every term of D^n t(x) a part to lose;
-    asked in increasing grading the loop reads entries back from earlier
-    calls, asked in decreasing grading it computes them cold."""
+    """The letter loop stores D^n t(x) as Gaussian integers, D the common
+    denominator of the pairing.  Entries of unequal denominators, imaginary
+    parts and a zero entry make D = 420 and leave t_scalar's one reduction
+    common factors to remove; asked in increasing grading the loop reads
+    entries back from earlier calls, asked in decreasing grading it computes
+    them cold."""
 
     PAIRING = PairingMatrix.from_strings([
         ["1/2", "2/3+1/5 i", "0-3/7 i"],
@@ -247,12 +260,37 @@ class TestGaussianIntegerLetterLoop:
 
     @pytest.mark.parametrize("decreasing", [False, True])
     def test_t_scalar_matches_moments_over_a_divisor_of_the_denominator(self, decreasing):
-        """e1 and e3 alone have entries 1/2, -3/7 i and 1/3, so the loop runs
-        over E = 42, not D = 420, and divides each entry by D / E = 10; the
-        words e1^2k e3^2k reach grading 16, past the matching sums."""
+        """e1 and e3 alone have entries 1/2, -3/7 i and 1/3, whose common
+        denominator 42 is a proper divisor of D = 420, so each D^n t(x) the
+        loop stores for these words carries a factor 10^n that only t's one
+        reduction removes; the words e1^2k e3^2k reach grading 16, past the
+        matching sums."""
         ctx = TContext(self.PAIRING)
         for k in sorted((1, 2, 3, 4), reverse=decreasing):
             loop_equals_moments((1, 1, 3, 3) * k, ctx)
+
+    @pytest.mark.parametrize("renormalised", [False, True])
+    @pytest.mark.parametrize("u", [
+        Element.from_monomial(mono(1, 1)) + Element.from_monomial(mono(1, 2, 3)),
+        Scalar(Fraction(1, 2)) * Element.from_monomial(mono(2, 3))
+        + Scalar(Fraction(-1, 3), Fraction(1, 5)) * Element.from_monomial(mono(1, 1, 3, 3)),
+    ], ids=["e1e1+e1e2e3", "grading2+grading4"])
+    def test_green_on_mixed_gradings_matches_exp_sigma(self, u, renormalised):
+        """Each coefficient c of exp_v(u) mixes gradings, so t_scalar weights
+        the numerators D^k t(m) of its words by unequal powers D^(K-k).  The
+        oracle pairs the legs with exp(Sigma) of c (of its zeta twist when
+        renormalised), which reads no t; smatrix must give the same T(c)."""
+        z = Scheme({mono(1, 2): Scalar(Fraction(1, 7)), mono(3, 3): Scalar(0, Fraction(2, 5)),
+                    mono(1, 1, 2, 3): Scalar(Fraction(-3, 4), Fraction(1, 6))})
+        ctx, order = TContext(self.PAIRING, z), 4
+        s = [exp_sigma(twist(c, z) if renormalised else c, ctx)
+             for c in vee_exp(u, order).coeffs]
+        assert smatrix(u, ctx, order, renormalised).coeffs == s
+        den = FormalSeries.from_scalars([c.scalar_part() for c in s])
+        for i, j in ((1, 2), (3, 3), (1, 3)):
+            legs = circle(e(i), e(j), ctx.pairing)
+            num = FormalSeries.from_scalars([pairing(legs, c, ctx.pairing) for c in s])
+            assert green(i, j, u, ctx, order, renormalised) == num.divide(den), (i, j)
 
     def test_letter_outside_the_pairing_is_a_value_error(self):
         ctx = TContext(self.PAIRING, Scheme({mono(1, 2): Scalar(Fraction(1, 7))}))
@@ -428,21 +466,16 @@ class TestLetterLoopAgainstMoments:
     grading on one context the loop reads entries back from earlier calls,
     asked in decreasing grading it computes them cold."""
 
-    @pytest.fixture(scope="class")
-    def default(self):
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json")
-        return load_config(path).pairing
-
     @pytest.mark.parametrize("decreasing", [False, True])
     def test_four_letters_to_grading_forty(self, default, decreasing):
-        ctx = TContext(default)
+        ctx = TContext(default.pairing)
         for k in sorted((4, 6, 8, 10), reverse=decreasing):
             loop_equals_moments((1, 2, 3, 4) * k, ctx)
 
     def test_quartic_green_to_order_eight(self, default):
         """green(1, 2) of e1 v e2 v e3 v e4 reads t(e1 v e2 v m) and t(m) for
         m = (e1 v e2 v e3 v e4)^n, n <= 8: gradings up to 34."""
-        ctx = TContext(default)
+        ctx = TContext(default.pairing)
         order, quartic, legs = 8, (1, 2, 3, 4), (1, 2)
         got = green(1, 2, Element.from_monomial(mono(*quartic)), ctx, order)
         num, den = [], []
@@ -450,6 +483,33 @@ class TestLetterLoopAgainstMoments:
             num.append(loop_equals_moments(legs + quartic * n, ctx) / factorial(n))
             den.append(loop_equals_moments(quartic * n, ctx) / factorial(n))
         assert got * FormalSeries.from_scalars(den) == FormalSeries.from_scalars(num)
+
+
+class TestLetterLoopInternsNothing:
+    """t's memo is keyed by counts tuples, so t and green intern only the
+    words they are asked for, never the sub-multisets the loop reaches."""
+
+    def test_t_of_a_long_word(self, default):
+        ctx = TContext(default.pairing)
+        word = mono(*(1,) * 40 + (2,) * 40)
+        size = len(algebra._MONOMIALS)
+        t_scalar(Element.from_monomial(word), ctx)
+        assert len(algebra._MONOMIALS) == size
+        assert word.counts in ctx._t_numerators and len(ctx._t_numerators) > 400
+
+    @pytest.mark.parametrize("renormalised", [False, True])
+    def test_quartic_green_to_order_twelve(self, default, renormalised):
+        ctx = TContext(default.pairing, default.scheme)
+        u, legs, order = Element.from_monomial(mono(1, 2, 3, 4)), mono(1, 2), 12
+        # The words green asks t for, the terms m of each (twisted) coefficient
+        # and legs v m, interned before the count is taken.
+        asked = [m for c in vee_exp(u, order).coeffs
+                 for m in (twist(c, default.scheme) if renormalised else c).terms]
+        asked += [legs.vee(m) for m in asked]
+        size = len(algebra._MONOMIALS)
+        green(1, 2, u, ctx, order, renormalised)
+        assert len(algebra._MONOMIALS) == size
+        assert len(ctx._t_numerators) > len(asked)
 
 
 class TestSchemeTwist:
