@@ -11,6 +11,9 @@ canonical counts tuple and kept for the life of the process, holds the one
 object of each multiset.  Equal monomials are therefore the same object, and
 monomial equality and hashing are the object defaults (identity).  The table
 takes no lock: the package runs in one thread.
+
+An element's numerator form (:meth:`Element.numerators`) interns nothing:
+Gaussian integers keyed by counts tuple, over one common denominator.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from math import comb, factorial
 from types import MethodType
 from weakref import ref
 
-from .scalars import ONE, ZERO, Scalar, display_negative
+from .scalars import ONE, ZERO, Scalar, common_denominator, display_negative
 
 
 class Monomial:
@@ -36,22 +39,8 @@ class Monomial:
     __slots__ = ("counts", "grading")
 
     def __new__(cls, counts=()):
-        if isinstance(counts, dict):
-            items = counts.items()
-        else:
-            items = counts
-        merged: dict[int, int] = {}
-        for idx, mult in items:
-            if not isinstance(mult, int) or mult < 0:
-                raise ValueError(f"multiplicity must be a non-negative int, got {mult!r}")
-            if mult == 0:
-                continue
-            if not isinstance(idx, int) or idx < 1:
-                raise ValueError(f"generator index must be a positive int, got {idx!r}")
-            # The table keys on exact ints: a bool enters as its int.
-            idx, mult = int(idx), int(mult)
-            merged[idx] = merged.get(idx, 0) + mult
-        return _canonical(tuple(sorted(merged.items())))
+        return _canonical(_counts(
+            counts.items() if isinstance(counts, dict) else counts))
 
     def __reduce__(self):
         # Copies and unpickled values go through the table, not __new__().
@@ -90,10 +79,7 @@ class Monomial:
             return self
         if not self.counts:
             return other
-        merged = dict(self.counts)
-        for idx, mult in other.counts:
-            merged[idx] = merged.get(idx, 0) + mult
-        return _canonical(tuple(sorted(merged.items())))
+        return _canonical(_vee_counts(self.counts, other.counts))
 
     def remove_one(self, index: int) -> "Monomial":
         """The monomial with one copy of ``index`` deleted (must be present)."""
@@ -134,6 +120,30 @@ class Monomial:
 
     def __repr__(self):
         return f"Monomial({dict(self.counts)!r})"
+
+
+def _counts(items) -> tuple:
+    """The canonical counts tuple of ``(index, multiplicity)`` pairs, validated."""
+    merged: dict[int, int] = {}
+    for idx, mult in items:
+        if not isinstance(mult, int) or mult < 0:
+            raise ValueError(f"multiplicity must be a non-negative int, got {mult!r}")
+        if mult == 0:
+            continue
+        if not isinstance(idx, int) or idx < 1:
+            raise ValueError(f"generator index must be a positive int, got {idx!r}")
+        # The table keys on exact ints: a bool enters as its int.
+        idx, mult = int(idx), int(mult)
+        merged[idx] = merged.get(idx, 0) + mult
+    return tuple(sorted(merged.items()))
+
+
+def _vee_counts(a: tuple, b: tuple) -> tuple:
+    """The canonical counts tuple of the multiset union of two."""
+    merged = dict(a)
+    for idx, mult in b:
+        merged[idx] = merged.get(idx, 0) + mult
+    return tuple(sorted(merged.items()))
 
 
 class Memo(dict):
@@ -230,6 +240,18 @@ class Element:
 
     def items(self):
         return self.terms.items()
+
+    @classmethod
+    def from_numerators(cls, terms: dict, den: int) -> "Element":
+        """The element of a numerator form, one reduction per nonzero term."""
+        return _wrap({_canonical(c): Scalar.from_integers(re, im, den)
+                      for c, (re, im) in terms.items() if re or im})
+
+    def numerators(self) -> tuple[dict, int]:
+        """``(terms, den)``: den the coefficients' least common denominator and
+        terms[m.counts] = (re, im), den * coeff of each term m, as ints."""
+        den, (nums,) = common_denominator([list(self.terms.values())])
+        return dict(zip([m.counts for m in self.terms], nums)), den
 
     def scalar_part(self) -> Scalar:
         return self.terms.get(_UNIT, ZERO)

@@ -10,7 +10,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .algebra import Monomial
+from .algebra import _canonical
 from .fock import FockStructure
 from .laplace import PairingMatrix
 from .renorm import Scheme
@@ -102,10 +102,14 @@ def parse_config(data: dict) -> Config:
             raise ConfigError(f"zeta key {key!r} must list indices in ascending order")
         if len(indices) < 2:
             raise ConfigError(f"zeta key {key!r} has grading < 2 (those values are structural)")
-        if any(not (1 <= i <= dimension) for i in indices):
+        if not (1 <= indices[0] and indices[-1] <= dimension):
             raise ConfigError(f"zeta key {key!r} has an index outside 1..{dimension}")
+        # indices is sorted and in range, so its runs are the canonical counts.
+        counts: dict[int, int] = {}
+        for i in indices:
+            counts[i] = counts.get(i, 0) + 1
         try:
-            values[Monomial.from_indices(indices)] = Scalar.parse(text)
+            values[_canonical(tuple(counts.items()))] = Scalar.parse(text)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"zeta value for {key!r}: {exc}") from exc
     scheme = Scheme(values)

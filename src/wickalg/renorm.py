@@ -20,18 +20,19 @@ and ``circle_renorm`` read them.  An inverse returned by
 there is no reference cycle.
 
 A :class:`Scheme`'s table ``values`` is both its rule and its support: the
-scheme vanishes off the unit and the table, so its action :func:`twist`
-walks the table instead of a monomial's splits.  Convolved and inverted
-functionals have no table and take the split walk.
+scheme vanishes off the unit and the table, so its action
+:func:`scheme_twist` walks the table, on numerator forms, instead of a
+monomial's splits.  Convolved and inverted functionals have no table and
+take the split walk of :func:`twist`.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .algebra import Element, Memo, Monomial, _canonical, monomial_splits, sweedler
+from .algebra import Element, Memo, Monomial, monomial_splits, sweedler
 from .laplace import PairingMatrix, _bilinear, _sweedler_product
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, common_denominator
 
 
 def _convolve(P, Q, left, right) -> Scalar:
@@ -120,7 +121,8 @@ class Scheme(LinearFunctional):
     """A finitely presented functional: stored values on monomials of grading >= 2.
 
     ``values`` is the table its rule reads and, with the unit, the support
-    that its twist walks (:func:`twist`)."""
+    that its twist walks (:func:`scheme_twist`), which reads the table over
+    its common denominator Z, taken once here: the integers Z zeta(s)."""
 
     def __init__(self, values=None):
         table: dict[Monomial, Scalar] = {}
@@ -136,6 +138,9 @@ class Scheme(LinearFunctional):
                     table[mono] = coeff
         super().__init__(lambda m: table.get(m, ZERO))
         self.values = table
+        self._den, (nums,) = common_denominator([list(table.values())])
+        self._numerators = [(s.counts, dict(s.counts), re, im)
+                            for s, (re, im) in zip(table, nums)]
 
     def __repr__(self):
         return f"Scheme({{{', '.join(f'{m}: {c}' for m, c in self.values.items())}}})"
@@ -145,30 +150,43 @@ def twist(u: Element, f) -> Element:
     """The action sum f(u_(1)) u_(2) of ``f``, a scalar function on monomials:
     T(u) = twist(u, t), Tbar(u) = T(twist(u, zeta)), tbar(u) = t(twist(u, zeta)).
 
-    A :class:`Scheme` vanishes off the unit and its table ``values``, so its
-    twist walks that table: each entry s <= c (count by count) adds
-    zeta(s) prod C(c_j, s_j) to c - s, and no split list is read.  Every
-    other ``f`` takes the split walk, the oracle for a scheme's."""
-    out: dict[Monomial, Scalar] = {}
+    A :class:`Scheme` vanishes off the unit and its table, so its twist is
+    :func:`scheme_twist` on the numerator form of u, which reads no split
+    list.  Every other ``f`` takes the split walk, the oracle for a
+    scheme's."""
     if isinstance(f, Scheme):
-        table = [({}, ONE), *((dict(s.counts), z) for s, z in f.values.items())]
-        for c, coeff in u.items():
-            have = dict(c.counts)
-            for take, z in table:
-                weight = 1
-                for idx, k in take.items():
-                    weight *= comb(have.get(idx, 0), k)
-                if weight:
-                    # c.counts is sorted, so the counts of c - s come out canonical.
-                    rest = _canonical(tuple(
-                        (i, r) for i, m in c.counts if (r := m - take.get(i, 0))))
-                    out[rest] = out.get(rest, ZERO) + coeff * weight * z
-        return Element(out)
+        return Element.from_numerators(*scheme_twist(*u.numerators(), f))
+    out: dict[Monomial, Scalar] = {}
     for u1, u2, coeff in sweedler(u):
         x = f(u1)
         if x:
             out[u2] = out.get(u2, ZERO) + coeff * x
     return Element(out)
+
+
+def scheme_twist(terms: dict, den: int, z: Scheme) -> tuple[dict, int]:
+    """The twist of u by a scheme, from u's numerator form (:meth:`Element.numerators`)
+    to the twist's over den Z: the unit keeps each term c, times Z, and
+    each table entry s <= c (count by count) adds Z zeta(s) prod C(c_j, s_j)
+    times c's numerator to c - s; nothing is interned or reduced."""
+    Z, table = z._den, z._numerators
+    out = {c: (Z * re, Z * im) for c, (re, im) in terms.items()}
+    for c, (re, im) in terms.items():
+        have = dict(c)
+        for s, take, zr, zi in table:
+            weight = 1
+            for idx, k in s:
+                n = have.get(idx, 0)
+                if n < k:
+                    break
+                weight *= comb(n, k)
+            else:
+                # c is sorted, so the counts of c - s come out canonical.
+                rest = tuple([(i, r) for i, m in c if (r := m - take.get(i, 0))])
+                wr, wi = weight * (re * zr - im * zi), weight * (re * zi + im * zr)
+                prior = out.get(rest)
+                out[rest] = (wr, wi) if prior is None else (prior[0] + wr, prior[1] + wi)
+    return out, den * Z
 
 
 def convolve(z1: LinearFunctional, z2: LinearFunctional) -> LinearFunctional:

@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _SCALAR_RE = re.compile(
-    r"""^\s*(?P<re>-?\d+(?:/\d+)?)\s*
-         (?:(?P<sign>[+-])\s*(?P<im>\d+(?:/\d+)?)\s*i)?\s*$""",
+    r"""^\s*(?P<re>(-?\d+)(?:/(\d+))?)\s*
+         (?:([+-])\s*(?P<im>(\d+)(?:/(\d+))?)\s*i)?\s*$""",
     re.VERBOSE,
 )
 
@@ -66,14 +66,6 @@ def _reduced(a: int, b: int, d: int) -> "Scalar":
         s._im = b // g
         s._den = d // g
     return s
-
-
-def _parse_rational(text: str) -> tuple[int, int]:
-    num, _, den = text.partition("/")
-    d = int(den) if den else 1
-    if d == 0:
-        raise ValueError(f"zero denominator in scalar literal part {text!r}")
-    return int(num), d
 
 
 class Scalar:
@@ -121,13 +113,15 @@ class Scalar:
         m = _SCALAR_RE.match(text)
         if m is None:
             raise ValueError(f"malformed scalar literal: {text!r}")
-        a, ad = _parse_rational(m.group("re"))
-        if m.group("im") is None:
-            return _reduced(a, 0, ad)
-        b, bd = _parse_rational(m.group("im"))
-        if m.group("sign") == "-":
-            b = -b
-        return _reduced(a * bd, b * ad, ad * bd)
+        _, a, ad, sign, _, b, bd = m.groups()
+        ad = int(ad) if ad else 1
+        bd = int(bd) if bd else 1
+        if not (ad and bd):
+            raise ValueError(f"zero denominator in scalar literal part {m['im' if ad else 're']!r}")
+        if b is None:
+            return _reduced(int(a), 0, ad)
+        b = -int(b) if sign == "-" else int(b)
+        return _reduced(int(a) * bd, b * ad, ad * bd)
 
     # -- parts --------------------------------------------------------------
 

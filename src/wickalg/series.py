@@ -10,12 +10,11 @@ Gaussian determinant) live with their laws in ``checks``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
-from .algebra import Element, Monomial
+from .algebra import Element, _counts, _vee_counts
 from .scalars import ONE, Scalar
-from .renorm import twist
-from .tmaps import TContext, t_map, t_scalar, tbar_map
+from .renorm import Scheme, scheme_twist, twist
+from .tmaps import TContext, t_map, t_sum, tbar_map
 
 
 class FormalSeries:
@@ -160,15 +159,32 @@ class FormalSeries:
 
 
 def vee_exp(u: Element, order: int) -> FormalSeries:
-    """exp of u in the symmetric product: coefficient of order n is u^{v n}/n!."""
+    """exp of u in the symmetric product: coefficient of order n is u^{v n}/n!,
+    run on numerator forms and reduced once per term at the end."""
+    return FormalSeries([Element.from_numerators(*c) for c in _vee_exp_numerators(u, order)])
+
+
+def _vee_exp_numerators(u: Element, order: int) -> list[tuple[dict, int]]:
+    """The coefficients of exp_v(u) as numerator forms (:meth:`Element.numerators`):
+    with u over its common denominator C, coefficient n is u^{v n} over
+    C^n n!, by integer multiply-adds; nothing is interned or reduced."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    coeffs = [Element.one()]
-    power = Element.one()
+    terms, C = u.numerators()
+    factor = list(terms.items())
+    power, den = {(): (1, 0)}, 1
+    out = [(power, den)]
     for n in range(1, order + 1):
-        power = power.vee(u)
-        coeffs.append(Scalar(Fraction(1, factorial(n))) * power)
-    return FormalSeries(coeffs, order)
+        nxt: dict[tuple, tuple[int, int]] = {}
+        for pc, (pr, pi) in power.items():
+            for uc, (ur, ui) in factor:
+                key = _vee_counts(pc, uc)
+                re, im = pr * ur - pi * ui, pr * ui + pi * ur
+                prior = nxt.get(key)
+                nxt[key] = (re, im) if prior is None else (prior[0] + re, prior[1] + im)
+        power, den = nxt, den * C * n
+        out.append((power, den))
+    return out
 
 
 def smatrix(u: Element, ctx: TContext, order: int, renormalised: bool = False) -> FormalSeries:
@@ -192,21 +208,25 @@ def green(
     T is multiplicative and T(e_i v e_j) = e_i o e_j, so for a coefficient c
     of exp_v(u) the numerator (e_i o e_j | T(c)) is t(e_i v e_j v c) and the
     denominator is t(c).  Renormalised, Tbar(c) = T(twist(c, zeta)), so both
-    read t of the twisted c; the legs stay bare.  A scheme's twist walks its
-    table, not the splits of c, so the renormalised series costs what the
-    bare one costs.  Both sums, of coeff t(e_i v e_j v m) and of coeff t(m)
-    over the terms m of c, are :func:`t_scalar`'s integer sums, and the
-    scalar quotient runs the recurrence of :meth:`FormalSeries.divide`.  No
-    T or Tbar element is built; the tests keep the legs paired with
-    :func:`smatrix` as the oracle.
+    read t of the twisted c; the legs stay bare.  Three stages chain on
+    numerator forms (:meth:`Element.numerators`): the powers of exp_v(u),
+    a scheme's table walk :func:`renorm.scheme_twist`, and t's integer sum
+    :func:`tmaps.t_sum` with the legs merged into each word.  No Element,
+    monomial or Scalar is built per term, each order reduces twice, and the
+    quotient runs the recurrence of :meth:`FormalSeries.divide`.  A
+    functional that is not a Scheme twists by the split walk on Elements.
+    The tests keep the legs paired with :func:`smatrix` as the oracle.
     """
     z = ctx.require_scheme() if renormalised else None
-    legs = Monomial.from_indices((i, j))
+    legs = _counts(((i, 1), (j, 1)))
     num, den = [], []
-    for c in vee_exp(u, order).coeffs:
-        c = c if z is None else twist(c, z)
-        num.append(t_scalar(Element({legs.vee(m): coeff for m, coeff in c.items()}), ctx))
-        den.append(t_scalar(c, ctx))
+    for terms, d in _vee_exp_numerators(u, order):
+        if isinstance(z, Scheme):
+            terms, d = scheme_twist(terms, d, z)
+        elif z is not None:
+            terms, d = twist(Element.from_numerators(terms, d), z).numerators()
+        num.append(t_sum(terms, d, ctx, legs))
+        den.append(t_sum(terms, d, ctx))
     return FormalSeries.from_scalars(_divide(num, den), order)
 
 

@@ -9,7 +9,7 @@ the twist sum f(u_(1)) u_(2) (:func:`renorm.twist`).  t is the letter loop
 t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b), run on counts
 tuples and on the Gaussian integers D^k t(x), D the pairing's common
 denominator and 2k the grading, so it interns no monomial and reduces no
-value; :func:`t_scalar` sums an element's numerators and reduces once.  Its
+value; :func:`t_sum` sums a numerator form's terms and reduces once.  Its
 oracles are the matching sum :func:`t_closed_form` and Kan's moment formula
 :func:`t_by_moments`, polynomial in the grading; T is the twist of u by t;
 and the renormalised maps are the same maps on the zeta twist of u:
@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
 
-from .algebra import Element, Memo, Monomial, derivation, monomial_splits
+from .algebra import Element, Memo, Monomial, _vee_counts, derivation, monomial_splits
 from .laplace import PairingMatrix, _gaussian_power, circle_fold
 from .renorm import LinearFunctional, circle_renorm, twist
 from .scalars import ONE, ZERO, Scalar, common_denominator
@@ -64,19 +64,14 @@ class TContext:
             raise ValueError("renormalised time-ordering needs a scheme in the context")
         return self.scheme
 
-    def _t_half_grading(self, m: Monomial) -> int | None:
-        """k with 2k the grading of m, or None when it is odd and t(m) = 0; a
-        letter outside 1..d is a ``ValueError`` at any grading."""
+    def _t_value(self, m: Monomial) -> Scalar:
+        """t(m) as a Scalar, the memo's D^k t(m) over D^k, 2k the grading of m,
+        for T's twist; a letter outside 1..d is a ``ValueError``, as in :func:`t_sum`."""
         if m.counts and m.counts[-1][0] > self.pairing.dim:
             raise ValueError(
                 f"generator index out of range: {m.counts[-1][0]} with d={self.pairing.dim}")
         k, odd = divmod(m.grading, 2)
-        return None if odd else k
-
-    def _t_value(self, m: Monomial) -> Scalar:
-        """t(m) as a Scalar, the memo's D^k t(m) over D^k."""
-        k = self._t_half_grading(m)
-        if k is None:
+        if odd:
             return ZERO
         re, im = self._t_numerators[m.counts]
         return Scalar.from_integers(re, im, self._den**k)
@@ -199,23 +194,38 @@ def t_scalar(u: Element, ctx: TContext) -> Scalar:
 
     t(1)=1, t(a)=0 and t(a v rest) contracts a against one letter of rest.
     Vanishes in odd gradings.  The sum of coeff t(m) over the terms m of u
-    runs on integers: with the coefficients over their common denominator
-    C and K the largest half grading of an even term, it sums
-    C coeff D^(K-k) D^k t(m) and reduces once, over C D^K.
-    :func:`t_closed_form` is its oracle.
+    is :func:`t_sum` on u's numerator form.  :func:`t_closed_form` is its
+    oracle.
     """
-    words = [(k, coeff, ctx._t_numerators[m.counts]) for m, coeff in u.items()
-             if (k := ctx._t_half_grading(m)) is not None]
-    if not words:
-        return ZERO
-    C, (coeffs,) = common_denominator([[coeff for _, coeff, _ in words]])
-    D, K = ctx._den, max(k for k, _, _ in words)
+    return t_sum(*u.numerators(), ctx)
+
+
+def t_sum(terms: dict, den: int, ctx: TContext, legs: tuple = ()) -> Scalar:
+    """sum coeff t(legs v m) over the terms of a numerator form ``(terms, den)``
+    (:meth:`Element.numerators`), the counts tuple ``legs`` merged into each
+    word.  It runs on integers and reduces once: per grading 2k it sums
+    num(m) D^k t(legs v m) from t's memo, then weights grading 2k by
+    D^(K-k), K the largest k, and divides by den D^K.  A letter outside
+    1..d is a ``ValueError``, odd words included."""
+    memo, dim = ctx._t_numerators, ctx.pairing.dim
+    sums: dict[int, tuple[int, int]] = {}
+    for c, (cr, ci) in terms.items():
+        word = _vee_counts(legs, c) if legs else c
+        if word and word[-1][0] > dim:
+            raise ValueError(f"generator index out of range: {word[-1][0]} with d={dim}")
+        grading = 0
+        for _, mult in word:
+            grading += mult
+        if not grading & 1:
+            nr, ni = memo[word]
+            sr, si = sums.get(grading, (0, 0))
+            sums[grading] = sr + cr * nr - ci * ni, si + cr * ni + ci * nr
+    D, G = ctx._den, max(sums, default=0)
     re = im = 0
-    for (k, _, (nr, ni)), (cr, ci) in zip(words, coeffs):
-        w = D ** (K - k)
-        re += w * (cr * nr - ci * ni)
-        im += w * (cr * ni + ci * nr)
-    return Scalar.from_integers(re, im, C * D**K)
+    for g, (sr, si) in sums.items():
+        w = D ** ((G - g) >> 1)
+        re, im = re + w * sr, im + w * si
+    return Scalar.from_integers(re, im, den * D ** (G >> 1))
 
 
 def t_closed_form(generators, ctx: TContext) -> Scalar:

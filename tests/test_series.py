@@ -15,6 +15,7 @@ from wickalg import (
     TContext,
     circle,
     counit,
+    exp_sigma,
     green,
     pairing,
     smatrix,
@@ -27,7 +28,7 @@ from wickalg.checks import (
     simplest_lagrangian_check,
 )
 from wickalg.config import load_config
-from wickalg.renorm import LinearFunctional
+from wickalg.renorm import LinearFunctional, twist
 
 DEFAULT = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json")
 
@@ -244,6 +245,45 @@ class TestRenormalisedGreenBySplitWalk:
             for i, j in ((1, 2), (1, 1)):
                 got = green(i, j, u, by_table, order, renormalised=True)
                 assert got == green(i, j, u, by_splits, order, renormalised=True), (order, i, j)
+
+
+class TestGreenWithComplexScheme:
+    """green on numerator forms against the smatrix route paired with the
+    legs, built here from pieces green does not use: exp_v(u) by Element.vee
+    and 1/n!, the zeta twist by the split walk of LinearFunctional(zeta), and
+    T by exp_sigma.  zeta is complex with common denominator Z = 105, so the
+    twist's factor Z, the n! of exp_v and the imaginary part of zeta each
+    show in the series."""
+
+    ZETA = Scheme({mono(1, 1): Scalar(Fraction(1, 3), Fraction(-1, 5)),
+                   mono(1, 2, 3): Scalar(0, Fraction(2, 7))})
+
+    @pytest.mark.parametrize("renormalised", [False, True])
+    @pytest.mark.parametrize("u", [
+        Scalar(Fraction(1, 2)) * Element.one() + Element.from_monomial(mono(1, 2, 3))
+        + Scalar(Fraction(1, 2), Fraction(-1, 3)) * Element.from_monomial(mono(1, 1)),
+        Element.from_monomial(mono(1, 1, 2, 3))
+        + Scalar(0, Fraction(-1, 4)) * Element.from_monomial(mono(2, 2)),
+        Element.zero(),
+    ], ids=["grading0+3+2", "grading4+2", "zero"])
+    def test_matches_the_smatrix_route_to_order_four(self, u, renormalised):
+        L, order = load_config(DEFAULT).pairing, 4
+        ctx = TContext(L, self.ZETA)
+        by_splits = LinearFunctional(self.ZETA)
+        s, power = [], Element.one()
+        for n in range(order + 1):
+            power = power.vee(u) if n else power
+            c = Scalar(Fraction(1, factorial(n))) * power
+            s.append(exp_sigma(twist(c, by_splits) if renormalised else c, ctx))
+        assert smatrix(u, ctx, order, renormalised).coeffs == s
+        den = FormalSeries.from_scalars([c.scalar_part() for c in s])
+        for i, j in ((1, 1), (2, 3), (1, 4)):
+            legs = circle(e(i), e(j), L)
+            num = FormalSeries.from_scalars([pairing(legs, c, L) for c in s])
+            expected = num.divide(den).coeffs
+            for n in range(order + 1):
+                got = green(i, j, u, ctx, n, renormalised)
+                assert got == FormalSeries(expected[: n + 1]), (i, j, n)
 
 
 class TestGreenNumeratorAsPairing:

@@ -486,8 +486,8 @@ class TestLetterLoopAgainstMoments:
 
 
 class TestLetterLoopInternsNothing:
-    """t's memo is keyed by counts tuples, so t and green intern only the
-    words they are asked for, never the sub-multisets the loop reaches."""
+    """t's memo is keyed by counts tuples and green runs on numerator forms,
+    so t interns only the words it is asked for, and green nothing at all."""
 
     def test_t_of_a_long_word(self, default):
         ctx = TContext(default.pairing)
@@ -500,16 +500,12 @@ class TestLetterLoopInternsNothing:
     @pytest.mark.parametrize("renormalised", [False, True])
     def test_quartic_green_to_order_twelve(self, default, renormalised):
         ctx = TContext(default.pairing, default.scheme)
-        u, legs, order = Element.from_monomial(mono(1, 2, 3, 4)), mono(1, 2), 12
-        # The words green asks t for, the terms m of each (twisted) coefficient
-        # and legs v m, interned before the count is taken.
-        asked = [m for c in vee_exp(u, order).coeffs
-                 for m in (twist(c, default.scheme) if renormalised else c).terms]
-        asked += [legs.vee(m) for m in asked]
+        u = Element.from_monomial(mono(1, 2, 3, 4))
         size = len(algebra._MONOMIALS)
-        green(1, 2, u, ctx, order, renormalised)
+        green(1, 2, u, ctx, 12, renormalised)
         assert len(algebra._MONOMIALS) == size
-        assert len(ctx._t_numerators) > len(asked)
+        # t(legs v m) for m = (e1 v e2 v e3 v e4)^12, which no one interned.
+        assert ((1, 13), (2, 13), (3, 12), (4, 12)) in ctx._t_numerators
 
 
 class TestSchemeTwist:
