@@ -27,8 +27,7 @@ feynman = PairingMatrix.from_strings(
         ["1/3", "1/4", "1/5", "1/6"],
         ["1/4", "1/5", "1/6", "1/7"],
         ["1/5", "1/6", "1/7", "1/8"],
-    ],
-    symmetric=True,
+    ]
 )
 
 print("a o b           =", circle(a, b, feynman))
@@ -46,9 +45,7 @@ print("permanent of the all-ones 4x4:", permanent([[Scalar(1)] * 4 for _ in rang
 
 # an antisymmetric pairing: half the commutator; the circle product is now
 # the operator product, and its commutativity defect is exactly (a|b)-(b|a)
-commutator = PairingMatrix.from_strings(
-    [["0", "1/2"], ["-1/2", "0"]], symmetric=False
-)
+commutator = PairingMatrix.from_strings([["0", "1/2"], ["-1/2", "0"]])
 x, y = Element.generator(1), Element.generator(2)
 print("\noperator product x o y =", circle(x, y, commutator))
 print("x o y - y o x          =", circle(x, y, commutator) - circle(y, x, commutator))

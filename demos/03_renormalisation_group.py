@@ -48,8 +48,7 @@ print("Z(b v c, a)    =", z_pairing(vee(b, c), a, zeta), " (symmetric)")
 
 # the modified Laplace pairing mixes the scheme with the bare pairing
 L = PairingMatrix.from_strings(
-    [["1/2", "1/3", "1/4"], ["1/3", "1/4", "1/5"], ["1/4", "1/5", "1/6"]],
-    symmetric=True,
+    [["1/2", "1/3", "1/4"], ["1/3", "1/4", "1/5"], ["1/4", "1/5", "1/6"]]
 )
 print("\n(a|b) modified =", modified_pairing(a, b, zeta, L), " = zeta(ab) + (a|b)")
 

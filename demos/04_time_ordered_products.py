@@ -29,9 +29,7 @@ from wickalg import (
 
 m = Monomial.from_indices
 
-L = PairingMatrix.from_strings(
-    [["1/2", "1/3"], ["1/3", "1/4"]], symmetric=True
-)
+L = PairingMatrix.from_strings([["1/2", "1/3"], ["1/3", "1/4"]])
 zeta = Scheme({m((1, 2)): Scalar(Fraction(1, 7)), m((1, 1)): Scalar(Fraction(1, 5))})
 ctx = TContext(L, zeta)
 
@@ -50,7 +48,7 @@ print("t(a v a v b v b)     =", t_scalar(word, ctx))
 print("t on an odd word     =", t_scalar(Element.from_monomial(m((1, 1, 2))), ctx))
 
 # matching counts: with all pairings 1 the closed form counts (2n-1)!!
-ones = TContext(PairingMatrix([[Scalar(1)]], symmetric=True))
+ones = TContext(PairingMatrix([[Scalar(1)]]))
 for n in (2, 4, 6, 8):
     print(f"perfect matchings of {n} letters:", t_closed_form((1,) * n, ones))
 

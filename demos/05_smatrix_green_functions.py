@@ -21,9 +21,7 @@ from wickalg.checks import gaussian_closed_form_check, simplest_lagrangian_check
 
 m = Monomial.from_indices
 
-L = PairingMatrix.from_strings(
-    [["1/2", "1/3"], ["1/3", "1/4"]], symmetric=True
-)
+L = PairingMatrix.from_strings([["1/2", "1/3"], ["1/3", "1/4"]])
 ctx = TContext(L, Scheme({m((1, 1)): Scalar(Fraction(-1, 2))}))
 
 # the symmetric exponential of a single mode

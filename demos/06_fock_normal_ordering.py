@@ -49,8 +49,7 @@ L = PairingMatrix.from_strings(
         ["0", "0", "0", "1"],
         ["1", "0", "0", "0"],
         ["0", "1", "0", "0"],
-    ],
-    symmetric=True,
+    ]
 )
 print("\n<0| a+ v a- |0>   =", counit(word))
 print("<0| a+ o a- |0>   =", counit(circle(cplus, cminus, L)))

@@ -103,12 +103,13 @@ def rand_element(rng, d, max_grade, terms=3) -> Element:
 
 
 def rand_pairing(rng, d, symmetric: bool) -> PairingMatrix:
+    """A random d x d pairing, drawn symmetric when ``symmetric`` is set."""
     rows = [[rand_scalar(rng) for _ in range(d)] for _ in range(d)]
     if symmetric:
         for i in range(d):
             for j in range(i + 1, d):
                 rows[j][i] = rows[i][j]
-    return PairingMatrix(rows, symmetric=symmetric)
+    return PairingMatrix(rows)
 
 
 def monomials_upto(d, max_grade):
@@ -1056,10 +1057,7 @@ def _det_series(entries, order: int) -> FormalSeries:
 
 def law_gaussian_closed_form(env: CheckEnv):
     d = min(env.d, 2)
-    sub = PairingMatrix(
-        [[env.L.entry(i, j) for j in range(1, d + 1)] for i in range(1, d + 1)],
-        symmetric=True,
-    )
+    sub = PairingMatrix([[env.L.entry(i, j) for j in range(1, d + 1)] for i in range(1, d + 1)])
     ctx = TContext(sub)
     lhs, rhs = gaussian_closed_form_check(ctx, order=2, max_grading=4)
     if lhs != rhs:

@@ -1,7 +1,9 @@
-"""JSON configuration: dimension, pairing matrix, scheme values, Fock split.
+"""JSON configuration: pairing matrix, scheme values, Fock split.
 
 All scalars are strings in ``p/q`` or ``p/q+r/s i`` form so nothing is ever
 rounded; scheme keys are comma-joined sorted index lists like ``"1,1,2"``.
+The pairing fixes the dimension and the symmetry; the keys ``"dimension"``
+and ``"symmetric"`` may restate them and must then agree with it.
 """
 
 from __future__ import annotations
@@ -43,13 +45,16 @@ def check_int(name: str, value) -> int:
 
 @dataclass
 class Config:
-    dimension: int
     pairing: PairingMatrix
     scheme: Scheme
     fock: FockStructure | None
     seed: int
     max_grade: int
     trials: int
+
+    @property
+    def dimension(self) -> int:
+        return self.pairing.dim
 
 
 def load_config(path: str) -> Config:
@@ -67,16 +72,10 @@ def parse_config(data: dict) -> Config:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
 
-    if "dimension" not in data:
-        raise ConfigError("config needs a 'dimension'")
-    dimension = check_int("dimension", data["dimension"])
-
     rows = data.get("pairing")
-    if not isinstance(rows, list) or len(rows) != dimension:
-        raise ConfigError(f"'pairing' must be a {dimension}x{dimension} matrix of scalar strings")
-    symmetric = data.get("symmetric", False)
-    if not isinstance(symmetric, bool):
-        raise ConfigError("'symmetric' must be true or false")
+    if not isinstance(rows, list) or not rows:
+        raise ConfigError("'pairing' must be a non-empty square matrix of scalar strings")
+    dimension = len(rows)
     parsed_rows = []
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dimension:
@@ -85,10 +84,16 @@ def parse_config(data: dict) -> Config:
             parsed_rows.append([Scalar.parse(x) for x in row])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"pairing row {r + 1}: {exc}") from exc
-    try:
-        pairing = PairingMatrix(parsed_rows, symmetric=symmetric)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    pairing = PairingMatrix(parsed_rows)
+    # The matrix states its size and symmetry; a config may restate them.
+    if "dimension" in data and check_int("dimension", data["dimension"]) != dimension:
+        raise ConfigError(f"'dimension' disagrees with the {dimension}x{dimension} pairing")
+    symmetric = data.get("symmetric", pairing.symmetric)
+    if not isinstance(symmetric, bool):
+        raise ConfigError("'symmetric' must be true or false")
+    if symmetric != pairing.symmetric:
+        state = "symmetric" if pairing.symmetric else "not symmetric"
+        raise ConfigError(f"'symmetric' disagrees with the pairing, which is {state}")
 
     zeta = data.get("zeta", {})
     if not isinstance(zeta, dict):
@@ -136,7 +141,6 @@ def parse_config(data: dict) -> Config:
             raise ConfigError("fock creation+annihilation sets must cover 1..dimension")
 
     return Config(
-        dimension=dimension,
         pairing=pairing,
         scheme=scheme,
         fock=fock,

@@ -34,30 +34,23 @@ from .scalars import ONE, ZERO, Scalar, common_denominator
 class PairingMatrix:
     """d x d matrix of generator pairings, entry[i][j] = (e_i|e_j), 1-based.
 
-    No symmetry is assumed unless declared; a declared symmetric matrix is
-    validated at construction.  The matrix is an immutable value: rows are
-    tuples, and equal entries and ``symmetric`` flag mean equal matrices
-    with equal hashes, so a memo keyed on a matrix is keyed on its value.
-    The matrix owns its Laplace pairing as a memo keyed ``(m1, m2)``.
+    ``symmetric`` is read from the entries: it holds when (e_i|e_j) =
+    (e_j|e_i) for all i, j, which is when the circle product commutes.  The
+    matrix is an immutable value: rows are tuples, and equal entries mean
+    equal matrices with equal hashes, so a memo keyed on a matrix is keyed
+    on its value.  The matrix owns its Laplace pairing as a memo keyed
+    ``(m1, m2)``.
     """
 
-    def __init__(self, entries, symmetric: bool = False):
+    def __init__(self, entries):
         rows = tuple(tuple(Scalar.coerce(x) for x in row) for row in entries)
         d = len(rows)
         for row in rows:
             if len(row) != d:
                 raise ValueError("pairing matrix must be square")
-        if symmetric:
-            for i in range(d):
-                for j in range(i + 1, d):
-                    if rows[i][j] != rows[j][i]:
-                        raise ValueError(
-                            f"matrix declared symmetric but entry ({i+1},{j+1}) "
-                            f"differs from ({j+1},{i+1})"
-                        )
         self.rows = rows
         self.dim = d
-        self.symmetric = symmetric
+        self.symmetric = rows == tuple(zip(*rows))
         self._hash = None
         self._laplace = Memo(self._laplace_value)
 
@@ -66,8 +59,8 @@ class PairingMatrix:
         return pairing_monomials(m1, m2, self)
 
     @classmethod
-    def from_strings(cls, rows, symmetric: bool = False) -> "PairingMatrix":
-        return cls([[Scalar.parse(x) for x in row] for row in rows], symmetric)
+    def from_strings(cls, rows) -> "PairingMatrix":
+        return cls([[Scalar.parse(x) for x in row] for row in rows])
 
     def entry(self, i: int, j: int) -> Scalar:
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
@@ -77,13 +70,13 @@ class PairingMatrix:
     def __eq__(self, other):
         if not isinstance(other, PairingMatrix):
             return NotImplemented
-        return self.symmetric == other.symmetric and self.rows == other.rows
+        return self.rows == other.rows
 
     def __hash__(self):
         # Taken on first use: hashing non-integer entries builds Fractions,
         # and most matrices are never used as a key.
         if self._hash is None:
-            self._hash = hash((self.rows, self.symmetric))
+            self._hash = hash(self.rows)
         return self._hash
 
     def __repr__(self):

@@ -20,10 +20,10 @@ and ``circle_renorm`` read them.  An inverse returned by
 there is no reference cycle.
 
 A :class:`Scheme`'s table ``values`` is both its rule and its support: the
-scheme vanishes off the unit and the table, so its action
-:func:`scheme_twist` walks the table, on numerator forms, instead of a
-monomial's splits.  Convolved and inverted functionals have no table and
-take the split walk of :func:`twist`.
+scheme vanishes off the unit and the table, so its action on numerator
+forms, :func:`twist_numerators`, walks the table instead of a monomial's
+splits.  Convolved and inverted functionals have no table and take the
+split walk of :func:`twist`.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class Scheme(LinearFunctional):
     """A finitely presented functional: stored values on monomials of grading >= 2.
 
     ``values`` is the table its rule reads and, with the unit, the support
-    that its twist walks (:func:`scheme_twist`), which reads the table over
+    that its twist walks (:func:`twist_numerators`), which reads the table over
     its common denominator Z, taken once here: the integers Z zeta(s)."""
 
     def __init__(self, values=None):
@@ -150,12 +150,11 @@ def twist(u: Element, f) -> Element:
     """The action sum f(u_(1)) u_(2) of ``f``, a scalar function on monomials:
     T(u) = twist(u, t), Tbar(u) = T(twist(u, zeta)), tbar(u) = t(twist(u, zeta)).
 
-    A :class:`Scheme` vanishes off the unit and its table, so its twist is
-    :func:`scheme_twist` on the numerator form of u, which reads no split
-    list.  Every other ``f`` takes the split walk, the oracle for a
-    scheme's."""
+    A :class:`Scheme`'s twist is :func:`twist_numerators` on u's numerator
+    form, which reads no split list.  Every other ``f`` takes the split walk,
+    the oracle for a scheme's."""
     if isinstance(f, Scheme):
-        return Element.from_numerators(*scheme_twist(*u.numerators(), f))
+        return Element.from_numerators(*twist_numerators(*u.numerators(), f))
     out: dict[Monomial, Scalar] = {}
     for u1, u2, coeff in sweedler(u):
         x = f(u1)
@@ -164,12 +163,17 @@ def twist(u: Element, f) -> Element:
     return Element(out)
 
 
-def scheme_twist(terms: dict, den: int, z: Scheme) -> tuple[dict, int]:
-    """The twist of u by a scheme, from u's numerator form (:meth:`Element.numerators`)
-    to the twist's over den Z: the unit keeps each term c, times Z, and
-    each table entry s <= c (count by count) adds Z zeta(s) prod C(c_j, s_j)
-    times c's numerator to c - s; nothing is interned or reduced."""
-    Z, table = z._den, z._numerators
+def twist_numerators(terms: dict, den: int, f) -> tuple[dict, int]:
+    """The twist of u by ``f``, from u's numerator form (:meth:`Element.numerators`)
+    to the twist's.  A :class:`Scheme` vanishes off the unit and its table,
+    so its twist walks the table, over den Z: the unit keeps each term c,
+    times Z, and each table entry s <= c (count by count) adds
+    Z zeta(s) prod C(c_j, s_j) times c's numerator to c - s; nothing is
+    interned or reduced.  Any other ``f`` takes :func:`twist`'s split walk
+    on the element."""
+    if not isinstance(f, Scheme):
+        return twist(Element.from_numerators(terms, den), f).numerators()
+    Z, table = f._den, f._numerators
     out = {c: (Z * re, Z * im) for c, (re, im) in terms.items()}
     for c, (re, im) in terms.items():
         have = dict(c)

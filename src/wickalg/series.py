@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import Element, _counts, _vee_counts
 from .scalars import ONE, Scalar
-from .renorm import Scheme, scheme_twist, twist
+from .renorm import twist_numerators
 from .tmaps import TContext, t_map, t_sum, tbar_map
 
 
@@ -210,21 +210,18 @@ def green(
     denominator is t(c).  Renormalised, Tbar(c) = T(twist(c, zeta)), so both
     read t of the twisted c; the legs stay bare.  Three stages chain on
     numerator forms (:meth:`Element.numerators`): the powers of exp_v(u),
-    a scheme's table walk :func:`renorm.scheme_twist`, and t's integer sum
-    :func:`tmaps.t_sum` with the legs merged into each word.  No Element,
-    monomial or Scalar is built per term, each order reduces twice, and the
-    quotient runs the recurrence of :meth:`FormalSeries.divide`.  A
-    functional that is not a Scheme twists by the split walk on Elements.
+    the twist :func:`renorm.twist_numerators`, and t's integer sum
+    :func:`tmaps.t_sum` with the legs merged into each word.  With a Scheme,
+    no Element, monomial or Scalar is built per term, each order reduces
+    twice, and the quotient runs the recurrence of :meth:`FormalSeries.divide`.
     The tests keep the legs paired with :func:`smatrix` as the oracle.
     """
     z = ctx.require_scheme() if renormalised else None
     legs = _counts(((i, 1), (j, 1)))
     num, den = [], []
     for terms, d in _vee_exp_numerators(u, order):
-        if isinstance(z, Scheme):
-            terms, d = scheme_twist(terms, d, z)
-        elif z is not None:
-            terms, d = twist(Element.from_numerators(terms, d), z).numerators()
+        if z is not None:
+            terms, d = twist_numerators(terms, d, z)
         num.append(t_sum(terms, d, ctx, legs))
         den.append(t_sum(terms, d, ctx))
     return FormalSeries.from_scalars(_divide(num, den), order)

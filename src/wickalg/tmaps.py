@@ -2,19 +2,20 @@
 renormalised versions.
 
 T sends a basis word to the circle product of its letters, so it is only well
-defined when the circle product is commutative, i.e. when the pairing is
-symmetric; asymmetric pairings are a hard error here, never a silent choice
-of factor order.  Every time-ordering quantity comes from the scalar t and
-the twist sum f(u_(1)) u_(2) (:func:`renorm.twist`).  t is the letter loop
-t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b), run on counts
-tuples and on the Gaussian integers D^k t(x), D the pairing's common
+defined when the circle product is commutative, i.e. when the pairing's
+entries are symmetric; asymmetric pairings are a hard error here, never a
+silent choice of factor order.  Every time-ordering quantity comes from the
+scalar t and the twist sum f(u_(1)) u_(2) (:func:`renorm.twist`).  t is the
+letter loop t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b), run on
+counts tuples and on the Gaussian integers D^k t(x), D the pairing's common
 denominator and 2k the grading, so it interns no monomial and reduces no
 value; :func:`t_sum` sums a numerator form's terms and reduces once.  Its
 oracles are the matching sum :func:`t_closed_form` and Kan's moment formula
 :func:`t_by_moments`, polynomial in the grading; T is the twist of u by t;
 and the renormalised maps are the same maps on the zeta twist of u:
 tbar(u) = t(twist(u, zeta)) and Tbar(u) = T(twist(u, zeta)).  A scheme's
-twist walks the scheme's table, not the coproduct, so the renormalised maps
+twist walks the scheme's table, not the coproduct, and tbar twists and sums
+numerator forms (:func:`renorm.twist_numerators`), so the renormalised maps
 cost what the bare ones cost.  The circle fold, :func:`exp_sigma` and
 :func:`laplace.wick_expand` are oracles for T, the renormalised circle fold
 (:func:`tbar_map_by_circle_fold`) for Tbar and the modified-pairing
@@ -30,7 +31,7 @@ from math import comb, factorial, prod
 
 from .algebra import Element, Memo, Monomial, _vee_counts, derivation, monomial_splits
 from .laplace import PairingMatrix, _gaussian_power, circle_fold
-from .renorm import LinearFunctional, circle_renorm, twist
+from .renorm import LinearFunctional, circle_renorm, twist, twist_numerators
 from .scalars import ONE, ZERO, Scalar, common_denominator
 
 
@@ -300,9 +301,10 @@ def tbar_scalar(u: Element, ctx: TContext) -> Scalar:
     """Scalar part of the renormalised time ordering: t of the zeta twist,
     tbar(m) = sum w zeta(m_(1)) t(m_(2)); it reads t's memo and keeps none of
     its own.  For a :class:`Scheme` only the table's entries s <= m are
-    summed, so tbar costs what t costs.
+    summed, on numerator forms (:func:`renorm.twist_numerators`), so tbar
+    costs what t costs and interns nothing.
     :func:`tbar_scalar_by_modified_pairing` is its oracle."""
-    return t_scalar(twist(u, ctx.require_scheme()), ctx)
+    return t_sum(*twist_numerators(*u.numerators(), ctx.require_scheme()), ctx)
 
 
 def tbar_scalar_by_modified_pairing(u: Element, ctx: TContext) -> Scalar:

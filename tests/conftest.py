@@ -38,8 +38,7 @@ def rand_scheme(rng, dim, max_grade=4):
 def assert_laws(laws, L, *, seed, max_grade, trials, scheme=None, fock=None):
     """Run each law of checks.LAWS through a CheckEnv at the caller's own
     seed, grading and trial count; the pairing L sets d."""
-    config = Config(L.dim, L, Scheme() if scheme is None else scheme, fock,
-                    seed, max_grade, trials)
+    config = Config(L, Scheme() if scheme is None else scheme, fock, seed, max_grade, trials)
     env = CheckEnv(config, max_grade, trials, seed)
     for law in laws:
         counterexample = law(env)
@@ -57,4 +56,4 @@ def hilbert4():
     rows = [
         [Scalar(Fraction(1, i + j)) for j in range(1, 5)] for i in range(1, 5)
     ]
-    return PairingMatrix(rows, symmetric=True)
+    return PairingMatrix(rows)

@@ -251,7 +251,7 @@ def test_c07_t_map_routes_and_scalar_forms():
         closed = t_closed_form(gens, ctx)
         assert rec == closed
         assert closed == t_by_moments(gens, ctx)
-    ones = TContext(PairingMatrix([[Scalar(1)]], symmetric=True))
+    ones = TContext(PairingMatrix([[Scalar(1)]]))
     assert t_closed_form((1,) * 8, ones) == 105  # (2n-1)!! matchings at 2n = 8
     print("PASS criterion 7: T-map routes agree to grading 6; scalar t, its matching sum "
           "and its moment formula agree to eight letters")

@@ -53,6 +53,9 @@ def run_cli(capsys, *argv):
 
 class TestConfig:
     def test_loads_shipped_default(self):
+        # The matrix alone states the dimension and the symmetry.
+        with open(DEFAULT) as fh:
+            assert not {"dimension", "symmetric"} & set(json.load(fh))
         cfg = load_config(DEFAULT)
         assert cfg.dimension == 4
         assert cfg.pairing.symmetric
@@ -71,30 +74,32 @@ class TestConfig:
                 }
             )
 
+    def test_restated_keys_must_agree_with_the_matrix(self):
+        pairing = [["0", "1"], ["1", "0"]]
+        assert parse_config({"dimension": 2, "symmetric": True, "pairing": pairing}).dimension == 2
+        with pytest.raises(ConfigError, match="'symmetric' disagrees"):
+            parse_config({"symmetric": False, "pairing": pairing})
+        with pytest.raises(ConfigError, match="'dimension' disagrees with the 2x2 pairing"):
+            parse_config({"dimension": 1, "pairing": pairing})
+
     def test_rejects_bad_zeta_keys(self):
-        base = {
-            "dimension": 2,
-            "pairing": [["0", "1"], ["1", "0"]],
-            "symmetric": True,
-        }
+        base = {"pairing": [["0", "1"], ["1", "0"]]}
         for key in ("2,1", "1", "1,5", "x"):
             with pytest.raises(ConfigError):
                 parse_config({**base, "zeta": {key: "1/2"}})
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ConfigError):
-            parse_config({"dimension": 2, "pairing": [["1"]]})
+        for rows in ([["1", "0"]], [["1"], ["0"]], [["1", "0"], ["0"]], ["1"]):
+            with pytest.raises(ConfigError):
+                parse_config({"pairing": rows})
 
-    def test_rejects_missing_dimension(self):
-        with pytest.raises(ConfigError):
-            parse_config({"pairing": []})
+    def test_rejects_empty_pairing(self):
+        for data in ({"pairing": []}, {}):
+            with pytest.raises(ConfigError, match="non-empty square matrix"):
+                parse_config(data)
 
     def test_fock_validation(self):
-        base = {
-            "dimension": 2,
-            "pairing": [["0", "1"], ["1", "0"]],
-            "symmetric": True,
-        }
+        base = {"pairing": [["0", "1"], ["1", "0"]]}
         with pytest.raises(ConfigError):
             parse_config(
                 {**base, "fock": {"creation": [1], "annihilation": [2], "involution": {}}}
@@ -122,6 +127,7 @@ class TestEvalCommand:
             "e1 v e2 v e3 v e4 + 1/6 * e1 v e3 + 1/5 * e1 v e4"
             " + 1/5 * e2 v e3 + 1/4 * e2 v e4 + 49/600",
         ),
+        ("t(e1 v e2)", "1/3"),
         ("tbar(e1 v e2)", "10/21"),
         ("tbar(e1 v e2 v e3)", "1/23"),
         ("tbar(e1 v e2 v e3 v e4)", "918595963/2316514200"),
@@ -190,6 +196,19 @@ class TestCheckCommand:
         assert lines[-1] == summary
         assert sum(line.startswith("skip") for line in lines) == skips
 
+    def test_one_by_one_config_runs_time_ordering(self, capsys, tmp_path):
+        # A 1x1 matrix is symmetric, and no key has to say so.
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"pairing": [["2"]]}))
+        code, out, _ = run_cli(
+            capsys, "check", "--config", str(path), "--trials", "1", "--max-grade", "1"
+        )
+        assert code == 0
+        assert "ok    T-map routes agree" in out
+        assert "needs a symmetric pairing" not in out
+        code, out, _ = run_cli(capsys, "eval", "--config", str(path), "t(e1 v e1)")
+        assert (code, out) == (0, "2\n")
+
     @pytest.mark.parametrize(
         "section,value",
         [
@@ -200,7 +219,7 @@ class TestCheckCommand:
         ],
     )
     def test_zero_denominator_literal_exits_2(self, capsys, tmp_path, section, value):
-        cfg = {"dimension": 2, "pairing": [["0", "1"], ["1", "0"]], section: value}
+        cfg = {"pairing": [["0", "1"], ["1", "0"]], section: value}
         path = tmp_path / "zero.json"
         path.write_text(json.dumps(cfg))
         code, out, err = run_cli(capsys, "check", "--config", str(path), "--trials", "1")
@@ -216,8 +235,10 @@ class TestCheckCommand:
             ({}, ["--max-grade", "-1"], "'max_grade' must be >= 1"),
             ({}, ["--seed", "-1"], "'seed' must be >= 0"),
             ({"symmetric": "false"}, [], "'symmetric' must be true or false"),
+            ({"symmetric": True}, [], "'symmetric' disagrees with the pairing, which is not"),
             ({"dimension": 2.5}, [], "'dimension' must be an integer"),
             ({"dimension": True}, [], "'dimension' must be an integer"),
+            ({"dimension": 3}, [], "'dimension' disagrees with the 2x2 pairing"),
             ({"trials": 2.7}, [], "'trials' must be an integer"),
             ({"seed": "1"}, [], "'seed' must be an integer"),
             ({"fock": fock(creation=[1.9])}, [], LISTS),
@@ -308,7 +329,7 @@ class TestCheckCommand:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_four_point_laws_hold_with_repeated_letters(self, d):
         rng = random.Random(d)
-        cfg = Config(d, rand_pairing(rng, d, True), rand_scheme(rng, d), None, 0, 3, 8)
+        cfg = Config(rand_pairing(rng, d, True), rand_scheme(rng, d), None, 0, 3, 8)
         env = CheckEnv(cfg, 3, 8, 0)
         for law in (law_inverse_four_point, law_z_coupling_identity, law_tbar_examples):
             assert law(env) is None, law.__name__

@@ -387,11 +387,15 @@ class TestDistributivity:
                     seed=0, max_grade=3, trials=15)
 
 
-def test_symmetric_flag_validation():
-    with pytest.raises(ValueError):
-        PairingMatrix([[Scalar(0), Scalar(1)], [Scalar(2), Scalar(0)]], symmetric=True)
-    ok = PairingMatrix.from_strings([["1", "1/2"], ["1/2", "1"]], symmetric=True)
-    assert ok.entry(1, 2) == Scalar(Fraction(1, 2))
+def test_symmetry_is_read_from_the_entries(rng):
+    # Entries equal across the diagonal as values, not as objects.
+    assert PairingMatrix.from_strings([["1", "1/2"], ["1/2", "1"]]).symmetric
+    assert PairingMatrix([[Scalar(3)]]).symmetric
+    assert not PairingMatrix([[Scalar(0), Scalar(1)], [Scalar(2), Scalar(0)]]).symmetric
+    # Hermitian is not symmetric: the imaginary parts must agree too.
+    assert not PairingMatrix.from_strings([["0", "1+1/2 i"], ["1-1/2 i", "0"]]).symmetric
+    assert rand_pairing(rng, 3, symmetric=True).symmetric
+    assert not rand_pairing(rng, 3, symmetric=False).symmetric
 
 
 def test_value_semantics(rng):
@@ -402,9 +406,10 @@ def test_value_semantics(rng):
     assert {a: "hit"}[b] == "hit"
     assert PairingMatrix([[Scalar(2) * x for x in row] for row in rows]) != a
     assert isinstance(a.rows, tuple) and all(isinstance(row, tuple) for row in a.rows)
-    sym = PairingMatrix.from_strings([["1", "1/2"], ["1/2", "1"]], symmetric=True)
-    plain = PairingMatrix.from_strings([["1", "1/2"], ["1/2", "1"]])
-    assert sym != plain
+    # The entries are the whole value: no setting splits equal entries.
+    parsed = PairingMatrix.from_strings([["1", "1/2"], ["1/2", "1"]])
+    coerced = PairingMatrix([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
+    assert parsed == coerced and hash(parsed) == hash(coerced) and coerced.symmetric
 
 
 def test_equal_matrices_share_one_modified_pairing(rng):

@@ -26,7 +26,7 @@ from wickalg import (
 
 
 def doubled(L):
-    return PairingMatrix([[Scalar(2) * x for x in row] for row in L.rows], L.symmetric)
+    return PairingMatrix([[Scalar(2) * x for x in row] for row in L.rows])
 
 
 class TestScheme:
@@ -225,7 +225,8 @@ class TestRenormalisedCircle:
 
 
 class TestMemoKeys:
-    """A scheme's pairing memos are keyed on the pairing matrix by value."""
+    """A scheme's pairing memos are keyed on the pairing matrix by value:
+    matrices with equal entries are equal and share one memo."""
 
     def test_shared_scheme_matches_fresh_scheme_per_pairing(self, rng):
         values = rand_scheme(rng, 3).values
@@ -257,7 +258,7 @@ class TestMemoKeys:
         first = circle_renorm(u, v, z, L)
         computed = len(calls)
         assert computed > 0
-        again = circle_renorm(u, v, z, PairingMatrix(L.rows, symmetric=True))
+        again = circle_renorm(u, v, z, PairingMatrix(L.rows))
         assert again == first
         assert len(calls) == computed
 
@@ -265,7 +266,7 @@ class TestMemoKeys:
         z = rand_scheme(rng, 3)
         L = rand_pairing(rng, 3, symmetric=True)
         u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
-        for M in (L, PairingMatrix(L.rows, symmetric=True), doubled(L)):
+        for M in (L, PairingMatrix(L.rows), doubled(L)):
             circle_renorm(u, v, z, M)
             modified_pairing(u, v, z, M)
             tbar_map(u, TContext(M, z))

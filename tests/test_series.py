@@ -194,7 +194,7 @@ class TestGreen:
     def test_one_dimensional_mass_term_oracle(self):
         # d=1, u = e v e, pairing (e|e)=m: compute the ratio independently.
         m = Scalar(Fraction(1, 3))
-        L = PairingMatrix([[m]], symmetric=True)
+        L = PairingMatrix([[m]])
         ctx = TContext(L)
         u = Element.from_monomial(mono(1, 1))
         order = 2
@@ -376,7 +376,7 @@ class TestGaussianClosedForm:
 
     def test_one_dimensional_first_order_scalar(self):
         m = Scalar(Fraction(2, 5))
-        L = PairingMatrix([[m]], symmetric=True)
+        L = PairingMatrix([[m]])
         ctx = TContext(L)
         lhs, rhs = gaussian_closed_form_check(ctx, order=1, max_grading=2)
         # scalar part at first order comes from -1/2 * (-2m) on the closed side

@@ -240,7 +240,7 @@ class TestGaussianIntegerLetterLoop:
         ["1/2", "2/3+1/5 i", "0-3/7 i"],
         ["2/3+1/5 i", "0", "5/4-1/6 i"],
         ["0-3/7 i", "5/4-1/6 i", "1/3"],
-    ], symmetric=True)
+    ])
 
     @pytest.mark.parametrize("decreasing", [False, True])
     def test_t_scalar_matches_perfect_matchings_to_grading_eight(self, decreasing):
@@ -453,7 +453,7 @@ class TestClosedForms:
         assert rec == closed == moments
 
     def test_matching_count_105_at_eight(self):
-        ones = PairingMatrix([[Scalar(1)]], symmetric=True)
+        ones = PairingMatrix([[Scalar(1)]])
         ctx = TContext(ones)
         for t in self.ORACLES:
             assert t((1,) * 8, ctx) == 105
@@ -486,8 +486,9 @@ class TestLetterLoopAgainstMoments:
 
 
 class TestLetterLoopInternsNothing:
-    """t's memo is keyed by counts tuples and green runs on numerator forms,
-    so t interns only the words it is asked for, and green nothing at all."""
+    """t's memo is keyed by counts tuples, and green and tbar run on numerator
+    forms, so t interns only the words it is asked for, and green and tbar
+    nothing at all."""
 
     def test_t_of_a_long_word(self, default):
         ctx = TContext(default.pairing)
@@ -506,6 +507,17 @@ class TestLetterLoopInternsNothing:
         assert len(algebra._MONOMIALS) == size
         # t(legs v m) for m = (e1 v e2 v e3 v e4)^12, which no one interned.
         assert ((1, 13), (2, 13), (3, 12), (4, 12)) in ctx._t_numerators
+
+    def test_tbar_at_grading_sixteen(self, default):
+        # LinearFunctional(scheme) holds the scheme's values without its
+        # table, so its twist is the split walk on Elements: the oracle.
+        u = Element.from_monomial(mono(*(1, 2, 3, 4) * 4)) + Scalar(
+            Fraction(1, 3), Fraction(-2, 5)) * Element.from_monomial(mono(1, 1, 2, 3, 3, 3))
+        size = len(algebra._MONOMIALS)
+        got = tbar_scalar(u, TContext(default.pairing, default.scheme))
+        assert len(algebra._MONOMIALS) == size
+        assert got == tbar_scalar(u, TContext(default.pairing, LinearFunctional(default.scheme)))
+        assert got != t_scalar(u, TContext(default.pairing))
 
 
 class TestSchemeTwist:
