@@ -36,6 +36,12 @@ from .laplace import (
     permanent,
     permanent_by_permutations,
     wick_expand,
+)
+from .oracles import (
+    t_by_moments,
+    t_closed_form,
+    t_map_by_circle_fold,
+    tbar_map_by_circle_fold,
     wick_step,
 )
 from .renorm import (
@@ -58,13 +64,9 @@ from .tmaps import (
     TContext,
     exp_sigma,
     sigma_apply,
-    t_by_moments,
-    t_closed_form,
     t_map,
-    t_map_by_circle_fold,
     t_scalar,
     tbar_map,
-    tbar_map_by_circle_fold,
     tbar_scalar,
 )
 

@@ -45,8 +45,9 @@ from .laplace import (
     circle_fold,
     pairing,
     wick_expand,
-    wick_step,
 )
+from .oracles import (t_by_moments, t_closed_form, t_map_by_circle_fold, tbar_map_by_circle_fold,
+                      tbar_scalar_by_modified_pairing, wick_step)
 from .renorm import Scheme, circle_renorm, modified_pairing, twist, z_pairing
 from .scalars import ONE, ZERO, Scalar
 from .series import (
@@ -59,15 +60,10 @@ from .tmaps import (
     TContext,
     exp_sigma,
     sigma_apply,
-    t_by_moments,
-    t_closed_form,
     t_map,
-    t_map_by_circle_fold,
     t_scalar,
     tbar_map,
-    tbar_map_by_circle_fold,
     tbar_scalar,
-    tbar_scalar_by_modified_pairing,
 )
 
 
@@ -79,11 +75,11 @@ class LawReport:
 
 
 # Seeded random data; CheckEnv's methods and the pytest suite both draw here.
-def rand_scalar(rng, allow_imag=True) -> Scalar:
-    """p/q + (r/s) i with |p| <= 3, q <= 3, and a quarter of the time (when
-    allowed) |r| <= 2, s <= 2; else r = 0."""
+def rand_scalar(rng) -> Scalar:
+    """p/q + (r/s) i, |p| <= 3 and q <= 3; a quarter of the time |r| <= 2 and
+    s <= 2, else r = 0."""
     p, q = rng.randint(-3, 3), rng.randint(1, 3)
-    if allow_imag and rng.random() < 0.25:
+    if rng.random() < 0.25:
         r, s = rng.randint(-2, 2), rng.randint(1, 2)
         return Scalar.from_integers(p * s, r * q, q * s)
     return Scalar.from_integers(p, 0, q)
@@ -146,8 +142,8 @@ class CheckEnv:
 
     # -- random data ---------------------------------------------------------
 
-    def random_scalar(self, allow_imag=True) -> Scalar:
-        return rand_scalar(self.rng, allow_imag)
+    def random_scalar(self) -> Scalar:
+        return rand_scalar(self.rng)
 
     def random_monomial(self, max_grade=None, min_grade=0) -> Monomial:
         if max_grade is None:

@@ -78,11 +78,13 @@ def parse_config(data: dict) -> Config:
     dimension = len(rows)
     parsed_rows = []
     for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dimension:
+        if not isinstance(row, list):
+            raise ConfigError(f"pairing row {r + 1} is not a list of scalar strings")
+        if len(row) != dimension:
             raise ConfigError(f"pairing row {r + 1} does not have {dimension} entries")
         try:
             parsed_rows.append([Scalar.parse(x) for x in row])
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"pairing row {r + 1}: {exc}") from exc
     pairing = PairingMatrix(parsed_rows)
     # The matrix states its size and symmetry; a config may restate them.
@@ -115,7 +117,7 @@ def parse_config(data: dict) -> Config:
             counts[i] = counts.get(i, 0) + 1
         try:
             values[_canonical(tuple(counts.items()))] = Scalar.parse(text)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"zeta value for {key!r}: {exc}") from exc
     scheme = Scheme(values)
 

@@ -1,18 +1,16 @@
-"""Laplace pairing, permanents, the circle product and Wick expansion.
+"""Laplace pairing, permanents and the circle product.
 
 A bilinear form on the generators extends uniquely to the whole symmetric
 algebra: it vanishes across gradings and is a permanent within a grading,
 whose rows and columns repeat as often as the letters of the monomials.  One
 kernel, Glynn's formula summed over multiplicities (:func:`_glynn`), takes
-every permanent, and :func:`permanent_by_permutations` is its oracle.
-The circle product u o v = sum u_(1) v v_(1) (u_(2)|v_(2)) deforms the
-symmetric product by a pairing; with a symmetric form it is the time-ordered
-product, with an antisymmetric one the operator product.  One Sweedler loop
-serves this Laplace pairing and a scheme's modified pairing
+every permanent.  The circle product u o v = sum u_(1) v v_(1) (u_(2)|v_(2))
+deforms the symmetric product by a pairing: the time-ordered product for a
+symmetric form, the operator product for an antisymmetric one.  One Sweedler
+loop serves this Laplace pairing and a scheme's modified pairing
 (``renorm.circle_renorm``), and one bilinear extension reads either on whole
-elements.  Two oracles stay beside it: Wick's step
-(:func:`wick_step`) for the circle product by one generator, and the
-contraction enumeration :func:`wick_expand` for the n-fold circle product.
+elements.  The oracles live in :mod:`wickalg.oracles`, but ``perfbench``
+reads two here: :func:`permanent_by_permutations` and :func:`wick_expand`.
 """
 
 from __future__ import annotations
@@ -20,14 +18,7 @@ from __future__ import annotations
 from itertools import permutations
 from math import prod
 
-from .algebra import (
-    Element,
-    Memo,
-    Monomial,
-    _accumulate,
-    _wrap,
-    sweedler,
-)
+from .algebra import Element, Memo, Monomial, _accumulate, _wrap, sweedler
 from .scalars import ONE, ZERO, Scalar, common_denominator
 
 
@@ -267,23 +258,6 @@ def circle_fold(factors, L: PairingMatrix) -> Element:
     for f in factors:
         out = circle(out, f, L)
     return out
-
-
-def wick_step(u: Element, generator: int, L: PairingMatrix) -> Element:
-    """Oracle for circle(u, e_b): append b, or contract it against one factor.
-
-    This is the step Wick used to build his theorem; it must agree with
-    :func:`circle`.
-    """
-    out: dict[Monomial, Scalar] = {}
-    b = Monomial.generator(generator)
-    for mono, coeff in u.items():
-        _accumulate(out, mono.vee(b), coeff)
-        for idx, mult in mono.counts:
-            f = L.entry(idx, generator)
-            if f:
-                _accumulate(out, mono.remove_one(idx), coeff * mult * f)
-    return _wrap(out)
 
 
 def _contraction_terms(indices, L: PairingMatrix):

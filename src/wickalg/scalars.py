@@ -108,8 +108,11 @@ class Scalar:
     def parse(cls, text: str) -> "Scalar":
         """Parse ``p/q`` or ``p/q+r/s i`` (also ``-``); whitespace is ignored.
 
-        A malformed literal or a zero denominator is a ``ValueError``.
+        A value that is not a string, a malformed literal or a zero
+        denominator is a ``ValueError``.
         """
+        if not isinstance(text, str):
+            raise ValueError(f"scalar literal must be a string, got {text!r}")
         m = _SCALAR_RE.match(text)
         if m is None:
             raise ValueError(f"malformed scalar literal: {text!r}")
@@ -240,9 +243,6 @@ class Scalar:
 
     def __bool__(self):
         return self._re != 0 or self._im != 0
-
-    def is_real(self) -> bool:
-        return self._im == 0
 
     def __str__(self):
         if self._im == 0:

@@ -36,13 +36,9 @@ from wickalg import (
     phi,
     smatrix,
     sweedler,
-    t_by_moments,
-    t_closed_form,
     t_map,
-    t_map_by_circle_fold,
     t_scalar,
     tbar_map,
-    tbar_map_by_circle_fold,
     tbar_scalar,
     vee,
 )
@@ -54,6 +50,12 @@ from wickalg.checks import (
     simplest_lagrangian_check,
 )
 from wickalg.cli import main as cli_main
+from wickalg.oracles import (
+    t_by_moments,
+    t_closed_form,
+    t_map_by_circle_fold,
+    tbar_map_by_circle_fold,
+)
 from wickalg.renorm import LinearFunctional
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")

@@ -239,6 +239,10 @@ class TestCheckCommand:
             ({"dimension": 2.5}, [], "'dimension' must be an integer"),
             ({"dimension": True}, [], "'dimension' must be an integer"),
             ({"dimension": 3}, [], "'dimension' disagrees with the 2x2 pairing"),
+            ({"pairing": ["1"]}, [], "pairing row 1 is not a list of scalar strings"),
+            ({"pairing": [[1]]}, [], "pairing row 1: scalar literal must be a string, got 1"),
+            ({"zeta": {"1,2": 5}}, [],
+             "zeta value for '1,2': scalar literal must be a string, got 5"),
             ({"trials": 2.7}, [], "'trials' must be an integer"),
             ({"seed": "1"}, [], "'seed' must be an integer"),
             ({"fock": fock(creation=[1.9])}, [], LISTS),
@@ -589,6 +593,33 @@ def test_package_exports():
     namespace = {}
     exec("from wickalg import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(names)
+
+
+def test_oracles_stay_independent():
+    """Only the package and ``checks`` import ``oracles``, and ``oracles``
+    reaches none of the production routes it checks, so an oracle cannot
+    share the algorithm it is compared against."""
+    src = os.path.join(ROOT, "src", "wickalg")
+    routes = {"t_map", "tbar_map", "t_scalar", "tbar_scalar", "t_sum", "twist",
+              "twist_numerators"}
+    importers = set()
+    for filename in sorted(os.listdir(src)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(src, filename), encoding="utf-8") as fh:
+            nodes = list(ast.walk(ast.parse(fh.read())))
+        # the last part of every imported module and every imported name
+        imported = {alias.name.split(".")[-1] for node in nodes
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        imported |= {node.module.split(".")[-1] for node in nodes
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        if "oracles" in imported:
+            importers.add(filename[:-3])
+        if filename == "oracles.py":
+            used = imported | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            used |= {node.id for node in nodes if isinstance(node, ast.Name)}
+            assert not used & routes, sorted(used & routes)
+    assert importers == {"__init__", "checks"}
 
 
 class TestBenchmarkNames:

@@ -24,10 +24,10 @@ from wickalg import (
     permanent_by_permutations,
     vee,
     wick_expand,
-    wick_step,
 )
 from wickalg.checks import circle_distribute
 from wickalg.laplace import pairing_monomials
+from wickalg.oracles import wick_step
 
 
 def naive_permanent(matrix):

@@ -169,7 +169,7 @@ def check_against_oracle(s, expected):
     assert s == Scalar(re, im)
     assert hash(s) == hash(Scalar(re, im))
     assert bool(s) == (re != 0 or im != 0)
-    assert s.is_real() == (im == 0)
+    assert (s.im == 0) == (im == 0)
     assert display_negative(s) == (re < 0 or (re == 0 and im < 0))
     if im == 0:
         assert s == re and re == s

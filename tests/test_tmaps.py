@@ -40,13 +40,9 @@ from wickalg import (
     sigma_apply,
     smatrix,
     sweedler,
-    t_by_moments,
-    t_closed_form,
     t_map,
-    t_map_by_circle_fold,
     t_scalar,
     tbar_map,
-    tbar_map_by_circle_fold,
     tbar_scalar,
     tensor_product,
     vee,
@@ -57,8 +53,14 @@ from wickalg import algebra
 from wickalg.algebra import Memo
 from wickalg.checks import first_identity_check
 from wickalg.config import load_config
+from wickalg.oracles import (
+    t_by_moments,
+    t_closed_form,
+    t_map_by_circle_fold,
+    tbar_map_by_circle_fold,
+    tbar_scalar_by_modified_pairing,
+)
 from wickalg.renorm import LinearFunctional, twist
-from wickalg.tmaps import tbar_scalar_by_modified_pairing
 
 
 @pytest.fixture
