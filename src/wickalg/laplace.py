@@ -4,8 +4,9 @@ A bilinear form on the generators extends uniquely to the whole symmetric
 algebra: it vanishes across gradings and is a permanent within a grading,
 whose rows and columns repeat as often as the letters of the monomials.  One
 kernel, Glynn's formula summed over multiplicities (:func:`_glynn`), takes
-every permanent.  The circle product u o v = sum u_(1) v v_(1) (u_(2)|v_(2))
-deforms the symmetric product by a pairing: the time-ordered product for a
+every permanent on the Gaussian integers to which a :class:`PairingMatrix`
+converts its entries once.  The circle product u o v = sum u_(1) v v_(1)
+(u_(2)|v_(2)) deforms the symmetric product by a pairing: the time-ordered product for a
 symmetric form, the operator product for an antisymmetric one.  One Sweedler
 loop serves this Laplace pairing and a scheme's modified pairing
 (``renorm.circle_renorm``), and one bilinear extension reads either on whole
@@ -25,12 +26,13 @@ from .scalars import ONE, ZERO, Scalar, common_denominator
 class PairingMatrix:
     """d x d matrix of generator pairings, entry[i][j] = (e_i|e_j), 1-based.
 
-    ``symmetric`` is read from the entries: it holds when (e_i|e_j) =
-    (e_j|e_i) for all i, j, which is when the circle product commutes.  The
-    matrix is an immutable value: rows are tuples, and equal entries mean
-    equal matrices with equal hashes, so a memo keyed on a matrix is keyed
-    on its value.  The matrix owns its Laplace pairing as a memo keyed
-    ``(m1, m2)``.
+    An immutable value, converted once: ``rows`` holds the entries as
+    Scalars, ``den`` their least common denominator D and ``ints[i-1][j-1]``
+    the Gaussian integer D (e_i|e_j) as an ``(re, im)`` pair, which the
+    Laplace kernel and t's letter loop read.  Equality, hash and
+    ``symmetric`` (the circle product commutes) read ``(den, ints)``, so a
+    memo keyed on a matrix is keyed on its value.  The matrix owns its
+    Laplace pairing as a memo keyed ``(m1, m2)``.
     """
 
     def __init__(self, entries):
@@ -41,8 +43,9 @@ class PairingMatrix:
                 raise ValueError("pairing matrix must be square")
         self.rows = rows
         self.dim = d
-        self.symmetric = rows == tuple(zip(*rows))
-        self._hash = None
+        self.den, ints = common_denominator(rows)
+        self.ints = tuple(map(tuple, ints))
+        self.symmetric = self.ints == tuple(zip(*self.ints))
         self._laplace = Memo(self._laplace_value)
 
     def _laplace_value(self, key) -> Scalar:
@@ -61,14 +64,10 @@ class PairingMatrix:
     def __eq__(self, other):
         if not isinstance(other, PairingMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        # Taken on first use: hashing non-integer entries builds Fractions,
-        # and most matrices are never used as a key.
-        if self._hash is None:
-            self._hash = hash(self.rows)
-        return self._hash
+        return hash((self.den, self.ints))
 
     def __repr__(self):
         return f"PairingMatrix(dim={self.dim}, symmetric={self.symmetric})"
@@ -84,12 +83,12 @@ def permanent(matrix) -> Scalar:
         if len(row) != n:
             raise ValueError("permanent needs a square matrix")
     ones = [1] * n
-    return _glynn(matrix, ones, ones)
+    return _glynn(*common_denominator(matrix), ones, ones)
 
 
-def _glynn(entries, row_mults, col_mults) -> Scalar:
-    """The permanent of the n x n matrix in which row r of ``entries`` repeats
-    ``row_mults[r]`` times and column j repeats ``col_mults[j]`` times.
+def _glynn(D: int, rows, row_mults, col_mults) -> Scalar:
+    """The permanent of (1/D) A, A the n x n matrix that repeats row r of the
+    ``(re, im)`` table ``rows`` ``row_mults[r]`` times, column j ``col_mults[j]``.
 
     Glynn's formula, perm A = 2^(1-n) sum (prod_k d_k) prod_r (sum_k d_k a_rk)
     over the sign vectors d with one entry fixed at +1, grouped by k_j, the
@@ -97,12 +96,10 @@ def _glynn(entries, row_mults, col_mults) -> Scalar:
     share a term, where c_j counts the copies free to flip.  A reflected
     mixed-radix Gray code walks the k_j, so each step moves one k_j by one,
     the sign flips, the row sums move by -+2 column j and the weight by one
-    exact ratio.  The arithmetic runs on Gaussian integers over the common
-    denominator D of the entries, and the total is divided by 2^(n-1) D^n.
-    Cost: prod (c_j + 1) steps over the distinct rows, 2^(n-1) steps when
-    every column is distinct.
+    exact ratio.  The arithmetic runs on the integers of A, and the total is
+    divided by 2^(n-1) D^n.  Cost: prod (c_j + 1) steps over the distinct
+    rows, 2^(n-1) steps when every column is distinct.
     """
-    D, rows = common_denominator(entries)
     n = sum(row_mults)
     sums_re = [0] * len(rows)
     sums_im = [0] * len(rows)
@@ -196,20 +193,24 @@ def pairing_monomials(m1: Monomial, m2: Monomial, L: PairingMatrix) -> Scalar:
     """(m1|m2): zero across gradings, else the permanent of generator pairings.
 
     The letters of m1 index the rows and those of m2 the columns, each
-    repeated as often as the letter; :func:`_glynn` reads the table of
-    distinct letters with their counts.  Its Gray walk runs over the
-    columns, so the monomial with fewer states prod (c + 1) takes them:
-    perm A = perm A^T.
+    repeated as often as the letter; :func:`_glynn` reads the matrix's
+    integer table (``L.ints`` over ``L.den``) on the distinct letters, with
+    their counts.  Its Gray walk runs over the columns, so the monomial with
+    fewer states prod (c + 1) takes them: perm A = perm A^T.  A letter
+    outside 1..d is a ``ValueError``.
     """
     if m1.grading != m2.grading:
         return ZERO
     if m1.grading == 0:
         return ONE
-    rows, cols, entry = m1.counts, m2.counts, L.entry
+    rows, cols, ints = m1.counts, m2.counts, L.ints
+    top = max(rows[-1][0], cols[-1][0])
+    if top > L.dim:
+        raise ValueError(f"generator index out of range: {top} with d={L.dim}")
     if prod(c + 1 for _, c in rows) < prod(c + 1 for _, c in cols):
-        rows, cols, entry = cols, rows, lambda a, b: L.entry(b, a)
-    table = [[entry(a, b) for b, _ in cols] for a, _ in rows]
-    return _glynn(table, [c for _, c in rows], [c for _, c in cols])
+        rows, cols, ints = cols, rows, tuple(zip(*ints))
+    table = [[ints[a - 1][b - 1] for b, _ in cols] for a, _ in rows]
+    return _glynn(L.den, table, [c for _, c in rows], [c for _, c in cols])
 
 
 def pairing(u: Element, v: Element, L: PairingMatrix) -> Scalar:

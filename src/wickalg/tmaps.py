@@ -5,9 +5,9 @@ T sends a word to the circle product of its letters, so it needs a symmetric
 pairing; an asymmetric one is a hard error, never a silent choice of factor
 order.  One algorithm gives every quantity.  t is the letter loop
 t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b), run on counts tuples
-and on the Gaussian integers D^k t(x), D the pairing's common denominator
-and 2k the grading, so it interns no monomial and reduces no value.  T is
-the twist of u by t, sum t(u_(1)) u_(2) (:func:`renorm.twist`), and the
+and on the Gaussian integers D^k t(x), 2k the grading, from the pairing's
+integers D (a|b), so it interns no monomial and reduces no value.  T is the
+twist of u by t, sum t(u_(1)) u_(2) (:func:`renorm.twist`), and the
 renormalised maps are the same maps on the zeta twist of u:
 tbar(u) = t(twist(u, zeta)) and Tbar(u) = T(twist(u, zeta)).  A scheme's
 twist walks its table, so they cost what the bare maps cost.  exp Sigma
@@ -22,16 +22,16 @@ from fractions import Fraction
 from .algebra import Element, Memo, Monomial, _vee_counts, derivation
 from .laplace import PairingMatrix
 from .renorm import LinearFunctional, twist, twist_numerators
-from .scalars import ZERO, Scalar, common_denominator
+from .scalars import ZERO, Scalar
 
 
 class TContext:
     """A symmetric pairing plus an optional renormalisation scheme.
 
-    The context takes the pairing over its common denominator D once, as
-    the Gaussian integers D (a|b) on which the letter loop runs, and owns
-    one memo, t's, keyed by a word's counts tuple: for each even word x of
-    grading 2k the letter loop reached, it holds D^k t(x) as an int pair.
+    The letter loop reads the pairing's own integer form, D (a|b) in
+    ``pairing.ints`` over D = ``pairing.den``.  The context owns one memo,
+    t's, keyed by a word's counts tuple: for each even word x of grading 2k
+    the letter loop reached, it holds D^k t(x) as an int pair.
     T, Tbar, tbar and green read it and keep no memo of their own.  It lives
     as long as the context, so build one context per pairing and scheme and
     pass it around.
@@ -44,7 +44,6 @@ class TContext:
                 "commutative for products of more than two factors to be order independent")
         self.pairing = pairing
         self.scheme = scheme
-        self._den, self._table = common_denominator(pairing.rows)
         self._t_numerators = Memo(self._t_numerator)
         self._t_numerators[()] = (1, 0)
 
@@ -65,7 +64,7 @@ class TContext:
         if odd:
             return ZERO
         re, im = self._t_numerators[m.counts]
-        return Scalar.from_integers(re, im, self._den**k)
+        return Scalar.from_integers(re, im, self.pairing.den**k)
 
     def _t_numerator(self, counts: tuple) -> tuple[int, int]:
         """D^k t(x) for the even word x with counts ``counts``, 2k its grading,
@@ -78,7 +77,7 @@ class TContext:
         down, as counts tuples (no monomial is interned), so no Python frame
         nests per letter; then the gradings are filled bottom up.
         """
-        memo, table = self._t_numerators, self._table
+        memo, table = self._t_numerators, self.pairing.ints
         levels, level = [], [counts]
         while level:
             steps, below = [], {}
@@ -188,7 +187,7 @@ def t_sum(terms: dict, den: int, ctx: TContext, legs: tuple = ()) -> Scalar:
             nr, ni = memo[word]
             sr, si = sums.get(grading, (0, 0))
             sums[grading] = sr + cr * nr - ci * ni, si + cr * ni + ci * nr
-    D, G = ctx._den, max(sums, default=0)
+    D, G = ctx.pairing.den, max(sums, default=0)
     re = im = 0
     for g, (sr, si) in sums.items():
         w = D ** ((G - g) >> 1)

@@ -25,6 +25,7 @@ from wickalg import (
     vee,
     wick_expand,
 )
+from wickalg.algebra import Memo
 from wickalg.checks import circle_distribute
 from wickalg.laplace import pairing_monomials
 from wickalg.oracles import wick_step
@@ -224,21 +225,39 @@ class TestMultisetKernel:
             m2 = m1.remove_one(a).vee(mono(a % 3 + 1))
             assert pairing_monomials(m1, m2, L) == 0
 
+    def test_letter_outside_the_matrix(self, rng):
+        # The kernel reads the integer table unchecked, so the pairing checks
+        # the letters once, in either orientation of the table.
+        L = rand_pairing(rng, 2, symmetric=False)
+        cases = [
+            lambda: pairing_monomials(mono(3), mono(1), L),
+            lambda: pairing_monomials(mono(1, 1, 1), mono(1, 2, 7), L),
+            lambda: pairing_monomials(mono(1, 2, 7), mono(1, 1, 1), L),
+            lambda: pairing(e(1) + e(3), e(1), L),
+            lambda: circle(e(1), e(3), L),
+        ]
+        for case in cases:
+            with pytest.raises(ValueError, match=r"out of range: \d+ with d=2"):
+                case()
+
     def test_transposed_orientation(self, rng, monkeypatch):
         # e1^4 has 5 Gray states and e1 v e2 v e3 v e4 has 16, so e1^4's one
-        # letter is walked: the kernel sees the transposed table.
+        # letter is walked: the kernel sees the transposed integer table,
+        # row b holding D (e1|e_b).
         L = rand_pairing(rng, 4, symmetric=False)
         m1, m2 = mono(1, 1, 1, 1), mono(1, 2, 3, 4)
         seen = []
         real = laplace_mod._glynn
 
-        def spy(entries, row_mults, col_mults):
-            seen.append((entries, row_mults, col_mults))
-            return real(entries, row_mults, col_mults)
+        def spy(D, rows, row_mults, col_mults):
+            seen.append((D, rows, row_mults, col_mults))
+            return real(D, rows, row_mults, col_mults)
 
         monkeypatch.setattr(laplace_mod, "_glynn", spy)
         assert pairing_monomials(m1, m2, L) == permanent_by_permutations(expanded(m1, m2, L))
-        assert seen == [([[L.entry(1, b)] for b in (1, 2, 3, 4)], [1, 1, 1, 1], [4])]
+        assert seen == [(L.den, [[L.ints[0][b - 1]] for b in (1, 2, 3, 4)], [1, 1, 1, 1], [4])]
+        assert all(Scalar.from_integers(*L.ints[0][b - 1], L.den) == L.entry(1, b)
+                   for b in (1, 2, 3, 4))
 
 
 class TestCircle:
@@ -410,11 +429,32 @@ def test_value_semantics(rng):
     parsed = PairingMatrix.from_strings([["1", "1/2"], ["1/2", "1"]])
     coerced = PairingMatrix([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
     assert parsed == coerced and hash(parsed) == hash(coerced) and coerced.symmetric
+    # One integer form over one denominator, so one memo key, whatever the
+    # entries were given as: ints, Fractions, Scalars or parsed strings, 2/4
+    # next to 1/2.
+    third_i = Scalar(0, Fraction(1, 3))
+    same = [
+        PairingMatrix([[1, Fraction(1, 2)], [Fraction(1, 2), third_i]]),
+        PairingMatrix([[Fraction(2, 2), Scalar(Fraction(1, 2))],
+                       [Scalar(Fraction(1, 2)), third_i]]),
+        PairingMatrix([[Scalar.parse("1"), Scalar.parse("2/4")],
+                       [Fraction(1, 2), Scalar.parse("0+1/3 i")]]),
+        PairingMatrix.from_strings([["2/2", "2/4"], ["1/2", "0+2/6 i"]]),
+    ]
+    laplace_memos = Memo(lambda M: M._laplace)
+    for M in same:
+        assert M.den == 6 and M.ints == (((6, 0), (3, 0)), ((3, 0), (0, 2)))
+        assert M == same[0] and hash(M) == hash(same[0]) and M.symmetric
+        assert laplace_memos[M] is same[0]._laplace
+    assert len(laplace_memos) == 1
+    # One imaginary part apart: same denominator, unequal matrices.
+    other = PairingMatrix.from_strings([["1", "1/2"], ["1/2", "0+1/6 i"]])
+    assert other.den == 6 and other != same[0] and other not in laplace_memos
 
 
 def test_equal_matrices_share_one_modified_pairing(rng):
-    # The hash is taken on first use; equal matrices still hash equal, so a
-    # scheme keeps one modified pairing for them.
+    # Equal matrices hash equal, so a scheme keeps one modified pairing for
+    # them.
     rows = [[rand_scalar(rng) for _ in range(3)] for _ in range(3)]
     a = PairingMatrix(rows)
     b = PairingMatrix([list(row) for row in rows])
