@@ -13,7 +13,10 @@ monomial equality and hashing are the object defaults (identity).  The table
 takes no lock: the package runs in one thread.
 
 An element's numerator form (:meth:`Element.numerators`) interns nothing:
-Gaussian integers keyed by counts tuple, over one common denominator.
+Gaussian integers over one common denominator, keyed by packed word, the
+multiset {i: c_i} as one int sum c_i << W (i - 1) (Lamport, CACM 18(8),
+1975), so a union is a sum.  Packing refuses a letter above
+``PACKED_LETTERS`` and a grading above ``FIELD``: no W-bit field overflows.
 """
 
 from __future__ import annotations
@@ -138,6 +141,41 @@ def _counts(items) -> tuple:
     return tuple(sorted(merged.items()))
 
 
+W = 32  # bits per letter in a packed word
+FIELD = (1 << W) - 1  # the largest grading a packed word holds
+PACKED_LETTERS = 1 << 12  # the largest letter: a packed word takes at most 16 KB
+
+
+def _pack(counts: tuple) -> int:
+    """The packed word of canonical counts; a letter too large to pack is
+    refused before any int is built, a grading above ``FIELD`` after."""
+    if counts and counts[-1][0] > PACKED_LETTERS:
+        raise ValueError(f"generator index {counts[-1][0]} above {PACKED_LETTERS} cannot be packed")
+    word = grading = 0
+    for i, c in counts:
+        word += c << W * (i - 1)
+        grading += c
+    if grading > FIELD:
+        raise ValueError(f"grading {grading} overflows a {W}-bit packed field")
+    return word
+
+
+def _unpack(word: int) -> tuple:
+    counts = []
+    while word:
+        a = ((word & -word).bit_length() - 1) // W  # the lowest letter, less one
+        counts.append((a + 1, word >> W * a & FIELD))
+        word -= counts[-1][1] << W * a
+    return tuple(counts)
+
+
+def _check_letters(dim: int, *elements: "Element", top: int = 0) -> None:
+    """A letter above d, in an element or ``top``, is a ``ValueError`` that names d."""
+    top = max([top] + [m.counts[-1][0] for u in elements for m in u.terms if m.counts])
+    if top > dim:
+        raise ValueError(f"generator index out of range: {top} with d={dim}")
+
+
 def _vee_counts(a: tuple, b: tuple) -> tuple:
     """The canonical counts tuple of the multiset union of two."""
     merged = dict(a)
@@ -244,14 +282,16 @@ class Element:
     @classmethod
     def from_numerators(cls, terms: dict, den: int) -> "Element":
         """The element of a numerator form, one reduction per nonzero term."""
-        return _wrap({_canonical(c): Scalar.from_integers(re, im, den)
-                      for c, (re, im) in terms.items() if re or im})
+        return _wrap({_canonical(_unpack(w)): Scalar.from_integers(re, im, den)
+                      for w, (re, im) in terms.items() if re or im})
 
     def numerators(self) -> tuple[dict, int]:
         """``(terms, den)``: den the coefficients' least common denominator and
-        terms[m.counts] = (re, im), den * coeff of each term m, as ints."""
+        terms[w] = (re, im), den * coeff of the term whose packed word is w,
+        as ints (:func:`_pack` refuses what cannot be packed; a caller that
+        knows d checks the letters against it first, :func:`_check_letters`)."""
         den, (nums,) = common_denominator([list(self.terms.values())])
-        return dict(zip([m.counts for m in self.terms], nums)), den
+        return dict(zip([_pack(m.counts) for m in self.terms], nums)), den
 
     def scalar_part(self) -> Scalar:
         return self.terms.get(_UNIT, ZERO)

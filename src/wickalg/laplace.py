@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import permutations
 from math import prod
 
-from .algebra import Element, Memo, Monomial, _accumulate, _wrap, sweedler
+from .algebra import Element, Memo, Monomial, _accumulate, _check_letters, _wrap, sweedler
 from .scalars import ONE, ZERO, Scalar, common_denominator
 
 
@@ -204,9 +204,7 @@ def pairing_monomials(m1: Monomial, m2: Monomial, L: PairingMatrix) -> Scalar:
     if m1.grading == 0:
         return ONE
     rows, cols, ints = m1.counts, m2.counts, L.ints
-    top = max(rows[-1][0], cols[-1][0])
-    if top > L.dim:
-        raise ValueError(f"generator index out of range: {top} with d={L.dim}")
+    _check_letters(L.dim, top=max(rows[-1][0], cols[-1][0]))
     if prod(c + 1 for _, c in rows) < prod(c + 1 for _, c in cols):
         rows, cols, ints = cols, rows, tuple(zip(*ints))
     table = [[ints[a - 1][b - 1] for b, _ in cols] for a, _ in rows]
@@ -214,7 +212,9 @@ def pairing_monomials(m1: Monomial, m2: Monomial, L: PairingMatrix) -> Scalar:
 
 
 def pairing(u: Element, v: Element, L: PairingMatrix) -> Scalar:
-    """Bilinear extension of the generator pairing to whole elements."""
+    """Bilinear extension of the generator pairing to whole elements; a
+    letter outside 1..d is a ``ValueError``, across gradings too."""
+    _check_letters(L.dim, u, v)
     return _bilinear(u, v, L._laplace, True)
 
 

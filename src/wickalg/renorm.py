@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .algebra import Element, Memo, Monomial, monomial_splits, sweedler
+from .algebra import FIELD, W, Element, Memo, Monomial, _pack, monomial_splits, sweedler
 from .laplace import PairingMatrix, _bilinear, _sweedler_product
 from .scalars import ONE, ZERO, Scalar, common_denominator
 
@@ -122,7 +122,8 @@ class Scheme(LinearFunctional):
 
     ``values`` is the table its rule reads and, with the unit, the support
     that its twist walks (:func:`twist_numerators`), which reads the table over
-    its common denominator Z, taken once here: the integers Z zeta(s)."""
+    its common denominator Z, taken once here: per entry s, its packed word
+    (refused above ``algebra.PACKED_LETTERS``), its fields and Z zeta(s)."""
 
     def __init__(self, values=None):
         table: dict[Monomial, Scalar] = {}
@@ -139,7 +140,7 @@ class Scheme(LinearFunctional):
         super().__init__(lambda m: table.get(m, ZERO))
         self.values = table
         self._den, (nums,) = common_denominator([list(table.values())])
-        self._numerators = [(s.counts, dict(s.counts), re, im)
+        self._numerators = [(_pack(s.counts), [(W * (i - 1), k) for i, k in s.counts], re, im)
                             for s, (re, im) in zip(table, nums)]
 
     def __repr__(self):
@@ -166,8 +167,8 @@ def twist(u: Element, f) -> Element:
 def twist_numerators(terms: dict, den: int, f) -> tuple[dict, int]:
     """The twist of u by ``f``, from u's numerator form (:meth:`Element.numerators`)
     to the twist's.  A :class:`Scheme` vanishes off the unit and its table,
-    so its twist walks the table, over den Z: the unit keeps each term c,
-    times Z, and each table entry s <= c (count by count) adds
+    so its twist walks the table, over den Z: the unit keeps each packed word
+    c, times Z, and each entry s <= c (field by field) adds
     Z zeta(s) prod C(c_j, s_j) times c's numerator to c - s; nothing is
     interned or reduced.  Any other ``f`` takes :func:`twist`'s split walk
     on the element."""
@@ -176,20 +177,17 @@ def twist_numerators(terms: dict, den: int, f) -> tuple[dict, int]:
     Z, table = f._den, f._numerators
     out = {c: (Z * re, Z * im) for c, (re, im) in terms.items()}
     for c, (re, im) in terms.items():
-        have = dict(c)
-        for s, take, zr, zi in table:
+        for s, fields, zr, zi in table:
             weight = 1
-            for idx, k in s:
-                n = have.get(idx, 0)
+            for shift, k in fields:
+                n = c >> shift & FIELD
                 if n < k:
                     break
                 weight *= comb(n, k)
             else:
-                # c is sorted, so the counts of c - s come out canonical.
-                rest = tuple([(i, r) for i, m in c if (r := m - take.get(i, 0))])
                 wr, wi = weight * (re * zr - im * zi), weight * (re * zi + im * zr)
-                prior = out.get(rest)
-                out[rest] = (wr, wi) if prior is None else (prior[0] + wr, prior[1] + wi)
+                prior = out.get(c - s)
+                out[c - s] = (wr, wi) if prior is None else (prior[0] + wr, prior[1] + wi)
     return out, den * Z
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Element, _counts, _vee_counts
+from .algebra import FIELD, W, Element, _check_letters, _counts, _pack
 from .scalars import ONE, Scalar
 from .renorm import twist_numerators
 from .tmaps import TContext, t_map, t_sum, tbar_map
@@ -164,21 +164,26 @@ def vee_exp(u: Element, order: int) -> FormalSeries:
     return FormalSeries([Element.from_numerators(*c) for c in _vee_exp_numerators(u, order)])
 
 
-def _vee_exp_numerators(u: Element, order: int) -> list[tuple[dict, int]]:
+def _vee_exp_numerators(u: Element, order: int, spare: int = 0) -> list[tuple[dict, int]]:
     """The coefficients of exp_v(u) as numerator forms (:meth:`Element.numerators`):
     with u over its common denominator C, coefficient n is u^{v n} over
-    C^n n!, by integer multiply-adds; nothing is interned or reduced."""
+    C^n n!, by integer multiply-adds on packed words; nothing is interned or
+    reduced.  A grading order * u's largest + ``spare`` above ``FIELD``
+    would overflow a field, and is a ``ValueError`` before any power."""
     if order < 0:
         raise ValueError("order must be >= 0")
     terms, C = u.numerators()
+    top = max((m.grading for m in u.terms), default=0)
+    if order * top + spare > FIELD:
+        raise ValueError(f"order {order} times grading {top} overflows a {W}-bit packed field")
     factor = list(terms.items())
-    power, den = {(): (1, 0)}, 1
+    power, den = {0: (1, 0)}, 1
     out = [(power, den)]
     for n in range(1, order + 1):
-        nxt: dict[tuple, tuple[int, int]] = {}
+        nxt: dict[int, tuple[int, int]] = {}
         for pc, (pr, pi) in power.items():
             for uc, (ur, ui) in factor:
-                key = _vee_counts(pc, uc)
+                key = pc + uc
                 re, im = pr * ur - pi * ui, pr * ui + pi * ur
                 prior = nxt.get(key)
                 nxt[key] = (re, im) if prior is None else (prior[0] + re, prior[1] + im)
@@ -211,15 +216,18 @@ def green(
     read t of the twisted c; the legs stay bare.  Three stages chain on
     numerator forms (:meth:`Element.numerators`): the powers of exp_v(u),
     the twist :func:`renorm.twist_numerators`, and t's integer sum
-    :func:`tmaps.t_sum` with the legs merged into each word.  With a Scheme,
+    :func:`tmaps.t_sum` with the legs added to each packed word.  With a Scheme,
     no Element, monomial or Scalar is built per term, each order reduces
     twice, and the quotient runs the recurrence of :meth:`FormalSeries.divide`.
+    A letter of u above d, or a grading that overflows a packed field
+    (legs included), is a ``ValueError`` before any power is taken.
     The tests keep the legs paired with :func:`smatrix` as the oracle.
     """
     z = ctx.require_scheme() if renormalised else None
-    legs = _counts(((i, 1), (j, 1)))
+    _check_letters(ctx.pairing.dim, u)
+    legs = _pack(_counts(((i, 1), (j, 1))))
     num, den = [], []
-    for terms, d in _vee_exp_numerators(u, order):
+    for terms, d in _vee_exp_numerators(u, order, 2):
         if z is not None:
             terms, d = twist_numerators(terms, d, z)
         num.append(t_sum(terms, d, ctx, legs))

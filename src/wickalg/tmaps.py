@@ -4,9 +4,10 @@ renormalised versions.
 T sends a word to the circle product of its letters, so it needs a symmetric
 pairing; an asymmetric one is a hard error, never a silent choice of factor
 order.  One algorithm gives every quantity.  t is the letter loop
-t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b), run on counts tuples
-and on the Gaussian integers D^k t(x), 2k the grading, from the pairing's
-integers D (a|b), so it interns no monomial and reduces no value.  T is the
+t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b), run on packed words
+(one int per multiset, letters checked against d first) and on the Gaussian
+integers D^k t(x), 2k the grading, from the pairing's integers D (a|b), so it
+interns no monomial and reduces no value.  T is the
 twist of u by t, sum t(u_(1)) u_(2) (:func:`renorm.twist`), and the
 renormalised maps are the same maps on the zeta twist of u:
 tbar(u) = t(twist(u, zeta)) and Tbar(u) = T(twist(u, zeta)).  A scheme's
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Element, Memo, Monomial, _vee_counts, derivation
+from .algebra import FIELD, W, Element, Memo, Monomial, _check_letters, _pack, derivation
 from .laplace import PairingMatrix
 from .renorm import LinearFunctional, twist, twist_numerators
 from .scalars import ZERO, Scalar
@@ -30,8 +31,8 @@ class TContext:
 
     The letter loop reads the pairing's own integer form, D (a|b) in
     ``pairing.ints`` over D = ``pairing.den``.  The context owns one memo,
-    t's, keyed by a word's counts tuple: for each even word x of grading 2k
-    the letter loop reached, it holds D^k t(x) as an int pair.
+    t's, keyed by a word's packed int (:func:`algebra._pack`): for each even
+    word x of grading 2k the letter loop reached, it holds D^k t(x) as an int pair.
     T, Tbar, tbar and green read it and keep no memo of their own.  It lives
     as long as the context, so build one context per pairing and scheme and
     pass it around.
@@ -44,55 +45,50 @@ class TContext:
                 "commutative for products of more than two factors to be order independent")
         self.pairing = pairing
         self.scheme = scheme
+        # Per letter a: e_a and, per b with (a|b) != 0, b's shift, e_b and D (a|b).
+        self._rows = [(1 << W * a, [(W * b, 1 << W * b, re, im)
+                                    for b, (re, im) in enumerate(row) if re or im])
+                      for a, row in enumerate(pairing.ints)]
         self._t_numerators = Memo(self._t_numerator)
-        self._t_numerators[()] = (1, 0)
+        self._t_numerators[0] = (1, 0)
 
     def require_scheme(self) -> LinearFunctional:
         if self.scheme is None:
             raise ValueError("renormalised time-ordering needs a scheme in the context")
         return self.scheme
 
-    def _letter_error(self, letter: int) -> ValueError:
-        return ValueError(f"generator index out of range: {letter} with d={self.pairing.dim}")
-
     def _t_value(self, m: Monomial) -> Scalar:
         """t(m) as a Scalar, the memo's D^k t(m) over D^k, 2k the grading of m,
-        for T's twist; a letter outside 1..d is a ``ValueError``, as in :func:`t_sum`."""
-        if m.counts and m.counts[-1][0] > self.pairing.dim:
-            raise self._letter_error(m.counts[-1][0])
+        for T's twist, whose caller checked the letters against d."""
         k, odd = divmod(m.grading, 2)
         if odd:
             return ZERO
-        re, im = self._t_numerators[m.counts]
+        re, im = self._t_numerators[_pack(m.counts)]
         return Scalar.from_integers(re, im, self.pairing.den**k)
 
-    def _t_numerator(self, counts: tuple) -> tuple[int, int]:
-        """D^k t(x) for the even word x with counts ``counts``, 2k its grading,
-        by the letter loop t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b),
-        a the smallest letter: D^k t(x) is the sum of mult_b(rest) D (a|b)
-        times D^(k-1) t(rest - e_b), so every value is an integer multiply-add
-        and none is reduced.
+    def _t_numerator(self, word: int) -> tuple[int, int]:
+        """D^k t(x) for the even packed word x = ``word``, 2k its grading, by
+        the letter loop t(e_a v rest) = sum_b mult_b(rest) (a|b) t(rest - e_b),
+        a the smallest letter, read from x's lowest set bit: D^k t(x) is the
+        sum of mult_b(rest) D (a|b) times D^(k-1) t(rest - e_b), so every
+        value is an integer multiply-add and none is reduced.
 
         The words it reaches are collected one grading at a time, from x's
-        down, as counts tuples (no monomial is interned), so no Python frame
+        down, as packed ints, rest - e_b a subtraction, so no Python frame
         nests per letter; then the gradings are filled bottom up.
         """
-        memo, table = self._t_numerators, self.pairing.ints
-        levels, level = [], [counts]
+        memo, rows = self._t_numerators, self._rows
+        levels, level = [], [word]
         while level:
             steps, below = [], {}
             for x in level:
-                a, c = x[0]
-                rest = ((a, c - 1),) + x[1:] if c > 1 else x[1:]
-                row = table[a - 1]
-                # rest - e_b for each letter b of rest with (a|b) != 0, weighted
-                # by mult_b(rest) D (a|b); rest is canonical, so these are too.
+                unit, row = rows[((x & -x).bit_length() - 1) // W]
+                rest = x - unit
                 x_steps = []
-                for j, (b, mult) in enumerate(rest):
-                    re, im = row[b - 1]
-                    if re or im:
-                        kept = ((b, mult - 1),) if mult > 1 else ()
-                        r = rest[:j] + kept + rest[j + 1:]
+                for shift, step, re, im in row:
+                    mult = rest >> shift & FIELD
+                    if mult:
+                        r = rest - step
                         x_steps.append((mult * re, mult * im, r))
                         if r not in memo:
                             below[r] = None
@@ -107,7 +103,7 @@ class TContext:
                     re += wr * cr - wi * ci
                     im += wr * ci + wi * cr
                 memo[x] = re, im
-        return memo[counts]
+        return memo[word]
 
     def __repr__(self):
         return f"TContext(pairing={self.pairing!r}, scheme={self.scheme!r})"
@@ -119,6 +115,7 @@ def t_map(u: Element, ctx: TContext) -> Element:
     Computed as the twist of u by the scalar t, T(u) = sum t(u_(1)) u_(2),
     reading t's memo; its oracles are in :mod:`wickalg.oracles`.
     """
+    _check_letters(ctx.pairing.dim, u)
     return twist(u, ctx._t_value)
 
 
@@ -164,25 +161,26 @@ def t_scalar(u: Element, ctx: TContext) -> Scalar:
     is :func:`t_sum` on u's numerator form; its oracles are in
     :mod:`wickalg.oracles`.
     """
+    _check_letters(ctx.pairing.dim, u)
     return t_sum(*u.numerators(), ctx)
 
 
-def t_sum(terms: dict, den: int, ctx: TContext, legs: tuple = ()) -> Scalar:
+def t_sum(terms: dict, den: int, ctx: TContext, legs: int = 0) -> Scalar:
     """sum coeff t(legs v m) over the terms of a numerator form ``(terms, den)``
-    (:meth:`Element.numerators`), the counts tuple ``legs`` merged into each
-    word.  It runs on integers and reduces once: per grading 2k it sums
+    (:meth:`Element.numerators`), the packed word ``legs`` added to each
+    word, whose grading stays within ``FIELD`` (:func:`series.green` checks).
+    It runs on integers and reduces once: per grading 2k it sums
     num(m) D^k t(legs v m) from t's memo, then weights grading 2k by
-    D^(K-k), K the largest k, and divides by den D^K.  A letter outside
-    1..d is a ``ValueError``, odd words included."""
+    D^(K-k), K the largest k, and divides by den D^K.  A grading is one
+    multiply-shift; a letter above d, a field above d's, is a ``ValueError``."""
     memo, dim = ctx._t_numerators, ctx.pairing.dim
+    top, ones = W * dim, ((1 << W * dim) - 1) // FIELD
     sums: dict[int, tuple[int, int]] = {}
     for c, (cr, ci) in terms.items():
-        word = _vee_counts(legs, c) if legs else c
-        if word and word[-1][0] > dim:
-            raise ctx._letter_error(word[-1][0])
-        grading = 0
-        for _, mult in word:
-            grading += mult
+        word = legs + c
+        if word >> top:
+            _check_letters(dim, top=(word.bit_length() - 1) // W + 1)
+        grading = word * ones >> top - W & FIELD
         if not grading & 1:
             nr, ni = memo[word]
             sr, si = sums.get(grading, (0, 0))
@@ -213,4 +211,5 @@ def tbar_scalar(u: Element, ctx: TContext) -> Scalar:
     summed, on numerator forms (:func:`renorm.twist_numerators`), so tbar
     costs what t costs and interns nothing.  Its oracle is in
     :mod:`wickalg.oracles`."""
+    _check_letters(ctx.pairing.dim, u)
     return t_sum(*twist_numerators(*u.numerators(), ctx.require_scheme()), ctx)

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -273,3 +274,33 @@ class TestInterning:
         u = e(1).vee(e(2)) + Element.from_scalar(3)
         assert pickle.loads(pickle.dumps(u)) == u == copy.deepcopy(u)
         assert Monomial.unit().counts == () and Monomial.unit().grading == 0
+
+
+class TestPackedWords:
+    """The numerator form keys each word by one packed int, W bits per
+    letter; ``Element.numerators`` and ``Element.from_numerators`` are its
+    only converters, and packing refuses what a field cannot hold."""
+
+    def test_numerators_round_trip(self):
+        rng = random.Random(2317)
+        for d in (1, 2, 4):
+            for _ in range(40):
+                u = rand_element(rng, d, 9, terms=6)
+                assert Element.from_numerators(*u.numerators()) == u
+        top = algebra.PACKED_LETTERS
+        u = Element.from_monomial(mono(1, 1, top, top)) + Scalar(Fraction(2, 3)) * e(top - 1)
+        assert Element.from_numerators(*u.numerators()) == u
+
+    def test_a_grading_past_the_field_is_refused(self):
+        FIELD = algebra.FIELD
+        assert algebra._pack(((2, FIELD),)) == FIELD << algebra.W
+        assert algebra._unpack(FIELD << algebra.W) == ((2, FIELD),)
+        for counts in (((1, FIELD + 1),), ((1, FIELD), (3, 1)), ((2, 1 << 40),)):
+            u = Element.from_monomial(Monomial(counts))
+            with pytest.raises(ValueError, match="overflows"):
+                u.numerators()
+
+    def test_a_letter_too_large_to_pack_is_refused(self):
+        for m in (mono(algebra.PACKED_LETTERS + 1), mono(1, 10**9, 10**9)):
+            with pytest.raises(ValueError, match="cannot be packed"):
+                Element.from_monomial(m).numerators()

@@ -227,13 +227,16 @@ class TestMultisetKernel:
 
     def test_letter_outside_the_matrix(self, rng):
         # The kernel reads the integer table unchecked, so the pairing checks
-        # the letters once, in either orientation of the table.
+        # the letters once, in either orientation of the table, and the
+        # element pairing checks them before it skips keys across gradings.
         L = rand_pairing(rng, 2, symmetric=False)
         cases = [
             lambda: pairing_monomials(mono(3), mono(1), L),
             lambda: pairing_monomials(mono(1, 1, 1), mono(1, 2, 7), L),
             lambda: pairing_monomials(mono(1, 2, 7), mono(1, 1, 1), L),
             lambda: pairing(e(1) + e(3), e(1), L),
+            lambda: pairing(e(3), e(1).vee(e(1)), L),  # across gradings
+            lambda: pairing(e(1).vee(e(1)), e(3), L),
             lambda: circle(e(1), e(3), L),
         ]
         for case in cases:

@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -27,6 +28,7 @@ from wickalg.checks import (
     series_vee_exp,
     simplest_lagrangian_check,
 )
+from wickalg.algebra import FIELD, Monomial
 from wickalg.config import load_config
 from wickalg.renorm import LinearFunctional, twist
 
@@ -133,6 +135,40 @@ class TestVeeExp:
         w = FormalSeries([Element.one()], 2)
         with pytest.raises(ValueError):
             series_vee_exp(w, 4)
+
+
+class TestPackedBoundary:
+    """The power loop and the twist run on packed words, so what a field
+    cannot hold is refused before any power, twist or t is computed."""
+
+    def test_an_overflowing_order_is_refused_before_the_power_loop(self):
+        # (e1|e1) = 0 makes t vanish at once on e1's powers, so even a
+        # missing check costs no work here: it shows as a wrong key instead.
+        ctx = TContext(PairingMatrix([[0, 1], [1, 0]]), Scheme())
+        half = Element.from_monomial(Monomial({1: 1 << 31}))
+        with pytest.raises(ValueError, match="overflows"):
+            vee_exp(half, 2)
+        # green keeps room for its two legs: order * grading + 2 <= FIELD.
+        for order, grading in ((2, (1 << 31) - 1), (1, FIELD - 1)):
+            u = Element.from_monomial(Monomial({1: grading}))
+            for renormalised in (False, True):
+                with pytest.raises(ValueError, match="overflows"):
+                    green(1, 1, u, ctx, order, renormalised)
+
+    def test_a_letter_too_large_to_pack_allocates_nothing(self):
+        u = Element.from_monomial(Monomial({10**9: 2})) + e(1)
+        z = Scheme({Monomial({1: 2}): Scalar(3)})
+        cases = (lambda: vee_exp(u, 3), lambda: twist(u, z),
+                 lambda: Scheme({Monomial({10**9: 2}): Scalar(3)}))
+        tracemalloc.start()
+        try:
+            for case in cases:
+                with pytest.raises(ValueError, match="cannot be packed"):
+                    case()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSMatrix:

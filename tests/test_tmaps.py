@@ -50,7 +50,7 @@ from wickalg import (
     wick_expand,
 )
 from wickalg import algebra
-from wickalg.algebra import Memo
+from wickalg.algebra import Memo, _pack
 from wickalg.checks import first_identity_check
 from wickalg.config import load_config
 from wickalg.oracles import (
@@ -188,10 +188,11 @@ class TestWickRecursionOracles:
         assert t_map(u, ctx) == exp_sigma(u, ctx)
         memos = [v for v in vars(ctx).values() if isinstance(v, Memo)]
         assert memos == [ctx._t_numerators]
-        # T asks t for every sub-multiset; the memo, keyed by counts tuple,
+        # T asks t for every sub-multiset; the memo, keyed by packed word,
         # keeps the even ones (odd words are 0 and stored nowhere).
         assert set(ctx._t_numerators) == {
-            Monomial({1: i, 2: j}).counts for i in range(7) for j in range(7) if (i + j) % 2 == 0
+            _pack(Monomial({1: i, 2: j}).counts)
+            for i in range(7) for j in range(7) if (i + j) % 2 == 0
         }
 
     def test_tbar_matches_renormalised_circle_fold_to_grading_five(self, rng):
@@ -214,7 +215,7 @@ class TestSplittingRecursionOracles:
         ctx = TContext(rand_pairing(rng, 3, symmetric=True))
         m = mono(1, 1, 2, 3, 3)
         assert t_scalar(Element.from_monomial(m), ctx) == 0
-        assert set(ctx._t_numerators) == {Monomial.unit().counts}
+        assert set(ctx._t_numerators) == {_pack(Monomial.unit().counts)}
 
     def test_tbar_scalar_matches_modified_pairing_recursion(self, rng):
         for d in (1, 2, 3):
@@ -295,18 +296,26 @@ class TestGaussianIntegerLetterLoop:
             assert green(i, j, u, ctx, order, renormalised) == num.divide(den), (i, j)
 
     def test_letter_outside_the_pairing_is_a_value_error(self):
+        """A letter above d = 3 is a ValueError that names d, never an
+        IndexError from the packed loop or a silent 0: t and tbar check u's
+        letters before packing, and t_sum finds a leg above d as a field
+        above d's, whatever the grading of the word it lands in."""
         ctx = TContext(self.PAIRING, Scheme({mono(1, 2): Scalar(Fraction(1, 7))}))
         words = (mono(1, 4), mono(4, 4), mono(1, 1, 1, 5), mono(2, 2, 3, 7),
                  mono(4), mono(1, 1, 4), mono(5, 5, 5))
+        names_d = r"out of range: \d+ with d=3"
         for m in words:
             u = Element.from_monomial(m)
-            for t in (t_scalar, t_map, tbar_map):
-                with pytest.raises(ValueError):
+            for t in (t_scalar, t_map, tbar_map, tbar_scalar):
+                with pytest.raises(ValueError, match=names_d):
                     t(u, ctx)
         for renormalised in (False, True):
-            with pytest.raises(ValueError):
-                green(1, 4, e(1), ctx, 2, renormalised=renormalised)
-            with pytest.raises(ValueError):
+            for u in (e(1), e(1) + e(2), Element.from_monomial(mono(1, 2, 3))):
+                with pytest.raises(ValueError, match=names_d):
+                    green(1, 4, u, ctx, 2, renormalised=renormalised)
+                with pytest.raises(ValueError, match=names_d):
+                    green(4, 4, u, ctx, 2, renormalised=renormalised)
+            with pytest.raises(ValueError, match=names_d):
                 green(1, 2, Element.from_monomial(mono(4, 4)), ctx, 1,
                       renormalised=renormalised)
 
@@ -488,7 +497,7 @@ class TestLetterLoopAgainstMoments:
 
 
 class TestLetterLoopInternsNothing:
-    """t's memo is keyed by counts tuples, and green and tbar run on numerator
+    """t's memo is keyed by packed words, and green and tbar run on numerator
     forms, so t interns only the words it is asked for, and green and tbar
     nothing at all."""
 
@@ -498,7 +507,7 @@ class TestLetterLoopInternsNothing:
         size = len(algebra._MONOMIALS)
         t_scalar(Element.from_monomial(word), ctx)
         assert len(algebra._MONOMIALS) == size
-        assert word.counts in ctx._t_numerators and len(ctx._t_numerators) > 400
+        assert _pack(word.counts) in ctx._t_numerators and len(ctx._t_numerators) > 400
 
     @pytest.mark.parametrize("renormalised", [False, True])
     def test_quartic_green_to_order_twelve(self, default, renormalised):
@@ -508,7 +517,7 @@ class TestLetterLoopInternsNothing:
         green(1, 2, u, ctx, 12, renormalised)
         assert len(algebra._MONOMIALS) == size
         # t(legs v m) for m = (e1 v e2 v e3 v e4)^12, which no one interned.
-        assert ((1, 13), (2, 13), (3, 12), (4, 12)) in ctx._t_numerators
+        assert _pack(((1, 13), (2, 13), (3, 12), (4, 12))) in ctx._t_numerators
 
     def test_tbar_at_grading_sixteen(self, default):
         # LinearFunctional(scheme) holds the scheme's values without its
