@@ -6,17 +6,16 @@ Gaussian-rational coefficients, and the coproduct splits a monomial over all
 sub-multisets with binomial multiplicities -- the merged form of the
 labelled-position shuffle.  All values are immutable; all operations are pure.
 
-Monomials are interned: the module-level memo ``_MONOMIALS``, keyed by the
-canonical counts tuple and kept for the life of the process, holds the one
-object of each multiset.  Equal monomials are therefore the same object, and
-monomial equality and hashing are the object defaults (identity).  The table
-takes no lock: the package runs in one thread.
-
-An element's numerator form (:meth:`Element.numerators`) interns nothing:
-Gaussian integers over one common denominator, keyed by packed word, the
-multiset {i: c_i} as one int sum c_i << W (i - 1) (Lamport, CACM 18(8),
-1975), so a union is a sum.  Packing refuses a letter above
-``PACKED_LETTERS`` and a grading above ``FIELD``: no W-bit field overflows.
+A monomial {i: c_i} is its packed word, one int sum c_i << W (i - 1)
+(Lamport, CACM 18(8), 1975), so a union is a sum.  Monomials are interned:
+the module-level memo ``_MONOMIALS``, keyed by the word and kept for the
+life of the process, holds the one object of each multiset, so monomial
+equality and hashing are the object defaults (identity).  The table takes
+no lock: the package runs in one thread.  Construction refuses a letter
+above ``PACKED_LETTERS`` and a grading above ``FIELD`` before any table
+entry is made: no W-bit field overflows.  An element's numerator form
+(:meth:`Element.numerators`) interns nothing: Gaussian integers over one
+common denominator, keyed by word.
 """
 
 from __future__ import annotations
@@ -33,17 +32,18 @@ from .scalars import ONE, ZERO, Scalar, common_denominator, display_negative
 class Monomial:
     """A multiset of generator indices, e.g. ``{1: 2, 3: 1}`` = e1 v e1 v e3.
 
-    The empty monomial is the algebra unit.  ``counts`` is the canonical
-    sorted ``(index, multiplicity)`` tuple.  Every constructor returns the
-    interned object for its counts, so two monomials are equal exactly when
-    they are the same object: equality and hashing are by identity.
+    The empty monomial is the algebra unit.  Every constructor returns the
+    interned object for its packed ``word``, which carries the sorted
+    ``(index, multiplicity)`` tuple ``counts`` and the ``grading``, both
+    read from the word when it is interned.  A word that cannot be packed
+    is a ``ValueError`` here and in :meth:`vee`.
     """
 
-    __slots__ = ("counts", "grading")
+    __slots__ = ("word", "counts", "grading")
 
     def __new__(cls, counts=()):
-        return _canonical(_counts(
-            counts.items() if isinstance(counts, dict) else counts))
+        return _canonical(_pack(_counts(
+            counts.items() if isinstance(counts, dict) else counts)))
 
     def __reduce__(self):
         # Copies and unpickled values go through the table, not __new__().
@@ -59,10 +59,7 @@ class Monomial:
 
     @classmethod
     def from_indices(cls, indices) -> "Monomial":
-        counts: dict[int, int] = {}
-        for i in indices:
-            counts[i] = counts.get(i, 0) + 1
-        return cls(counts)
+        return cls([(i, 1) for i in indices])
 
     def indices(self) -> tuple[int, ...]:
         """Expanded index list, one entry per copy, sorted."""
@@ -72,26 +69,19 @@ class Monomial:
         return tuple(out)
 
     def multiplicity(self, index: int) -> int:
-        for idx, mult in self.counts:
-            if idx == index:
-                return mult
-        return 0
+        return self.word >> W * (index - 1) & FIELD if index > 0 else 0
 
     def vee(self, other: "Monomial") -> "Monomial":
-        if not other.counts:
-            return self
-        if not self.counts:
-            return other
-        return _canonical(_vee_counts(self.counts, other.counts))
+        grading = self.grading + other.grading
+        if grading > FIELD:
+            raise ValueError(f"grading {grading} overflows a {W}-bit packed field")
+        return _canonical(self.word + other.word)
 
     def remove_one(self, index: int) -> "Monomial":
         """The monomial with one copy of ``index`` deleted (must be present)."""
-        counts = self.counts
-        for k, (idx, mult) in enumerate(counts):
-            if idx == index:
-                kept = ((idx, mult - 1),) if mult > 1 else ()
-                return _canonical(counts[:k] + kept + counts[k + 1:])
-        raise ValueError(f"generator {index} not in monomial {self}")
+        if not self.multiplicity(index):
+            raise ValueError(f"generator {index} not in monomial {self}")
+        return _canonical(self.word - (1 << W * (index - 1)))
 
     def splits(self):
         """All ways of cutting the multiset in two, with binomial weights.
@@ -99,19 +89,13 @@ class Monomial:
         Yields ``(left, right, weight)`` where weight = prod C(k_i, j_i); this
         is the coproduct of the monomial after merging equal labels.
         """
-        items = self.counts
-        ranges = [range(mult + 1) for _, mult in items]
-        for choice in _iterproduct(*ranges):
-            weight = 1
-            left = []
-            right = []
+        word, items = self.word, self.counts
+        for choice in _iterproduct(*[range(mult + 1) for _, mult in items]):
+            weight, left = 1, 0
             for (idx, mult), j in zip(items, choice):
                 weight *= comb(mult, j)
-                if j:
-                    left.append((idx, j))
-                if mult - j:
-                    right.append((idx, mult - j))
-            yield _canonical(tuple(left)), _canonical(tuple(right)), weight
+                left += j << W * (idx - 1)
+            yield _canonical(left), _canonical(word - left), weight
 
     def sort_key(self):
         return (-self.grading, self.indices())
@@ -148,7 +132,8 @@ PACKED_LETTERS = 1 << 12  # the largest letter: a packed word takes at most 16 K
 
 def _pack(counts: tuple) -> int:
     """The packed word of canonical counts; a letter too large to pack is
-    refused before any int is built, a grading above ``FIELD`` after."""
+    refused before any int is built, a grading above ``FIELD`` after, and
+    both before the word reaches the table."""
     if counts and counts[-1][0] > PACKED_LETTERS:
         raise ValueError(f"generator index {counts[-1][0]} above {PACKED_LETTERS} cannot be packed")
     word = grading = 0
@@ -174,14 +159,6 @@ def _check_letters(dim: int, *elements: "Element", top: int = 0) -> None:
     top = max([top] + [m.counts[-1][0] for u in elements for m in u.terms if m.counts])
     if top > dim:
         raise ValueError(f"generator index out of range: {top} with d={dim}")
-
-
-def _vee_counts(a: tuple, b: tuple) -> tuple:
-    """The canonical counts tuple of the multiset union of two."""
-    merged = dict(a)
-    for idx, mult in b:
-        merged[idx] = merged.get(idx, 0) + mult
-    return tuple(sorted(merged.items()))
 
 
 class Memo(dict):
@@ -212,19 +189,20 @@ class Memo(dict):
         return value
 
 
-def _intern(counts: tuple) -> Monomial:
+def _intern(word: int) -> Monomial:
     m = object.__new__(Monomial)
-    m.counts, m.grading = counts, sum(k for _, k in counts)
+    m.word, m.counts = word, _unpack(word)
+    m.grading = sum(k for _, k in m.counts)
     return m
 
 
-# The monomial table: one object per multiset, keyed by its canonical counts
-# tuple.  A monomial depends on its counts alone, so it lives for the process.
+# The monomial table: one object per multiset, keyed by its packed word.  A
+# monomial depends on its word alone, so it lives for the process.
 _MONOMIALS = Memo(_intern)
 
-# Trusted constructor: ``_canonical(counts)`` for an already canonical counts
-# tuple (sorted indices, positive multiplicities).  Bound to the memo's
-# ``__getitem__`` so that a hit runs no Python frame.
+# Trusted constructor: ``_canonical(word)`` for a packed word, every one of
+# which is canonical.  Bound to the memo's ``__getitem__`` so that a hit runs
+# no Python frame.
 _canonical = _MONOMIALS.__getitem__
 
 _UNIT = Monomial()
@@ -282,16 +260,15 @@ class Element:
     @classmethod
     def from_numerators(cls, terms: dict, den: int) -> "Element":
         """The element of a numerator form, one reduction per nonzero term."""
-        return _wrap({_canonical(_unpack(w)): Scalar.from_integers(re, im, den)
+        return _wrap({_canonical(w): Scalar.from_integers(re, im, den)
                       for w, (re, im) in terms.items() if re or im})
 
     def numerators(self) -> tuple[dict, int]:
         """``(terms, den)``: den the coefficients' least common denominator and
         terms[w] = (re, im), den * coeff of the term whose packed word is w,
-        as ints (:func:`_pack` refuses what cannot be packed; a caller that
-        knows d checks the letters against it first, :func:`_check_letters`)."""
+        as ints."""
         den, (nums,) = common_denominator([list(self.terms.values())])
-        return dict(zip([_pack(m.counts) for m in self.terms], nums)), den
+        return dict(zip([m.word for m in self.terms], nums)), den
 
     def scalar_part(self) -> Scalar:
         return self.terms.get(_UNIT, ZERO)

@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .algebra import _canonical
+from .algebra import W, _canonical
 from .fock import FockStructure
 from .laplace import PairingMatrix
 from .renorm import Scheme
@@ -111,12 +111,9 @@ def parse_config(data: dict) -> Config:
             raise ConfigError(f"zeta key {key!r} has grading < 2 (those values are structural)")
         if not (1 <= indices[0] and indices[-1] <= dimension):
             raise ConfigError(f"zeta key {key!r} has an index outside 1..{dimension}")
-        # indices is sorted and in range, so its runs are the canonical counts.
-        counts: dict[int, int] = {}
-        for i in indices:
-            counts[i] = counts.get(i, 0) + 1
+        # indices is in range, so the key is its packed word.
         try:
-            values[_canonical(tuple(counts.items()))] = Scalar.parse(text)
+            values[_canonical(sum(1 << W * (i - 1) for i in indices))] = Scalar.parse(text)
         except ValueError as exc:
             raise ConfigError(f"zeta value for {key!r}: {exc}") from exc
     scheme = Scheme(values)

@@ -239,10 +239,7 @@ class EvalEnv:
 
     def tcontext(self) -> TContext:
         if self._tcontext is None:
-            try:
-                self._tcontext = TContext(self.pairing, self.scheme)
-            except ValueError as exc:
-                raise EvalError(str(exc)) from exc
+            self._tcontext = TContext(self.pairing, self.scheme)
         return self._tcontext
 
 
@@ -326,11 +323,23 @@ FUNCTIONS = {
 }
 
 
+def _dispatch(body, *args):
+    """``body(*args)``, a library ``ValueError`` (say, a packed field that
+    would overflow) raised as an ``EvalError``."""
+    try:
+        return body(*args)
+    except EvalError:
+        raise
+    except ValueError as exc:
+        raise EvalError(str(exc)) from exc
+
+
 def evaluate(node, env: EvalEnv):
     """Evaluate an AST to a Scalar, Element or FormalSeries.
 
     A left-nested operator chain and a nested ``scalar * ...`` chain are each
     walked in a loop, so a long sum or product costs no Python frames.
+    Operators and functions run through :func:`_dispatch`.
     """
     if isinstance(node, BinOp):
         chain = []
@@ -339,7 +348,7 @@ def evaluate(node, env: EvalEnv):
             node = node.left
         value = evaluate(node, env)
         for link in reversed(chain):
-            value = OPERATORS[link.op](value, evaluate(link.right, env), env)
+            value = _dispatch(OPERATORS[link.op], value, evaluate(link.right, env), env)
         return value
     if isinstance(node, ScalarMul):
         factors = []
@@ -361,7 +370,7 @@ def evaluate(node, env: EvalEnv):
         args = []  # a loop, not a comprehension: one frame per nested call
         for arg in node.args:
             args.append(evaluate(arg, env))
-        return FUNCTIONS[node.name][1](env, *args)
+        return _dispatch(FUNCTIONS[node.name][1], env, *args)
     raise EvalError(f"cannot evaluate node {node!r}")
 
 

@@ -249,7 +249,9 @@ def _sweedler_product(u: Element, v: Element, pair: Memo, graded: bool) -> Eleme
 
 
 def circle(u: Element, v: Element, L: PairingMatrix) -> Element:
-    """The circle product: sum of u_(1) v v_(1) weighted by (u_(2)|v_(2))."""
+    """The circle product: sum of u_(1) v v_(1) weighted by (u_(2)|v_(2)); a
+    letter outside 1..d is a ``ValueError``, as in :func:`pairing`."""
+    _check_letters(L.dim, u, v)
     return _sweedler_product(u, v, L._laplace, True)
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .algebra import FIELD, W, Element, Memo, Monomial, _pack, monomial_splits, sweedler
+from .algebra import FIELD, W, Element, Memo, Monomial, _check_letters, monomial_splits, sweedler
 from .laplace import PairingMatrix, _bilinear, _sweedler_product
 from .scalars import ONE, ZERO, Scalar, common_denominator
 
@@ -122,8 +122,8 @@ class Scheme(LinearFunctional):
 
     ``values`` is the table its rule reads and, with the unit, the support
     that its twist walks (:func:`twist_numerators`), which reads the table over
-    its common denominator Z, taken once here: per entry s, its packed word
-    (refused above ``algebra.PACKED_LETTERS``), its fields and Z zeta(s)."""
+    its common denominator Z, taken once here: per entry s, its packed word,
+    its fields and Z zeta(s)."""
 
     def __init__(self, values=None):
         table: dict[Monomial, Scalar] = {}
@@ -140,7 +140,7 @@ class Scheme(LinearFunctional):
         super().__init__(lambda m: table.get(m, ZERO))
         self.values = table
         self._den, (nums,) = common_denominator([list(table.values())])
-        self._numerators = [(_pack(s.counts), [(W * (i - 1), k) for i, k in s.counts], re, im)
+        self._numerators = [(s.word, [(W * (i - 1), k) for i, k in s.counts], re, im)
                             for s, (re, im) in zip(table, nums)]
 
     def __repr__(self):
@@ -229,5 +229,7 @@ def modified_pairing(
 def circle_renorm(
     u: Element, v: Element, z: LinearFunctional, L: PairingMatrix
 ) -> Element:
-    """The renormalised circle product: modified pairing in place of the bare one."""
+    """The renormalised circle product: modified pairing in place of the bare
+    one; a letter outside 1..d is a ``ValueError``."""
+    _check_letters(L.dim, u, v)
     return _sweedler_product(u, v, z._modified[L], False)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import FIELD, W, Element, Memo, Monomial, _check_letters, _pack, derivation
+from .algebra import FIELD, W, Element, Memo, Monomial, _check_letters, derivation
 from .laplace import PairingMatrix
 from .renorm import LinearFunctional, twist, twist_numerators
 from .scalars import ZERO, Scalar
@@ -31,7 +31,7 @@ class TContext:
 
     The letter loop reads the pairing's own integer form, D (a|b) in
     ``pairing.ints`` over D = ``pairing.den``.  The context owns one memo,
-    t's, keyed by a word's packed int (:func:`algebra._pack`): for each even
+    t's, keyed by a word's packed int (``Monomial.word``): for each even
     word x of grading 2k the letter loop reached, it holds D^k t(x) as an int pair.
     T, Tbar, tbar and green read it and keep no memo of their own.  It lives
     as long as the context, so build one context per pairing and scheme and
@@ -63,7 +63,7 @@ class TContext:
         k, odd = divmod(m.grading, 2)
         if odd:
             return ZERO
-        re, im = self._t_numerators[_pack(m.counts)]
+        re, im = self._t_numerators[m.word]
         return Scalar.from_integers(re, im, self.pairing.den**k)
 
     def _t_numerator(self, word: int) -> tuple[int, int]:
@@ -120,8 +120,10 @@ def t_map(u: Element, ctx: TContext) -> Element:
 
 
 def sigma_apply(u: Element, ctx: TContext) -> Element:
-    """The contraction Laplacian: half the pairing-weighted double derivation."""
+    """The contraction Laplacian: half the pairing-weighted double derivation;
+    a letter outside 1..d is a ``ValueError``, as in :func:`t_map`."""
     L = ctx.pairing
+    _check_letters(L.dim, u)
     out = Element.zero()
     for i in range(1, L.dim + 1):
         du = derivation(i, u)

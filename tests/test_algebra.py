@@ -2,7 +2,8 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import comb, prod
 
 import pytest
 
@@ -276,10 +277,73 @@ class TestInterning:
         assert Monomial.unit().counts == () and Monomial.unit().grading == 0
 
 
+def vee_counts(a, b):
+    """The counts tuple of the multiset union of two counts tuples, by a dict
+    merge: the reference that the packed words are checked against."""
+    merged = dict(a)
+    for idx, mult in b:
+        merged[idx] = merged.get(idx, 0) + mult
+    return tuple(sorted(merged.items()))
+
+
+class TestPackedWordsAgainstCounts:
+    """A monomial is its packed word: vee, splits, remove_one, multiplicity
+    and derivation work on the word, each checked here against the same
+    operation on counts tuples."""
+
+    @pytest.fixture(scope="class")
+    def monomials(self):
+        rng = random.Random(2417)
+        out = []
+        for _ in range(80):
+            d = rng.randint(1, 6)
+            out.append(Monomial.from_indices(rng.choices(range(1, d + 1), k=rng.randint(0, 10))))
+        return out
+
+    def test_vee(self, monomials):
+        for m in monomials:
+            for other in monomials:
+                assert m.vee(other).counts == vee_counts(m.counts, other.counts)
+
+    def test_splits(self, monomials):
+        for m in monomials:
+            expected = {}
+            for choice in product(*[range(c + 1) for _, c in m.counts]):
+                left = tuple((i, j) for (i, _), j in zip(m.counts, choice) if j)
+                right = tuple((i, c - j) for (i, c), j in zip(m.counts, choice) if c - j)
+                expected[left, right] = prod(comb(c, j) for (_, c), j in zip(m.counts, choice))
+            got = [(left.counts, right.counts, w) for left, right, w in m.splits()]
+            assert len(got) == len(expected)
+            assert {(left, right): w for left, right, w in got} == expected
+
+    def test_remove_one_multiplicity_and_derivation(self, monomials):
+        for m in monomials:
+            counts = dict(m.counts)
+            for i in range(-1, 8):
+                mult = counts.get(i, 0)
+                assert m.multiplicity(i) == mult
+                d_m = derivation(i, Element.from_monomial(m))
+                if not mult:
+                    with pytest.raises(ValueError, match="not in monomial"):
+                        m.remove_one(i)
+                    assert d_m == Element.zero()
+                    continue
+                rest = tuple((k, c - (k == i)) for k, c in m.counts if c - (k == i))
+                assert m.remove_one(i).counts == rest
+                assert d_m == Element.from_monomial(Monomial(rest), Scalar(mult))
+
+    def test_an_overflowing_union_interns_nothing(self):
+        big = Monomial({1: algebra.FIELD})
+        size = len(algebra._MONOMIALS)
+        with pytest.raises(ValueError, match="overflows"):
+            big.vee(mono(1))
+        assert len(algebra._MONOMIALS) == size
+
+
 class TestPackedWords:
-    """The numerator form keys each word by one packed int, W bits per
-    letter; ``Element.numerators`` and ``Element.from_numerators`` are its
-    only converters, and packing refuses what a field cannot hold."""
+    """Each monomial carries its word, one packed int, W bits per letter,
+    which keys the monomial table and the numerator form; construction
+    refuses what a field cannot hold, before the table sees it."""
 
     def test_numerators_round_trip(self):
         rng = random.Random(2317)
@@ -295,12 +359,16 @@ class TestPackedWords:
         FIELD = algebra.FIELD
         assert algebra._pack(((2, FIELD),)) == FIELD << algebra.W
         assert algebra._unpack(FIELD << algebra.W) == ((2, FIELD),)
+        assert Monomial({2: FIELD}).word == FIELD << algebra.W
         for counts in (((1, FIELD + 1),), ((1, FIELD), (3, 1)), ((2, 1 << 40),)):
-            u = Element.from_monomial(Monomial(counts))
+            size = len(algebra._MONOMIALS)
             with pytest.raises(ValueError, match="overflows"):
-                u.numerators()
+                Monomial(counts)
+            assert len(algebra._MONOMIALS) == size
 
     def test_a_letter_too_large_to_pack_is_refused(self):
-        for m in (mono(algebra.PACKED_LETTERS + 1), mono(1, 10**9, 10**9)):
+        for indices in ((algebra.PACKED_LETTERS + 1,), (1, 10**9, 10**9)):
+            size = len(algebra._MONOMIALS)
             with pytest.raises(ValueError, match="cannot be packed"):
-                Element.from_monomial(m).numerators()
+                Monomial.from_indices(indices)
+            assert len(algebra._MONOMIALS) == size

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -479,6 +480,22 @@ class TestLongInput:
         assert (code, out) == (2, "")
         assert "nested too deeply" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "expv(e1, 4294967296)"],
+    ["eval", "S(e1 v e1, 2147483648)"],
+    ["eval", "dp(e1, 5000000000)"],
+    ["green", "--order", "2147483648", "1", "2", "e1 v e1"],
+], ids=["expv", "S", "dp", "green"])
+def test_a_packed_field_overflow_exits_2_at_once(capsys, argv):
+    """An order or a power that no 32-bit field can hold is refused before
+    any work: exit 2 and a message, never a traceback."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], "--config", DEFAULT, *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "overflows" in err and "Traceback" not in err
 
 
 def decimal_int(digits):

@@ -191,7 +191,7 @@ class TestWickRecursionOracles:
         # T asks t for every sub-multiset; the memo, keyed by packed word,
         # keeps the even ones (odd words are 0 and stored nowhere).
         assert set(ctx._t_numerators) == {
-            _pack(Monomial({1: i, 2: j}).counts)
+            Monomial({1: i, 2: j}).word
             for i in range(7) for j in range(7) if (i + j) % 2 == 0
         }
 
@@ -215,7 +215,7 @@ class TestSplittingRecursionOracles:
         ctx = TContext(rand_pairing(rng, 3, symmetric=True))
         m = mono(1, 1, 2, 3, 3)
         assert t_scalar(Element.from_monomial(m), ctx) == 0
-        assert set(ctx._t_numerators) == {_pack(Monomial.unit().counts)}
+        assert set(ctx._t_numerators) == {Monomial.unit().word}
 
     def test_tbar_scalar_matches_modified_pairing_recursion(self, rng):
         for d in (1, 2, 3):
@@ -318,6 +318,27 @@ class TestGaussianIntegerLetterLoop:
             with pytest.raises(ValueError, match=names_d):
                 green(1, 2, Element.from_monomial(mono(4, 4)), ctx, 1,
                       renormalised=renormalised)
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda u, ctx: exp_sigma(u, ctx), id="exp_sigma"),
+    pytest.param(lambda u, ctx: sigma_apply(u, ctx), id="sigma_apply"),
+    pytest.param(lambda u, ctx: circle(u, Element.one(), ctx.pairing), id="circle"),
+    pytest.param(lambda u, ctx: circle(Element.one(), u, ctx.pairing), id="circle_right"),
+    pytest.param(lambda u, ctx: circle_renorm(u, Element.one(), ctx.scheme, ctx.pairing),
+                 id="circle_renorm"),
+])
+def test_every_entry_that_reads_the_pairing_checks_letters(default, entry):
+    """A letter above d = 4 is refused with t_map's message, even where the
+    pairing would never be read (a product with 1, or Sigma of a word whose
+    contractions all vanish), so exp Sigma agrees with T."""
+    ctx = TContext(default.pairing, default.scheme)
+    u = Element.from_monomial(mono(5, 5))
+    with pytest.raises(ValueError) as expected:
+        t_map(u, ctx)
+    with pytest.raises(ValueError) as got:
+        entry(u, ctx)
+    assert str(got.value) == str(expected.value) == "generator index out of range: 5 with d=4"
 
 
 class TestSigma:
@@ -507,7 +528,7 @@ class TestLetterLoopInternsNothing:
         size = len(algebra._MONOMIALS)
         t_scalar(Element.from_monomial(word), ctx)
         assert len(algebra._MONOMIALS) == size
-        assert _pack(word.counts) in ctx._t_numerators and len(ctx._t_numerators) > 400
+        assert word.word in ctx._t_numerators and len(ctx._t_numerators) > 400
 
     @pytest.mark.parametrize("renormalised", [False, True])
     def test_quartic_green_to_order_twelve(self, default, renormalised):
