@@ -174,7 +174,6 @@ class Memo(dict):
     __slots__ = ("_function", "_owner", "_args")
 
     def __init__(self, compute, *args):
-        super().__init__()
         if isinstance(compute, MethodType):
             self._function, self._owner = compute.__func__, ref(compute.__self__)
         else:
@@ -190,6 +189,8 @@ class Memo(dict):
 
 
 def _intern(word: int) -> Monomial:
+    if word < 0:
+        raise ValueError(f"negative packed word {word}")
     m = object.__new__(Monomial)
     m.word, m.counts = word, _unpack(word)
     m.grading = sum(k for _, k in m.counts)
@@ -252,7 +253,7 @@ class Element:
 
     @classmethod
     def from_monomial(cls, mono: Monomial, coeff=ONE) -> "Element":
-        return cls({mono: coeff})
+        return _wrap({mono: coeff}) if type(coeff) is Scalar and coeff else cls({mono: coeff})
 
     def items(self):
         return self.terms.items()
@@ -277,10 +278,11 @@ class Element:
         return all(m.grading == 0 for m in self.terms)
 
     def __add__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            other = Element.from_scalar(other)
-        if not isinstance(other, Element):
-            return NotImplemented
+        if type(other) is not Element:
+            if isinstance(other, (Scalar, int, Fraction)):
+                other = Element.from_scalar(other)
+            elif not isinstance(other, Element):
+                return NotImplemented
         merged = dict(self.terms)
         for mono, coeff in other.terms.items():
             _accumulate(merged, mono, coeff)
@@ -289,36 +291,30 @@ class Element:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            other = Element.from_scalar(other)
-        if not isinstance(other, Element):
-            return NotImplemented
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            _accumulate(merged, mono, -coeff)
-        return _wrap(merged)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    # A product, quotient or negation of nonzero Scalars is one: no coercion.
     def __neg__(self):
-        return Element({m: -c for m, c in self.terms.items()})
+        return _wrap({m: -c for m, c in self.terms.items()})
 
     def __rmul__(self, scalar):
         scalar = Scalar.coerce(scalar)
         if not scalar:
             return Element.zero()
-        return Element({m: scalar * c for m, c in self.terms.items()})
+        return _wrap({m: scalar * c for m, c in self.terms.items()})
 
     __mul__ = __rmul__
 
     def __truediv__(self, scalar):
         scalar = Scalar.coerce(scalar)
-        return Element({m: c / scalar for m, c in self.terms.items()})
+        return _wrap({m: c / scalar for m, c in self.terms.items()})
 
     def vee(self, other: "Element") -> "Element":
         """The symmetric product: multiset union of monomials, bilinear."""
-        if isinstance(other, (Scalar, int, Fraction)):
+        if type(other) is not Element and isinstance(other, (Scalar, int, Fraction)):
             return Scalar.coerce(other) * self
         out: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
@@ -327,11 +323,11 @@ class Element:
         return _wrap(out)
 
     def __eq__(self, other):
+        if type(other) is Element:
+            return self.terms == other.terms
         if isinstance(other, (Scalar, int, Fraction)):
-            other = Element.from_scalar(other)
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.terms == other.terms
+            return self.terms == Element.from_scalar(other).terms
+        return self.terms == other.terms if isinstance(other, Element) else NotImplemented
 
     def __bool__(self):
         return bool(self.terms)

@@ -8,10 +8,10 @@ every permanent on the Gaussian integers to which a :class:`PairingMatrix`
 converts its entries once.  The circle product u o v = sum u_(1) v v_(1)
 (u_(2)|v_(2)) deforms the symmetric product by a pairing: the time-ordered product for a
 symmetric form, the operator product for an antisymmetric one.  One Sweedler
-loop serves this Laplace pairing and a scheme's modified pairing
-(``renorm.circle_renorm``), and one bilinear extension reads either on whole
-elements.  The oracles live in :mod:`wickalg.oracles`, but ``perfbench``
-reads two here: :func:`permanent_by_permutations` and :func:`wick_expand`.
+loop computes its memoised constants m1 o m2 for this Laplace pairing and a
+scheme's modified pairing (``renorm.circle_renorm``).  The oracles live in
+:mod:`wickalg.oracles`, but ``perfbench`` reads two here:
+:func:`permanent_by_permutations` and :func:`wick_expand`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import permutations
 from math import prod
 
-from .algebra import Element, Memo, Monomial, _accumulate, _check_letters, _wrap, sweedler
+from .algebra import Element, Memo, Monomial, _accumulate, _check_letters, _wrap, monomial_splits
 from .scalars import ONE, ZERO, Scalar, common_denominator
 
 
@@ -32,7 +32,7 @@ class PairingMatrix:
     Laplace kernel and t's letter loop read.  Equality, hash and
     ``symmetric`` (the circle product commutes) read ``(den, ints)``, so a
     memo keyed on a matrix is keyed on its value.  The matrix owns its
-    Laplace pairing as a memo keyed ``(m1, m2)``.
+    Laplace pairing and circle product m1 o m2 as memos keyed ``(m1, m2)``.
     """
 
     def __init__(self, entries):
@@ -47,6 +47,7 @@ class PairingMatrix:
         self.ints = tuple(map(tuple, ints))
         self.symmetric = self.ints == tuple(zip(*self.ints))
         self._laplace = Memo(self._laplace_value)
+        self._circle = Memo(_sweedler_monomials, self._laplace, True)
 
     def _laplace_value(self, key) -> Scalar:
         m1, m2 = key
@@ -232,27 +233,39 @@ def _bilinear(u: Element, v: Element, pair: Memo, graded: bool) -> Scalar:
     return total
 
 
-def _sweedler_product(u: Element, v: Element, pair: Memo, graded: bool) -> Element:
-    """sum u_(1) v v_(1) (u_(2)|v_(2)) for a pairing memo keyed (m1, m2); a
-    ``graded`` pairing vanishes across gradings, so those keys are skipped."""
+def _sweedler_monomials(pair: Memo, graded: bool, key) -> tuple:
+    """m1 o m2 = sum m1_(1) v m2_(1) (m1_(2)|m2_(2)) as (monomial, coefficient)
+    pairs for a pairing memo, ``graded`` if it vanishes across gradings."""
+    m1, m2 = key
     out: dict[Monomial, Scalar] = {}
-    v_splits = list(sweedler(v))
-    for u1, u2, cu in sweedler(u):
-        for v1, v2, cv in v_splits:
+    right = monomial_splits(m2)
+    for u1, u2, wu in monomial_splits(m1):
+        for v1, v2, wv in right:
             if graded and u2.grading != v2.grading:
                 continue
             p = pair[u2, v2]
-            if not p:
-                continue
-            _accumulate(out, u1.vee(v1), cu * cv * p)
-    return _wrap(out)
+            if p:
+                _accumulate(out, u1.vee(v1), p * (wu * wv))
+    return tuple(out.items())
+
+
+def _circle_product(u: Element, v: Element, products: Memo) -> Element:
+    """sum c1 c2 (m1 o m2) over u and v; the memo's values are shared, never changed."""
+    out: dict[Monomial, Scalar] = {}
+    for m1, c1 in u.terms.items():
+        for m2, c2 in v.terms.items():
+            c = c1 * c2
+            for m, p in products[m1, m2]:
+                prior = out.get(m)
+                out[m] = c * p if prior is None else prior + c * p
+    return _wrap({m: x for m, x in out.items() if x})
 
 
 def circle(u: Element, v: Element, L: PairingMatrix) -> Element:
-    """The circle product: sum of u_(1) v v_(1) weighted by (u_(2)|v_(2)); a
-    letter outside 1..d is a ``ValueError``, as in :func:`pairing`."""
+    """The circle product: sum of u_(1) v v_(1) weighted by (u_(2)|v_(2)), read
+    from L's memo of m1 o m2; a letter outside 1..d is a ``ValueError``."""
     _check_letters(L.dim, u, v)
-    return _sweedler_product(u, v, L._laplace, True)
+    return _circle_product(u, v, L._circle)
 
 
 def circle_fold(factors, L: PairingMatrix) -> Element:

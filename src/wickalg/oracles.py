@@ -4,7 +4,7 @@ production module imports this module, and it calls none of the routes it
 checks: :func:`wick_step` checks ``laplace.circle`` by one generator, the
 circle folds ``tmaps.t_map`` and ``tbar_map``, :func:`t_closed_form` and
 :func:`t_by_moments` ``t_scalar``, and :func:`tbar_scalar_by_modified_pairing`
-``tbar_scalar``.  ``tmaps.exp_sigma`` is an oracle too, and ``perfbench``
+``tbar_scalar``.  ``tmaps.exp_sigma``, reading no t route, is T's oracle, and ``perfbench``
 reads ``laplace.permanent_by_permutations``, ``laplace.wick_expand`` and
 ``FormalSeries.inverse_sqrt`` where they are.
 """

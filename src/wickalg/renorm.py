@@ -13,9 +13,9 @@ Z_{z1*z2} = Z_{z1} * Z_{z2} and (.|.)_{z1*z2} = Z_{z1} * (.|.)_{z2}.
 
 A functional owns the memos of the pairings built from it: its values and
 its inverse's per monomial, Z per monomial pair, and per pairing matrix
-(keyed by value) a memo of the modified pairing per monomial pair.  They
-live as long as the functional and hold it weakly; element-level pairings
-and ``circle_renorm`` read them.  An inverse returned by
+(keyed by value) memos of the modified pairing and of the circle product
+m1 o m2 over it.  They live as long as the functional and hold it weakly;
+element-level pairings and ``circle_renorm`` read them.  An inverse from
 :meth:`LinearFunctional.inverse` holds the functional and reads its memo, so
 there is no reference cycle.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 from math import comb
 
 from .algebra import FIELD, W, Element, Memo, Monomial, _check_letters, monomial_splits, sweedler
-from .laplace import PairingMatrix, _bilinear, _sweedler_product
+from .laplace import PairingMatrix, _bilinear, _circle_product, _sweedler_monomials
 from .scalars import ONE, ZERO, Scalar, common_denominator
 
 
@@ -66,6 +66,7 @@ class LinearFunctional:
         self._inverse_values = Memo(self._inverse_value)
         self._coupling = Memo(self._coupling_value)
         self._modified = Memo(self._modified_memo)
+        self._circle = Memo(self._circle_memo)
 
     def __call__(self, m: Monomial) -> Scalar:
         if m.grading == 0:
@@ -107,6 +108,9 @@ class LinearFunctional:
 
     def _modified_memo(self, L: PairingMatrix) -> Memo:
         return Memo(self._modified_value, L)
+
+    def _circle_memo(self, L: PairingMatrix) -> Memo:
+        return Memo(_sweedler_monomials, self._modified[L], False)
 
     def _modified_value(self, L: PairingMatrix, key) -> Scalar:
         """Z * Laplace, read as Laplace * Z: Laplace vanishes across gradings."""
@@ -229,7 +233,7 @@ def modified_pairing(
 def circle_renorm(
     u: Element, v: Element, z: LinearFunctional, L: PairingMatrix
 ) -> Element:
-    """The renormalised circle product: modified pairing in place of the bare
-    one; a letter outside 1..d is a ``ValueError``."""
+    """The renormalised circle product, m1 o m2 read from z's memo for L over
+    the modified pairing; a letter outside 1..d is a ``ValueError``."""
     _check_letters(L.dim, u, v)
-    return _sweedler_product(u, v, z._modified[L], False)
+    return _circle_product(u, v, z._circle[L])

@@ -12,15 +12,13 @@ twist of u by t, sum t(u_(1)) u_(2) (:func:`renorm.twist`), and the
 renormalised maps are the same maps on the zeta twist of u:
 tbar(u) = t(twist(u, zeta)) and Tbar(u) = T(twist(u, zeta)).  A scheme's
 twist walks its table, so they cost what the bare maps cost.  exp Sigma
-(the command line's ``expSigma``) equals T; the other oracles live in
-:mod:`wickalg.oracles`.
+(the command line's ``expSigma``) equals T and is its oracle, reading no t
+route; the other oracles live in :mod:`wickalg.oracles`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import FIELD, W, Element, Memo, Monomial, _check_letters, derivation
+from .algebra import FIELD, W, Element, Memo, Monomial, _check_letters
 from .laplace import PairingMatrix
 from .renorm import LinearFunctional, twist, twist_numerators
 from .scalars import ZERO, Scalar
@@ -119,40 +117,48 @@ def t_map(u: Element, ctx: TContext) -> Element:
     return twist(u, ctx._t_value)
 
 
+def _sigma_numerators(terms: dict, ints) -> dict:
+    """2D Sigma(m) = sum_{a,b} D (a|b) c_a (c_b - delta_ab) (m - e_a - e_b) on a
+    numerator form, D (a|b) from ``ints`` and c_b - delta_ab the field b of m - e_a."""
+    out: dict[int, tuple[int, int]] = {}
+    for word, (nr, ni) in terms.items():
+        for a, row in enumerate(ints):
+            ca, rest = word >> W * a & FIELD, word - (1 << W * a)
+            for b, (re, im) in enumerate(row):
+                k = ca * (rest >> W * b & FIELD)
+                if k and (re or im):
+                    x = rest - (1 << W * b)
+                    pr, pi = out.get(x, (0, 0))
+                    out[x] = pr + k * (re * nr - im * ni), pi + k * (re * ni + im * nr)
+    return {x: n for x, n in out.items() if n[0] or n[1]}
+
+
 def sigma_apply(u: Element, ctx: TContext) -> Element:
-    """The contraction Laplacian: half the pairing-weighted double derivation;
-    a letter outside 1..d is a ``ValueError``, as in :func:`t_map`."""
+    """Sigma(u), on u's numerator form; a letter above d is a ``ValueError``."""
     L = ctx.pairing
     _check_letters(L.dim, u)
-    out = Element.zero()
-    for i in range(1, L.dim + 1):
-        du = derivation(i, u)
-        if not du:
-            continue
-        for j in range(1, L.dim + 1):
-            f = L.entry(i, j)
-            if not f:
-                continue
-            ddu = derivation(j, du)
-            if ddu:
-                out = out + f * ddu
-    return Scalar(Fraction(1, 2)) * out
+    terms, den = u.numerators()
+    return Element.from_numerators(_sigma_numerators(terms, L.ints), 2 * L.den * den)
 
 
 def exp_sigma(u: Element, ctx: TContext) -> Element:
-    """The exponential series of Sigma, which equals T.
-
-    Sigma lowers grading by two, so the series terminates after at most
-    floor(n/2)+1 terms on grading n.
-    """
-    total = u
-    term = u
-    k = 1
-    while term:
-        term = sigma_apply(term, ctx) / k
-        total = total + term
-        k += 1
-    return total
+    """sum_k Sigma^k(u) / k!, which equals T; Sigma lowers grading by two, so
+    grading n has floor(n/2)+1 levels k, each over den (2D)^k k!, summed on
+    integers and reduced once."""
+    L = ctx.pairing
+    _check_letters(L.dim, u)
+    terms, den = u.numerators()
+    levels = [(terms, den)]
+    for k in range(1, max([m.grading for m in u.terms], default=0) // 2 + 1):
+        terms = _sigma_numerators(terms, L.ints)
+        den *= 2 * L.den * k
+        levels.append((terms, den))
+    total: dict[int, tuple[int, int]] = {}
+    for terms, d in levels:
+        for x, (re, im) in terms.items():
+            pr, pi = total.get(x, (0, 0))
+            total[x] = pr + den // d * re, pi + den // d * im
+    return Element.from_numerators(total, den)
 
 
 def t_scalar(u: Element, ctx: TContext) -> Scalar:

@@ -1,6 +1,9 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, prod
@@ -365,6 +368,24 @@ class TestPackedWords:
             with pytest.raises(ValueError, match="overflows"):
                 Monomial(counts)
             assert len(algebra._MONOMIALS) == size
+
+    def test_a_negative_word_is_refused_at_once(self):
+        """The trusted constructor refuses a negative word on a table miss,
+        with no entry made, where unpacking it would never end; a separate
+        interpreter bounds the wait."""
+        script = (
+            "import pytest\n"
+            "from wickalg import algebra\n"
+            "size = len(algebra._MONOMIALS)\n"
+            "for word in (-1, -(1 << 40), (1 << 32) - (3 << 64)):\n"
+            "    with pytest.raises(ValueError, match='negative packed word'):\n"
+            "        algebra._canonical(word)\n"
+            "assert len(algebra._MONOMIALS) == size\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=20,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_a_letter_too_large_to_pack_is_refused(self):
         for indices in ((algebra.PACKED_LETTERS + 1,), (1, 10**9, 10**9)):

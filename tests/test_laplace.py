@@ -1,3 +1,5 @@
+import os
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -6,8 +8,8 @@ import pytest
 
 import wickalg.laplace as laplace_mod
 from conftest import (
-    assert_laws, e, mono, monomials_upto, rand_element, rand_pairing, rand_scalar,
-    rand_scheme,
+    assert_laws, e, mono, monomials_upto, rand_element, rand_monomial, rand_pairing,
+    rand_scalar, rand_scheme,
 )
 from wickalg import checks
 from wickalg import (
@@ -19,14 +21,18 @@ from wickalg import (
     circle_renorm,
     counit,
     divided_power,
+    modified_pairing,
     pairing,
     permanent,
     permanent_by_permutations,
+    sweedler,
     vee,
     wick_expand,
 )
 from wickalg.algebra import Memo
 from wickalg.checks import circle_distribute
+from wickalg.config import load_config
+from wickalg.renorm import Scheme
 from wickalg.laplace import pairing_monomials
 from wickalg.oracles import wick_step
 
@@ -305,6 +311,93 @@ class TestCircle:
         # asymmetric: e_i o e_j - e_j o e_i = (L_ij - L_ji) 1 for every pair
         assert_laws([checks.law_commutativity_criterion], rand_pairing(rng, 2, symmetric=False),
                     seed=0, max_grade=3, trials=15)
+
+
+def sweedler_reference(u, v, pair):
+    """sum u_(1) v v_(1) pair(u_(2), v_(2)) over the splits of the whole
+    elements, the circle product read through no product memo."""
+    out = Element.zero()
+    for u1, u2, cu in sweedler(u):
+        for v1, v2, cv in sweedler(v):
+            p = pair(u2, v2)
+            if p:
+                out = out + (cu * cv * p) * Element.from_monomial(u1.vee(v1))
+    return out
+
+
+def repeating_elements(rng, d, count):
+    """Elements of two terms drawn from a pool of four monomials of grading
+    <= 3, so the monomial pairs of their products repeat."""
+    pool = [rand_monomial(rng, d, 3) for _ in range(4)]
+    return [Element({m: rand_scalar(rng) for m in rng.sample(pool, 2)}) for _ in range(count)]
+
+
+def circle_case(name):
+    """(pairing, scheme) of a shipped config, or of a random asymmetric pairing."""
+    if name == "random":
+        rng = random.Random(4127)
+        return rand_pairing(rng, 3, symmetric=False), rand_scheme(rng, 3)
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", name))
+    return cfg.pairing, cfg.scheme
+
+
+class TestCircleMemo:
+    """The circle product reads m1 o m2 from a memo keyed (m1, m2), owned by
+    the matrix for the Laplace pairing and by the scheme, per matrix, for
+    the modified pairing.  Memo values are shared between calls."""
+
+    @pytest.mark.parametrize("name", ["default.json", "asymmetric.json", "random"])
+    def test_products_match_fresh_memos_and_wick_folds(self, name):
+        L, z = circle_case(name)
+        fresh_L, fresh_z = PairingMatrix(L.rows), Scheme(z.values)
+        rng = random.Random(809)
+        elements = repeating_elements(rng, L.dim, 8)
+        asked, requests = set(), 0
+        for u in elements:
+            for v in elements[:4]:
+                asked.update(product(u.terms, v.terms))
+                requests += len(u.terms) * len(v.terms)
+                got = circle(u, v, L)
+                assert got == circle(u, v, fresh_L)
+                assert got == sweedler_reference(
+                    u, v, lambda a, b: pairing_monomials(a, b, L))
+                assert circle_renorm(u, v, z, L) == sweedler_reference(
+                    u, v, lambda a, b: modified_pairing(
+                        Element.from_monomial(a), Element.from_monomial(b), fresh_z, L))
+            by_circle = by_wick = u
+            for b in [rng.randint(1, L.dim) for _ in range(3)]:
+                by_circle = circle(by_circle, e(b), L)
+                by_wick = wick_step(by_wick, b, L)
+            assert by_circle == by_wick
+        # products of elements over a pool of four monomials repeat their keys
+        assert len(asked) <= 16 < requests
+
+    def test_a_repeated_product_adds_no_memo_entry(self):
+        L, z = circle_case("random")
+        rng = random.Random(11)
+        u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
+        first, first_renorm = circle(u, v, L), circle_renorm(u, v, z, L)
+        sizes = [len(L._laplace), len(L._circle), len(z._modified[L]), len(z._circle[L])]
+        assert sizes[1] == len(u.terms) * len(v.terms)
+        assert circle(u, v, L) == first and circle_renorm(u, v, z, L) == first_renorm
+        assert [len(L._laplace), len(L._circle), len(z._modified[L]), len(z._circle[L])] == sizes
+
+    def test_shared_values_are_never_changed(self):
+        L, z = circle_case("asymmetric.json")
+        rng = random.Random(23)
+        u, v = rand_element(rng, 2, 4), rand_element(rng, 2, 4)
+        first, first_renorm = circle(u, v, L), circle_renorm(u, v, z, L)
+        kept = dict(first.terms), dict(first_renorm.terms)
+
+        def values(memo):
+            return {key: dict(value) for key, value in memo.items()}
+
+        memos = values(L._circle), values(z._circle[L])
+        two = Scalar(2)
+        assert circle(two * u, v, L) == two * first
+        assert circle_renorm(u, two * v, z, L) == two * first_renorm
+        assert (first.terms, first_renorm.terms) == kept
+        assert (values(L._circle), values(z._circle[L])) == memos
 
 
 class TestWick:

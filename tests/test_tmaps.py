@@ -1,4 +1,6 @@
+import ast
 import gc
+import inspect
 import os
 import random
 import weakref
@@ -49,7 +51,7 @@ from wickalg import (
     vee_exp,
     wick_expand,
 )
-from wickalg import algebra
+from wickalg import algebra, tmaps
 from wickalg.algebra import Memo, _pack
 from wickalg.checks import first_identity_check
 from wickalg.config import load_config
@@ -255,9 +257,9 @@ class TestGaussianIntegerLetterLoop:
                 assert got == 0
 
     @pytest.mark.parametrize("decreasing", [False, True])
-    def test_t_map_matches_exp_sigma_to_grading_six(self, decreasing):
+    def test_t_map_matches_exp_sigma_to_grading_eight(self, decreasing):
         ctx = TContext(self.PAIRING)
-        for m in sorted(monomials_upto(3, 6), key=lambda m: m.grading, reverse=decreasing):
+        for m in sorted(monomials_upto(3, 8), key=lambda m: m.grading, reverse=decreasing):
             u = Element.from_monomial(m)
             assert t_map(u, ctx) == exp_sigma(u, ctx), m
 
@@ -371,6 +373,53 @@ class TestSigma:
         for _ in range(15):
             u = rand_element(rng, 3, 6)
             assert exp_sigma(u, ctx) == t_map(u, ctx)
+
+    def test_demo_value(self):
+        # demos/04: L = [[1/2, 1/3], [1/3, 1/4]], Sigma(a v a v b v b)
+        # = 1/2 (2 (a|a) b v b + 2 (b|b) a v a + 8 (a|b) a v b)
+        ctx = TContext(PairingMatrix.from_strings([["1/2", "1/3"], ["1/3", "1/4"]]))
+        got = sigma_apply(Element.from_monomial(mono(1, 1, 2, 2)), ctx)
+        assert str(got) == "1/4 * e1 v e1 + 4/3 * e1 v e2 + 1/2 * e2 v e2"
+        assert got == (Scalar(Fraction(1, 4)) * Element.from_monomial(mono(1, 1))
+                       + Scalar(Fraction(4, 3)) * Element.from_monomial(mono(1, 2))
+                       + Scalar(Fraction(1, 2)) * Element.from_monomial(mono(2, 2)))
+
+    def test_exp_sigma_equals_t_on_sums_of_repeated_letter_words(self):
+        """Sums of two words with a repeated letter, gradings 2-8, whose Sigma
+        levels land on common words over unequal denominators, on a pairing
+        with imaginary parts and a zero entry."""
+        ctx = TContext(TestGaussianIntegerLetterLoop.PAIRING)
+        words = [m for m in monomials_upto(3, 8)
+                 if m.grading >= 2 and any(c > 1 for _, c in m.counts)]
+        rng = random.Random(5)
+        for _ in range(30):
+            a, b = rng.sample(words, 2)
+            u = rand_scalar(rng) * Element.from_monomial(a) + Scalar(0, 1) * Element.from_monomial(b)
+            assert exp_sigma(u, ctx) == t_map(u, ctx), u
+
+    def test_exp_sigma_reaches_no_t_route(self):
+        """exp Sigma is T's oracle in the T-map routes law, so neither it nor
+        any tmaps function it calls reads t, its memo, its letter table or
+        a twist."""
+        routes = {"t_map", "t_scalar", "t_sum", "tbar_map", "tbar_scalar", "twist",
+                  "twist_numerators", "_t_value", "_t_numerator", "_t_numerators", "_rows"}
+        tree = ast.parse(inspect.getsource(tmaps))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        todo, seen, used = ["exp_sigma"], set(), set()
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            for node in ast.walk(functions[name]):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                    if node.id in functions:
+                        todo.append(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        assert "_sigma_numerators" in seen
+        assert not used & routes, sorted(used & routes)
 
     def test_extension_formula(self, ctx):
         # Sigma(a v u) = a v Sigma(u) + sum_j (a|e_j) delta_j u, and a o u = a v u + [Sigma, a] u
