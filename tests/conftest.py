@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
 from wickalg import Element, Monomial, PairingMatrix, Scalar, Scheme
 from wickalg.checks import (  # noqa: F401  (re-exported to the tests)
+    LAWS,
     CheckEnv,
     monomials_upto,
     rand_element,
@@ -43,6 +45,12 @@ def assert_laws(laws, L, *, seed, max_grade, trials, scheme=None, fock=None):
     for law in laws:
         counterexample = law(env)
         assert counterexample is None, f"{law.__name__}: {counterexample}"
+
+
+def trials_for(law, n):
+    """The trial request at which ``law`` (a ``checks.law_*``) runs n trials
+    of each of its drawn cases, by the share its declaration gives."""
+    return ceil(n / next(entry.share for entry in LAWS if entry.fn is law))
 
 
 @pytest.fixture

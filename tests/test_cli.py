@@ -14,7 +14,7 @@ import pytest
 
 import wickalg.laplace as laplace_mod
 import wickalg.renorm as renorm_mod
-from conftest import mono, rand_scheme
+from conftest import mono, rand_scheme, trials_for
 from wickalg.algebra import Element, divided_power
 from wickalg.checks import (
     CheckEnv,
@@ -276,7 +276,7 @@ class TestCheckCommand:
 
         monkeypatch.setattr(laplace_mod, "permanent", corrupted)
         code, out, _ = run_cli(
-            capsys, "check", "--config", DEFAULT, "--trials", "10", "--max-grade", "3"
+            capsys, "check", "--config", DEFAULT, "--trials", "10", "--max-grade", "5"
         )
         assert code == 1
         assert "FAIL  permanent equals permutation sum" in out
@@ -294,7 +294,7 @@ class TestCheckCommand:
             return value
 
         monkeypatch.setattr(laplace_mod, "_glynn", corrupted)
-        env = CheckEnv(cfg, 3, 20, 0)
+        env = CheckEnv(cfg, 3, trials_for(law_circle_associative, 6), 0)
         assert law_circle_associative(env) is not None
 
     def test_corrupted_inverse_is_caught_with_two_generators(self, capsys, monkeypatch):
@@ -309,7 +309,7 @@ class TestCheckCommand:
 
         monkeypatch.setattr(renorm_mod, "convolution_inverse", corrupted)
         code, out, _ = run_cli(
-            capsys, "check", "--config", ASYMMETRIC, "--trials", "8", "--max-grade", "3"
+            capsys, "check", "--config", ASYMMETRIC, "--trials", "8", "--max-grade", "4"
         )
         assert code == 1
         assert "FAIL  convolution inverse four-point formula" in out
@@ -326,7 +326,7 @@ class TestCheckCommand:
 
         monkeypatch.setattr(renorm_mod, "convolve", corrupted)
         code, out, _ = run_cli(
-            capsys, "check", "--config", ASYMMETRIC, "--trials", "8", "--max-grade", "3"
+            capsys, "check", "--config", ASYMMETRIC, "--trials", "8", "--max-grade", "4"
         )
         assert code == 1
         assert "FAIL  renormalisation group acts on the product" in out
@@ -637,6 +637,34 @@ def test_oracles_stay_independent():
             used |= {node.id for node in nodes if isinstance(node, ast.Name)}
             assert not used & routes, sorted(used & routes)
     assert importers == {"__init__", "checks"}
+
+
+def test_laws_leave_trial_counts_and_gradings_to_the_runner():
+    """No law in ``checks`` reads the trial request, floors or caps a trial
+    count or a grading, or draws at a literal grading: the runner alone
+    sizes and counts trials, from the cap and share each law declares."""
+    with open(os.path.join(ROOT, "src", "wickalg", "checks.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    draws = {"random_monomial", "random_element", "random_scheme"}
+    found = []
+    for top in tree.body:
+        if getattr(top, "name", None) in ("run_law", "run_checks", "CheckEnv"):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "trials":
+                found.append(f"line {node.lineno}: reads the trial request")
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("max", "min") and any(
+                    word in ast.unparse(arg) for arg in node.args for word in ("trial", "grade")):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+            literal = [k.value for k in node.keywords if k.arg == "max_grade"]
+            if name in draws:
+                literal += node.args[:1]
+            if any(isinstance(value, ast.Constant) for value in literal):
+                found.append(f"line {node.lineno}: draws at a literal grading")
+    assert not found
 
 
 class TestBenchmarkNames:

@@ -9,7 +9,7 @@ import pytest
 import wickalg.laplace as laplace_mod
 from conftest import (
     assert_laws, e, mono, monomials_upto, rand_element, rand_monomial, rand_pairing,
-    rand_scalar, rand_scheme,
+    rand_scalar, rand_scheme, trials_for,
 )
 from wickalg import checks
 from wickalg import (
@@ -301,7 +301,7 @@ class TestCircle:
     def test_associative_for_any_pairing(self, rng):
         # 25 triples on this pairing and on each fresh pairing the law draws
         assert_laws([checks.law_circle_associative], rand_pairing(rng, 3, symmetric=False),
-                    seed=0, max_grade=4, trials=75)
+                    seed=0, max_grade=4, trials=trials_for(checks.law_circle_associative, 25))
 
     def test_commutative_iff_symmetric(self, rng):
         assert_laws([checks.law_commutativity_criterion], rand_pairing(rng, 3, symmetric=True),
@@ -419,11 +419,10 @@ class TestWick:
         assert got == expected
 
     def test_step_equals_circle(self, rng):
-        L = rand_pairing(rng, 3, symmetric=False)
-        for _ in range(25):
-            u = rand_element(rng, 3, 4)
-            b = rng.randint(1, 3)
-            assert wick_step(u, b, L) == circle(u, Element.generator(b), L)
+        # u of grading <= 4 against a generator, and shuffled words of up to
+        # five letters against the circle fold
+        assert_laws([checks.law_wick], rand_pairing(rng, 3, symmetric=False),
+                    seed=0, max_grade=5, trials=25)
 
     def test_single_factor(self, rng):
         L = rand_pairing(rng, 2, symmetric=False)

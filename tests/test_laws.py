@@ -11,19 +11,23 @@ otherwise keep worked examples and oracles.
 import functools
 import os
 import random
+from math import ceil
 
 import pytest
 
 from conftest import rand_scheme
-from wickalg import laplace
-from wickalg.checks import LAWS, CheckEnv, law_permanent_kernels, rand_pairing, run_checks
+from wickalg import checks, laplace
+from wickalg.checks import (LAWS, CheckEnv, Draws, law_permanent_kernels, law_vee_ring,
+                            rand_pairing, run_checks, run_law)
+from wickalg.cli import main
 from wickalg.config import Config, load_config
 from wickalg.fock import FockStructure
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-# Breadth over configs; the acceptance criteria run the laws at their own,
-# larger sizes, and criterion 11 runs `check` on the shipped configs at 10
-# trials and grading 3.
+# Breadth over configs: each law runs its declared share of 4 trials at
+# grading min(cap, 3).  The acceptance criteria and the unit tests run the
+# laws at their own, larger requests, and criterion 11 runs `check` on the
+# shipped configs at 10 trials and grading 3.
 TRIALS = 4
 MAX_GRADE = 3
 
@@ -56,10 +60,10 @@ def reports(name):
     return run_checks(CONFIGS[name], max_grade=MAX_GRADE, trials=TRIALS)
 
 
-def expected_status(config, needs_symmetric, needs_fock):
-    if needs_symmetric and not config.pairing.symmetric:
+def expected_status(config, entry):
+    if entry.needs_symmetric and not config.pairing.symmetric:
         return "skip"
-    if needs_fock and config.fock is None:
+    if entry.needs_fock and config.fock is None:
         return "skip"
     return "ok"
 
@@ -74,11 +78,11 @@ def test_asymmetric_configs_have_asymmetric_pairings(name):
 @pytest.mark.parametrize("name", CONFIGS)
 def test_each_law_holds_or_skips_for_its_needs(name):
     got = reports(name)
-    assert [report.name for report in got] == [law[0] for law in LAWS]
+    assert [report.name for report in got] == [entry.name for entry in LAWS]
     wrong = [
         f"{report.name}: {report.status} {report.detail}"
-        for report, (_, _, needs_symmetric, needs_fock) in zip(got, LAWS)
-        if report.status != expected_status(CONFIGS[name], needs_symmetric, needs_fock)
+        for report, entry in zip(got, LAWS)
+        if report.status != expected_status(CONFIGS[name], entry)
     ]
     assert not wrong
 
@@ -86,7 +90,7 @@ def test_each_law_holds_or_skips_for_its_needs(name):
 def test_each_law_runs_on_some_config():
     # A law whose needs no config meets would pass everywhere as a skip.
     ran = {report.name for name in CONFIGS for report in reports(name) if report.status == "ok"}
-    assert ran == {law[0] for law in LAWS}
+    assert ran == {entry.name for entry in LAWS}
 
 
 def test_permanent_law_compares_mostly_nonzero_values(monkeypatch):
@@ -98,5 +102,74 @@ def test_permanent_law_compares_mostly_nonzero_values(monkeypatch):
                         lambda matrix: values.append(oracle(matrix)) or values[-1])
     env = CheckEnv(config, config.max_grade, config.trials, config.seed)
     assert law_permanent_kernels(env) is None
-    assert len(values) == 60
+    # two pairs per trial, ceil(100 / 20) trials at each grading 0..4
+    assert len(values) == 2 * 5 * 5
     assert sum(1 for v in values if v) > len(values) / 2
+
+
+SHIPPED = ("default.json", "asymmetric.json")
+
+
+def applicable(name):
+    return [(k, entry) for k, entry in enumerate(LAWS)
+            if expected_status(CONFIGS[name], entry) == "ok"]
+
+
+def test_a_law_that_runs_no_trial_is_a_skip(monkeypatch, capsys):
+    k = next(k for k, entry in enumerate(LAWS) if entry.fn is law_vee_ring)
+    patched = list(LAWS)
+    patched[k] = LAWS[k]._replace(share=0)
+    monkeypatch.setattr(checks, "LAWS", patched)
+    report = run_checks(CONFIGS["default.json"], max_grade=1, trials=1)[k]
+    assert (report.status, report.detail, report.trials_run) == ("skip", "ran 0 trials", 0)
+    path = os.path.join(CONFIG_DIR, "default.json")
+    assert main(["check", "--config", path, "--trials", "1", "--max-grade", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert f"skip  {LAWS[k].name} (ran 0 trials)" in out
+    assert out[-1] == f"{len(LAWS) - 1}/{len(LAWS) - 1} laws passed"
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_every_law_runs_a_trial_at_one_requested_trial(name):
+    got = run_checks(CONFIGS[name], max_grade=1, trials=1)
+    assert all(got[k].status == "ok" and got[k].trials_run >= 1 for k, _ in applicable(name))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_trials_run_grows_when_the_request_doubles(name):
+    # A drawn case runs ceil(share x trials) times, which grows with the
+    # request once share x trials >= 1; fixed cases run once whatever it is.
+    trials = ceil(1 / min(entry.share for entry in LAWS))
+    once, twice = (run_checks(CONFIGS[name], max_grade=1, trials=t) for t in (trials, 2 * trials))
+    env = CheckEnv(CONFIGS[name], 1, 1, 0)
+    for k, entry in applicable(name):
+        drawn = entry.cases is None or any(isinstance(c, Draws) for c in entry.cases(env))
+        if drawn:
+            assert twice[k].trials_run > once[k].trials_run, entry.name
+        else:
+            assert twice[k].trials_run == once[k].trials_run, entry.name
+
+
+class RecordingEnv(CheckEnv):
+    """A CheckEnv that keeps the largest grading any draw returned."""
+    drawn = 0
+
+    def random_monomial(self, max_grade=None, min_grade=0):
+        m = super().random_monomial(max_grade, min_grade)
+        self.drawn = max(self.drawn, m.grading)
+        return m
+
+    def random_element(self, max_grade=None, terms=3):
+        u = super().random_element(max_grade, terms)
+        self.drawn = max(self.drawn, *(m.grading for m in u.terms), 0)
+        return u
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+@pytest.mark.parametrize("max_grade", [1, 2, 6])
+def test_no_law_draws_above_its_grading(name, max_grade):
+    env = RecordingEnv(CONFIGS[name], max_grade, 2, 0)
+    for _, entry in applicable(name):
+        env.drawn = 0
+        assert run_law(entry, env)[0] is None, entry.name
+        assert env.drawn <= min(max_grade, entry.cap or max_grade), entry.name

@@ -4,7 +4,8 @@ import weakref
 import pytest
 
 import wickalg.renorm as renorm_mod
-from conftest import assert_laws, e, mono, monomials_upto, rand_element, rand_pairing, rand_scheme
+from conftest import (assert_laws, e, mono, monomials_upto, rand_element, rand_pairing, rand_scheme,
+                      trials_for)
 from wickalg import checks
 from wickalg import (
     Element,
@@ -67,10 +68,10 @@ class TestConvolution:
     # Each law below runs at d = 3 (the acceptance criteria run d = 4), the
     # convolution laws on random schemes of the law's own.
     def test_associative_commutative(self, rng):
-        # scheme values to grading 4; unit, associativity, commutativity and
-        # inverse on every monomial <= 6
+        # unit, associativity, commutativity and inverse on every monomial of
+        # grading <= 6, the request and the law's cap
         assert_laws([checks.law_convolution_group], rand_pairing(rng, 3, symmetric=False),
-                    seed=0, max_grade=4, trials=1)
+                    seed=0, max_grade=6, trials=1)
 
     def test_inverse_values(self, rng):
         z = rand_scheme(rng, 4)
@@ -131,7 +132,8 @@ class TestZPairing:
     def test_coupling_identity(self, rng):
         # 12 random triples of grading <= 2, then the worked 2+2 instance
         assert_laws([checks.law_z_coupling_identity], rand_pairing(rng, 3, symmetric=False),
-                    scheme=rand_scheme(rng, 3), seed=0, max_grade=2, trials=48)
+                    scheme=rand_scheme(rng, 3), seed=0, max_grade=2,
+                    trials=trials_for(checks.law_z_coupling_identity, 12))
 
 
 class TestModifiedPairing:
@@ -184,7 +186,8 @@ class TestModifiedPairing:
 
     def test_coupling_identity(self, rng):
         assert_laws([checks.law_modified_coupling_identity], rand_pairing(rng, 3, symmetric=False),
-                    scheme=rand_scheme(rng, 3), seed=0, max_grade=2, trials=40)
+                    scheme=rand_scheme(rng, 3), seed=0, max_grade=2,
+                    trials=trials_for(checks.law_modified_coupling_identity, 10))
 
 
 class TestRenormalisedCircle:
@@ -221,7 +224,13 @@ class TestRenormalisedCircle:
 
     def test_coproduct_lemma(self, rng):
         assert_laws([checks.law_circle_renorm_coproduct], rand_pairing(rng, 3, symmetric=False),
-                    scheme=rand_scheme(rng, 3), seed=0, max_grade=3, trials=20)
+                    scheme=rand_scheme(rng, 3), seed=0, max_grade=3,
+                    trials=trials_for(checks.law_circle_renorm_coproduct, 10))
+
+    def test_group_acts_on_the_product(self, rng):
+        # schemes to grading 4, u and v to grading 3
+        assert_laws([checks.law_group_action], rand_pairing(rng, 3, symmetric=False),
+                    seed=0, max_grade=4, trials=10)
 
 
 class TestMemoKeys:

@@ -18,6 +18,7 @@ from conftest import (
     rand_element,
     rand_monomial,
     rand_pairing,
+    trials_for,
     rand_scalar,
     rand_scheme,
 )
@@ -696,8 +697,8 @@ class TestRenormalisedT:
             lhs, rhs = first_identity_check(Element.one(), v, ctx)
             assert lhs == t_map(v, ctx)
             assert rhs == t_map(v, ctx)
-        assert_laws([checks.law_tbar_identities], ctx.pairing, scheme=ctx.scheme,
-                    seed=3, max_grade=3, trials=10)
+        assert_laws([checks.law_tbar_identities], ctx.pairing, scheme=ctx.scheme, seed=3,
+                    max_grade=3, trials=trials_for(checks.law_tbar_identities, 10))
 
     def test_multiplicative_to_renorm_circle(self, ctx, rng):
         for _ in range(10):
