@@ -3,7 +3,8 @@
 All scalars are strings in ``p/q`` or ``p/q+r/s i`` form so nothing is ever
 rounded; scheme keys are comma-joined sorted index lists like ``"1,1,2"``.
 The pairing fixes the dimension and the symmetry; the keys ``"dimension"``
-and ``"symmetric"`` may restate them and must then agree with it.
+and ``"symmetric"`` may restate them and must then agree with it.  A key
+outside ``_KEYS`` (``_FOCK_KEYS`` in ``"fock"``) is refused, not read as absent.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ class ConfigError(ValueError):
 
 
 _ZETA_KEY_RE = re.compile(r"^\d+(,\d+)*$")
+
+_KEYS = ("pairing", "dimension", "symmetric", "zeta", "fock", "seed", "max_grade", "trials")
+_FOCK_KEYS = ("creation", "annihilation", "involution")
 
 # The least value of each integer setting, whether it comes from a config
 # file or from a command-line override.
@@ -57,6 +61,13 @@ class Config:
         return self.pairing.dim
 
 
+def _refuse_unknown_keys(data: dict, accepted, where: str):
+    unknown = [key for key in data if key not in accepted]
+    if unknown:
+        raise ConfigError(f"unknown {where} key {', '.join(map(repr, unknown))}; "
+                          f"accepted keys: {', '.join(accepted)}")
+
+
 def load_config(path: str) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -71,6 +82,7 @@ def load_config(path: str) -> Config:
 def parse_config(data: dict) -> Config:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
+    _refuse_unknown_keys(data, _KEYS, "config")
 
     rows = data.get("pairing")
     if not isinstance(rows, list) or not rows:
@@ -123,6 +135,7 @@ def parse_config(data: dict) -> Config:
     if fock_data is not None:
         if not isinstance(fock_data, dict):
             raise ConfigError("'fock' must be an object")
+        _refuse_unknown_keys(fock_data, _FOCK_KEYS, "fock")
         creation = fock_data.get("creation", [])
         annihilation = fock_data.get("annihilation", [])
         involution = fock_data.get("involution", {})

@@ -8,6 +8,7 @@ import random
 from itertools import product as iterproduct
 
 from conftest import (
+    Draws,
     assert_laws,
     mono,
     monomials_upto,
@@ -15,48 +16,28 @@ from conftest import (
     rand_pairing,
     rand_scalar,
     rand_scheme,
+    sweep,
     trials_for,
 )
 from wickalg import (
     Element,
     FockStructure,
-    Monomial,
     PairingMatrix,
     Scalar,
     TContext,
-    antipode,
-    circle,
     circle_fold,
     convolve,
-    coproduct,
-    counit,
-    exp_sigma,
     green,
     permanent,
     permanent_by_permutations,
     phi,
     smatrix,
-    sweedler,
-    t_map,
     t_scalar,
-    tbar_map,
     tbar_scalar,
-    vee,
 )
 from wickalg import checks
-from wickalg.checks import (
-    circle_distribute,
-    first_identity_check,
-    gaussian_closed_form_check,
-    simplest_lagrangian_check,
-)
 from wickalg.cli import main as cli_main
-from wickalg.oracles import (
-    t_by_moments,
-    t_closed_form,
-    t_map_by_circle_fold,
-    tbar_map_by_circle_fold,
-)
+from wickalg.oracles import t_closed_form
 from wickalg.renorm import LinearFunctional
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -68,40 +49,14 @@ TRIALS = 100
 
 
 def test_c01_hopf_laws():
-    # the laws draw random elements only: cocommutativity, the counit law and
-    # the antipode law on every monomial of grading <= 5 stay written out
-    for m in monomials_upto(4, 5):
-        u = Element.from_monomial(m)
-        t = coproduct(u)
-        assert t.swap() == t                                  # cocommutativity
-        left = Element.zero()
-        right = Element.zero()
-        for m1, m2, c in sweedler(u):
-            if m1.grading == 0:
-                left = left + c * Element.from_monomial(m2)
-            if m2.grading == 0:
-                right = right + c * Element.from_monomial(m1)
-        assert left == u and right == u                       # counit law
-        acc = Element.zero()
-        for m1, m2, c in sweedler(u):
-            acc = acc + c * antipode(Element.from_monomial(m1)).vee(
-                Element.from_monomial(m2)
-            )
-        assert acc == counit(u) * Element.one()               # antipode law
     L = rand_pairing(random.Random(SEED), 4, symmetric=True)
-    # coassociativity on every monomial of grading <= 5, then each law on
-    # TRIALS random elements of grading <= 5
-    assert_laws(
-        [
-            checks.law_vee_ring,
-            checks.law_coassociativity,
-            checks.law_cocommutativity,
-            checks.law_counit,
-            checks.law_antipode,
-            checks.law_derivations_commute,
-        ],
-        L, seed=SEED, max_grade=5, trials=TRIALS,
-    )
+    # each law on TRIALS random elements of grading <= 5, coassociativity on
+    # every monomial of grading <= 5 first
+    assert_laws([checks.law_vee_ring, checks.law_coassociativity, checks.law_derivations_commute],
+                L, seed=SEED, max_grade=5, trials=TRIALS)
+    # these three on every monomial of grading <= 5 as well
+    assert_laws([checks.law_cocommutativity, checks.law_counit, checks.law_antipode],
+                L, seed=SEED, max_grade=5, trials=TRIALS, cases=lambda env: sweep(env, Draws()))
     assert_laws([checks.law_coproduct_morphism], L, seed=SEED, max_grade=3, trials=TRIALS)
     print("PASS criterion 1: Hopf laws exact on monomials of grading <= 5 and random elements")
 
@@ -129,11 +84,10 @@ def test_c03_circle_product_laws():
         rand_pairing(rng, 3, symmetric=False),
     ]
     for L in pairings:
-        # law_circle_associative draws two pairings of its own next to the one
-        # it is given, so associativity on each of these stays written out
-        for _ in range(TRIALS):
-            u, v, w = (rand_element(rng, L.dim, 4, terms=2) for _ in range(3))
-            assert circle(circle(u, v, L), w, L) == circle(u, circle(v, w, L), L)
+        # TRIALS triples on this pairing alone, not on the two the law draws
+        assert_laws([checks.law_circle_associative], L, seed=SEED + 3, max_grade=4,
+                    trials=trials_for(checks.law_circle_associative, TRIALS),
+                    cases=lambda env: [Draws(env.L)])
         assert_laws(
             [
                 checks.law_circle_counit,
@@ -145,10 +99,9 @@ def test_c03_circle_product_laws():
             ],
             L, seed=SEED + 3, max_grade=3, trials=TRIALS // 4,
         )
-        for _ in range(TRIALS // 4):
-            # law_distributivity draws v and w one grading below its cap of 3
-            u, v, w = (rand_element(rng, L.dim, 3, terms=2) for _ in range(3))
-            assert circle_distribute(u, v, w, L) == circle(u, vee(v, w), L)
+        # past the cap of 3: u of grading <= 4, v and w <= 3
+        assert_laws([checks.law_distributivity], L, seed=SEED + 3, max_grade=4,
+                    trials=TRIALS // 4, cap=4)
     print("PASS criterion 3: circle product laws on >= 100 triples per pairing, asymmetric included")
 
 
@@ -230,13 +183,8 @@ def test_c06_renormalised_circle_product():
 def test_c07_t_map_routes_and_scalar_forms():
     rng = random.Random(SEED + 7)
     L = rand_pairing(rng, 4, symmetric=True)
-    ctx = TContext(L)
-    # beyond law_t_routes's cap of 5
-    for m in monomials_upto(4, 6):
-        u = Element.from_monomial(m)
-        a = t_map(u, ctx)
-        assert a == t_map_by_circle_fold(u, ctx)
-        assert a == exp_sigma(u, ctx)
+    # every monomial of grading <= 6, past the cap of 5
+    assert_laws([checks.law_t_routes], L, seed=SEED + 7, max_grade=6, trials=1, cap=6)
     assert_laws(
         [
             checks.law_t_coproduct,
@@ -246,14 +194,10 @@ def test_c07_t_map_routes_and_scalar_forms():
         ],
         L, seed=SEED + 7, max_grade=4, trials=TRIALS // 2,
     )
-    # beyond law_t_closed_forms's cap of six letters, the two oracles of t, the
-    # matching sum and Kan's moment formula, agree with the letter loop at eight
-    for length in (2, 4, 6, 8):
-        gens = tuple(rng.randint(1, 4) for _ in range(length))
-        rec = t_scalar(Element.from_monomial(Monomial.from_indices(gens)), ctx)
-        closed = t_closed_form(gens, ctx)
-        assert rec == closed
-        assert closed == t_by_moments(gens, ctx)
+    # the letter loop, the matching sum and Kan's moment formula on a word of
+    # each length <= 8, past the cap of six letters
+    assert_laws([checks.law_t_closed_forms], L, seed=SEED + 7, max_grade=8,
+                trials=trials_for(checks.law_t_closed_forms, 1), cap=8)
     ones = TContext(PairingMatrix([[Scalar(1)]]))
     assert t_closed_form((1,) * 8, ones) == 105  # (2n-1)!! matchings at 2n = 8
     print("PASS criterion 7: T-map routes agree to grading 6; scalar t, its matching sum "
@@ -265,15 +209,14 @@ def test_c08_renormalisation_identities():
     L = rand_pairing(rng, 3, symmetric=True)
     z = rand_scheme(rng, 3, max_grade=6)
     ctx = TContext(L, z)
-    # beyond law_tbar_identities's cap of 3, with v one grading below u
-    for m in monomials_upto(3, 6):
-        u = Element.from_monomial(m)
-        assert tbar_map(u, ctx) == tbar_map_by_circle_fold(u, ctx)  # Pinter identity
-    for _ in range(TRIALS // 4):
-        u = rand_element(rng, 3, 3, terms=2)
-        v = rand_element(rng, 3, 3, terms=2)
-        lhs, rhs = first_identity_check(u, v, ctx)
-        assert lhs == rhs
+    # past the cap of 3: the circle-fold route (Pinter identity) on every
+    # monomial of grading <= 6, then the first identity and the others on
+    # TRIALS // 4 draws of u of grading <= 4, v <= 3
+    assert_laws([checks.law_tbar_identities], L, scheme=z, seed=SEED + 8, max_grade=6,
+                trials=1, cap=6, cases=sweep)
+    assert_laws([checks.law_tbar_identities], L, scheme=z, seed=SEED + 8, max_grade=4,
+                trials=trials_for(checks.law_tbar_identities, TRIALS // 4), cap=4,
+                cases=lambda env: [Draws()])
     t_fn = LinearFunctional(lambda m: t_scalar(Element.from_monomial(m), ctx))
     conv = convolve(z, t_fn)
     for m in monomials_upto(3, 6):
@@ -306,17 +249,15 @@ def test_c09_fock_structure():
 
 def test_c10_series_identities():
     rng = random.Random(SEED + 10)
+    # every generator to order 5, past the law's e1 and e2 to order 4
     for d in (1, 2, 3):
-        L = rand_pairing(rng, d, symmetric=True)
-        ctx = TContext(L)
-        for k in range(1, d + 1):
-            lhs, rhs = simplest_lagrangian_check(k, ctx, 5)
-            assert lhs == rhs
+        assert_laws([checks.law_simplest_lagrangian], rand_pairing(rng, d, symmetric=True),
+                    seed=SEED + 10, max_grade=6, trials=1,
+                    cases=lambda env: [(k, 5) for k in range(1, env.d + 1)])
+    # the whole pairing to order 3 and grading 6
     for d in (1, 2):
-        L = rand_pairing(rng, d, symmetric=True)
-        ctx = TContext(L)
-        lhs, rhs = gaussian_closed_form_check(ctx, order=3, max_grading=6)
-        assert lhs == rhs
+        assert_laws([checks.law_gaussian_closed_form], rand_pairing(rng, d, symmetric=True),
+                    seed=SEED + 10, max_grade=6, trials=1, cases=lambda env: [(env.d, 3, 6)])
     L = rand_pairing(rng, 2, symmetric=True)
     ctx = TContext(L)
     for _ in range(10):

@@ -3,9 +3,12 @@ shipped configs and over seeded random configs: d = 1..4, symmetric
 pairings at each d and asymmetric ones at d = 2..4 (a 1x1 matrix is always
 symmetric), a Fock block at d = 2 and 4 and none at d = 1 and 3.
 
-A law lives only in ``checks.LAWS``.  This module, the acceptance criteria and
-some unit tests (through ``conftest.assert_laws``) run the laws; the tests
-otherwise keep worked examples and oracles.
+A law lives only in ``checks.LAWS``.  This module runs each at the sizes of
+``wickalg check``; the acceptance criteria and the unit tests run a law at
+their own pairing, scheme, grading and trials through ``conftest.assert_laws``,
+which calls ``checks.run_law``, with a cap or cases of their own where they
+need one.  Beyond those calls the tests keep worked examples, oracles and the
+few identities no law states.
 """
 
 import functools
@@ -15,7 +18,7 @@ from math import ceil
 
 import pytest
 
-from conftest import rand_scheme
+from conftest import assert_laws, rand_scheme
 from wickalg import checks, laplace
 from wickalg.checks import (LAWS, CheckEnv, Draws, law_permanent_kernels, law_vee_ring,
                             rand_pairing, run_checks, run_law)
@@ -108,6 +111,10 @@ def test_permanent_law_compares_mostly_nonzero_values(monkeypatch):
 
 
 SHIPPED = ("default.json", "asymmetric.json")
+# The laws that draw random schemes; below grading 2 a scheme has no values to
+# draw, so they run no trial there.
+SCHEME_LAWS = (checks.law_convolution_group, checks.law_inverse_four_point,
+               checks.law_group_action)
 
 
 def applicable(name):
@@ -125,13 +132,30 @@ def test_a_law_that_runs_no_trial_is_a_skip(monkeypatch, capsys):
     path = os.path.join(CONFIG_DIR, "default.json")
     assert main(["check", "--config", path, "--trials", "1", "--max-grade", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert f"skip  {LAWS[k].name} (ran 0 trials)" in out
-    assert out[-1] == f"{len(LAWS) - 1}/{len(LAWS) - 1} laws passed"
+    skipped = [f"skip  {entry.name} (ran 0 trials)" for entry in LAWS
+               if entry.fn is law_vee_ring or entry.fn in SCHEME_LAWS]
+    assert [line for line in out if line.startswith("skip")] == skipped
+    ran = len(LAWS) - len(skipped)
+    assert out[-1] == f"{ran}/{ran} laws passed"
+
+
+def test_assert_laws_fails_on_a_law_that_runs_no_trial():
+    # A request sized so that a law has no case must not pass as a check.
+    with pytest.raises(AssertionError, match="law_vee_ring ran no trial"):
+        assert_laws([law_vee_ring], CONFIGS["default.json"].pairing, seed=0, max_grade=1,
+                    trials=1, cases=lambda env: [])
 
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_every_law_runs_a_trial_at_one_requested_trial(name):
+    # At grading 1 exactly the scheme laws skip; at grading 2 every law runs.
     got = run_checks(CONFIGS[name], max_grade=1, trials=1)
+    for k, entry in applicable(name):
+        if entry.fn in SCHEME_LAWS:
+            assert (got[k].status, got[k].detail, got[k].trials_run) == ("skip", "ran 0 trials", 0)
+        else:
+            assert got[k].status == "ok" and got[k].trials_run >= 1, entry.name
+    got = run_checks(CONFIGS[name], max_grade=2, trials=1)
     assert all(got[k].status == "ok" and got[k].trials_run >= 1 for k, _ in applicable(name))
 
 
@@ -139,9 +163,10 @@ def test_every_law_runs_a_trial_at_one_requested_trial(name):
 def test_trials_run_grows_when_the_request_doubles(name):
     # A drawn case runs ceil(share x trials) times, which grows with the
     # request once share x trials >= 1; fixed cases run once whatever it is.
+    # Grading 2 is the least at which the scheme laws have cases.
     trials = ceil(1 / min(entry.share for entry in LAWS))
-    once, twice = (run_checks(CONFIGS[name], max_grade=1, trials=t) for t in (trials, 2 * trials))
-    env = CheckEnv(CONFIGS[name], 1, 1, 0)
+    once, twice = (run_checks(CONFIGS[name], max_grade=2, trials=t) for t in (trials, 2 * trials))
+    env = CheckEnv(CONFIGS[name], 2, 1, 0)
     for k, entry in applicable(name):
         drawn = entry.cases is None or any(isinstance(c, Draws) for c in entry.cases(env))
         if drawn:

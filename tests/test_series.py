@@ -6,7 +6,8 @@ from math import factorial
 
 import pytest
 
-from conftest import e, mono, rand_element, rand_monomial, rand_pairing, rand_scalar, rand_scheme
+from conftest import (Draws, assert_laws, e, mono, rand_element, rand_monomial, rand_pairing,
+                      rand_scalar, rand_scheme, trials_for)
 from wickalg import (
     Element,
     FormalSeries,
@@ -23,6 +24,7 @@ from wickalg import (
     t_map,
     vee_exp,
 )
+from wickalg import checks
 from wickalg.checks import (
     gaussian_closed_form_check,
     series_vee_exp,
@@ -52,20 +54,10 @@ class TestSeriesRing:
         b = scalar_series(1, 1)
         assert (a * b).order == 1
 
-    def test_associativity_random(self, rng):
-        for _ in range(30):
-            a = FormalSeries.from_scalars([rand_scalar(rng) for _ in range(5)])
-            b = FormalSeries.from_scalars([rand_scalar(rng) for _ in range(5)])
-            c = FormalSeries.from_scalars([rand_scalar(rng) for _ in range(5)])
-            assert (a * b) * c == a * (b * c)
-
-    def test_division_round_trip(self, rng):
-        for _ in range(30):
-            a = FormalSeries.from_scalars([rand_scalar(rng) for _ in range(5)])
-            d = FormalSeries.from_scalars(
-                [Scalar(1)] + [rand_scalar(rng) for _ in range(4)]
-            )
-            assert a.divide(d) * d == a
+    def test_associativity_and_division_at_order_four(self):
+        # 30 draws, all at order 4 where the law draws orders 1 to 4
+        assert_laws([checks.law_series_ring], PairingMatrix([[1]]), seed=0, max_grade=1,
+                    trials=trials_for(checks.law_series_ring, 30), cases=lambda env: [Draws(4)])
 
     def test_division_requires_unit(self):
         a = scalar_series(1, 2)
@@ -388,13 +380,11 @@ class TestSimplestLagrangian:
         )
         assert lhs.coefficient(2) == expected == rhs.coefficient(2)
 
-    def test_identity_through_order_five(self, rng):
-        for d in (1, 2, 3):
-            L = rand_pairing(rng, d, symmetric=True)
-            ctx = TContext(L)
-            for k in range(1, d + 1):
-                lhs, rhs = simplest_lagrangian_check(k, ctx, 5)
-                assert lhs == rhs
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_identity_through_order_five(self, rng, d):
+        assert_laws([checks.law_simplest_lagrangian], rand_pairing(rng, d, symmetric=True),
+                    seed=0, max_grade=1, trials=1,
+                    cases=lambda env: [(k, 5) for k in range(1, env.d + 1)])
 
 
 class TestGaussianClosedForm:
@@ -421,14 +411,7 @@ class TestGaussianClosedForm:
         assert rhs.coefficient(1).scalar_part() == m
         assert lhs == rhs
 
-    def test_identity_d2_order3(self, rng):
-        L = rand_pairing(rng, 2, symmetric=True)
-        ctx = TContext(L)
-        lhs, rhs = gaussian_closed_form_check(ctx, order=3, max_grading=6)
-        assert lhs == rhs
-
-    def test_identity_d3_order2(self, rng):
-        L = rand_pairing(rng, 3, symmetric=True)
-        ctx = TContext(L)
-        lhs, rhs = gaussian_closed_form_check(ctx, order=2, max_grading=4)
-        assert lhs == rhs
+    @pytest.mark.parametrize("d,order,grading", [(2, 3, 6), (3, 2, 4)])
+    def test_identity(self, rng, d, order, grading):
+        assert_laws([checks.law_gaussian_closed_form], rand_pairing(rng, d, symmetric=True),
+                    seed=0, max_grade=1, trials=1, cases=lambda env: [(d, order, grading)])

@@ -11,6 +11,7 @@ from math import factorial
 import pytest
 
 from conftest import (
+    Draws,
     assert_laws,
     e,
     mono,
@@ -21,6 +22,7 @@ from conftest import (
     trials_for,
     rand_scalar,
     rand_scheme,
+    sweep,
 )
 from wickalg import checks
 from wickalg import (
@@ -31,11 +33,9 @@ from wickalg import (
     Scalar,
     Scheme,
     TContext,
-    TensorElement,
     circle,
     circle_renorm,
     convolve,
-    coproduct,
     counit,
     exp_sigma,
     green,
@@ -47,19 +47,16 @@ from wickalg import (
     t_scalar,
     tbar_map,
     tbar_scalar,
-    tensor_product,
     vee,
     vee_exp,
     wick_expand,
 )
 from wickalg import algebra, tmaps
 from wickalg.algebra import Memo, _pack
-from wickalg.checks import first_identity_check
 from wickalg.config import load_config
 from wickalg.oracles import (
     t_by_moments,
     t_closed_form,
-    t_map_by_circle_fold,
     tbar_map_by_circle_fold,
     tbar_scalar_by_modified_pairing,
 )
@@ -152,15 +149,9 @@ class TestTMap:
         assert t_map(u, ctx) == wick_expand((1, 1, 2, 3), ctx.pairing)
 
     def test_three_routes_agree_to_grading_six(self, rng):
-        L = rand_pairing(rng, 2, symmetric=True)
-        ctx = TContext(L)
-        for m in monomials_upto(2, 6):
-            u = Element.from_monomial(m)
-            a = t_map(u, ctx)
-            b = t_map_by_circle_fold(u, ctx)
-            c = exp_sigma(u, ctx)
-            assert a == b
-            assert a == c
+        # every monomial on two letters, past the law's cap of 5
+        assert_laws([checks.law_t_routes], rand_pairing(rng, 2, symmetric=True), seed=0,
+                    max_grade=6, trials=1, cap=6)
 
     # The laws run on the d = 3 fixture (the acceptance criteria run d = 4).
     def test_multiplicative(self, ctx):
@@ -370,10 +361,10 @@ class TestSigma:
         expected = Element.from_monomial(mono(1, 2)) + ctx.pairing.entry(1, 2) * Element.one()
         assert got == expected
 
-    def test_exp_sigma_equals_t(self, ctx, rng):
-        for _ in range(15):
-            u = rand_element(rng, 3, 6)
-            assert exp_sigma(u, ctx) == t_map(u, ctx)
+    def test_exp_sigma_equals_t(self, ctx):
+        # with the circle fold, on every monomial of grading <= 6 on three letters
+        assert_laws([checks.law_t_routes], ctx.pairing, scheme=ctx.scheme, seed=0,
+                    max_grade=6, trials=1, cap=6)
 
     def test_demo_value(self):
         # demos/04: L = [[1/2, 1/3], [1/3, 1/4]], Sigma(a v a v b v b)
@@ -520,19 +511,15 @@ class TestClosedForms:
             gens = tuple(rng.randint(1, 3) for _ in range(length))
             assert t_closed_form(gens, ctx) == matching_sum_oracle(gens, ctx.pairing)
 
-    def test_matches_moments(self, ctx, rng):
-        for length in (0, 2, 4, 6):
-            gens = tuple(rng.randint(1, 3) for _ in range(length))
-            assert t_closed_form(gens, ctx) == t_by_moments(gens, ctx)
+    def test_matches_moments(self, ctx):
+        # with the letter loop, on a word of each length <= 6 on three letters
+        assert_laws([checks.law_t_closed_forms], ctx.pairing, scheme=ctx.scheme, seed=0,
+                    max_grade=6, trials=trials_for(checks.law_t_closed_forms, 1))
 
     def test_all_routes_at_eight_letters(self, rng):
-        L = rand_pairing(rng, 2, symmetric=True)
-        ctx = TContext(L)
-        gens = (1, 2, 1, 2, 1, 1, 2, 2)
-        rec = t_scalar(Element.from_monomial(Monomial.from_indices(gens)), ctx)
-        closed = t_closed_form(gens, ctx)
-        moments = t_by_moments(gens, ctx)
-        assert rec == closed == moments
+        # on a word of each length <= 8 on two letters, past the cap of 6
+        assert_laws([checks.law_t_closed_forms], rand_pairing(rng, 2, symmetric=True), seed=0,
+                    max_grade=8, trials=trials_for(checks.law_t_closed_forms, 1), cap=8)
 
     def test_matching_count_105_at_eight(self):
         ones = PairingMatrix([[Scalar(1)]])
@@ -667,38 +654,27 @@ class TestRenormalisedT:
             assert tbar_map(u, ctx) == t_map(u, ctx)
 
     def test_pinter_twist_route_to_grading_six(self, rng):
-        L = rand_pairing(rng, 2, symmetric=True)
-        ctx = TContext(L, rand_scheme(rng, 2, max_grade=5))
-        for m in monomials_upto(2, 6):
-            u = Element.from_monomial(m)
-            assert tbar_map(u, ctx) == tbar_map_by_circle_fold(u, ctx)
+        # the circle-fold route on every monomial on two letters, past the cap of 3
+        assert_laws([checks.law_tbar_identities], rand_pairing(rng, 2, symmetric=True),
+                    scheme=rand_scheme(rng, 2, max_grade=5), seed=0, max_grade=6, trials=1,
+                    cap=6, cases=sweep)
 
-    def test_coproduct_identity(self, ctx, rng):
-        for _ in range(10):
-            u = rand_element(rng, 3, 4, terms=2)
-            lhs = coproduct(tbar_map(u, ctx))
-            rhs = TensorElement(rank=2)
-            for u1, u2, c in sweedler(u):
-                rhs = rhs + c * tensor_product(
-                    Element.from_monomial(u1), tbar_map(Element.from_monomial(u2), ctx)
-                )
-            assert lhs == rhs
+    def test_identities_to_grading_four(self, ctx):
+        # the first identity, tbar = eps Tbar, Tbar from tbar and the coproduct
+        # of Tbar on 10 draws of u of grading <= 4 (v <= 3), past the cap of 3
+        assert_laws([checks.law_tbar_identities], ctx.pairing, scheme=ctx.scheme, seed=3,
+                    max_grade=4, trials=trials_for(checks.law_tbar_identities, 10), cap=4,
+                    cases=lambda env: [Draws()])
 
-    def test_first_identity_examples(self, ctx, rng):
-        lhs, rhs = first_identity_check(e(1), e(2), ctx)
+    def test_first_identity_example(self, ctx):
+        # T(e1) ro T(e2) = e1 ro e2 = e1 o e2 + Z(e1, e2)
+        z, L = ctx.scheme, ctx.pairing
         expected = (
             Element.from_monomial(mono(1, 2))
-            + (ctx.pairing.entry(1, 2) + ctx.scheme(mono(1, 2))) * Element.one()
+            + (L.entry(1, 2) + z(mono(1, 2))) * Element.one()
         )
-        assert lhs == expected
-        assert rhs == expected
-        for _ in range(5):
-            v = rand_element(rng, 3, 3)
-            lhs, rhs = first_identity_check(Element.one(), v, ctx)
-            assert lhs == t_map(v, ctx)
-            assert rhs == t_map(v, ctx)
-        assert_laws([checks.law_tbar_identities], ctx.pairing, scheme=ctx.scheme, seed=3,
-                    max_grade=3, trials=trials_for(checks.law_tbar_identities, 10))
+        assert circle_renorm(t_map(e(1), ctx), t_map(e(2), ctx), z, L) == expected
+        assert circle(e(1), e(2), L) + z(mono(1, 2)) * Element.one() == expected
 
     def test_multiplicative_to_renorm_circle(self, ctx, rng):
         for _ in range(10):
@@ -719,11 +695,6 @@ class TestRenormalisedScalarT:
         assert_laws([checks.law_tbar_examples], rand_pairing(rng, 4, symmetric=True),
                     scheme=rand_scheme(rng, 4, max_grade=4), seed=0, max_grade=4, trials=1)
 
-    def test_equals_counit_of_tbar(self, ctx, rng):
-        for _ in range(10):
-            u = rand_element(rng, 3, 4)
-            assert tbar_scalar(u, ctx) == counit(tbar_map(u, ctx))
-
     def test_is_convolution_of_scheme_with_t(self, ctx, rng):
         t_fn = LinearFunctional(lambda m: t_scalar(Element.from_monomial(m), ctx))
         conv = convolve(ctx.scheme, t_fn)
@@ -732,12 +703,3 @@ class TestRenormalisedScalarT:
             expected = sum((c * conv(m) for m, c in u.items()), Scalar(0))
             assert tbar_scalar(u, ctx) == expected
 
-    def test_tbar_map_from_scalar(self, ctx, rng):
-        for _ in range(10):
-            u = rand_element(rng, 3, 4)
-            acc = Element.zero()
-            for u1, u2, c in sweedler(u):
-                f = tbar_scalar(Element.from_monomial(u1), ctx)
-                if f:
-                    acc = acc + (c * f) * Element.from_monomial(u2)
-            assert acc == tbar_map(u, ctx)
