@@ -55,8 +55,8 @@ from .laplace import (
     pairing,
     wick_expand,
 )
-from .oracles import (t_by_moments, t_closed_form, t_map_by_circle_fold, tbar_map_by_circle_fold,
-                      tbar_scalar_by_modified_pairing, wick_step)
+from .oracles import (sweedler_product, t_by_moments, t_closed_form, t_map_by_circle_fold,
+                      tbar_map_by_circle_fold, tbar_scalar_by_modified_pairing, wick_step)
 from .renorm import Scheme, circle_renorm, modified_pairing, twist, z_pairing
 from .scalars import ONE, ZERO, Scalar
 from .series import (
@@ -686,6 +686,20 @@ def law_circle_renorm_coproduct(env: CheckEnv):
         return f"u={u}, v={v}"
 
 
+@law("zeta twist maps circle to renormalised circle", cap=3, share=Fraction(1, 2))
+def law_twist_conjugates_circle(env: CheckEnv):
+    """twist(u o v, z) = twist(u, z) ro twist(v, z), the right side by
+    circle_renorm and by the Sweedler loop over the modified pairing."""
+    z, L = env.scheme, env.L
+    u, v = env.random_element(terms=2), env.random_element(terms=2)
+    tu, tv = twist(u, z), twist(v, z)
+    lhs = twist(circle(u, v, L), z)
+    if lhs != circle_renorm(tu, tv, z, L):
+        return f"circle_renorm: u={u}, v={v}"
+    if lhs != sweedler_product(tu, tv, z._modified[L]):
+        return f"Sweedler product over the modified pairing: u={u}, v={v}"
+
+
 def _two_schemes(env: CheckEnv):
     z1, z2 = env.random_scheme(), env.random_scheme()
     return [Draws(z1, z2, renorm.convolve(z1, z2))]
@@ -795,17 +809,19 @@ def law_t_closed_forms(env: CheckEnv, n):
         return f"odd list not zero: {gens}"
 
 
-@law("renormalised T identities", cap=3, share=Fraction(1, 2), needs_symmetric=True,
-     cases=lambda env: [*_sweep(env), Draws()])
-def law_tbar_identities(env: CheckEnv, m=None):
-    """The circle-fold route of Tbar on every monomial, then random u, with v
-    one grading lower in the first identity,
+@law("Tbar equals the renormalised circle fold", cap=4, cases=_sweep, needs_symmetric=True)
+def law_tbar_circle_fold(env: CheckEnv, m):
+    ctx = env.tcontext()
+    u = Element.from_monomial(m)
+    if tbar_map(u, ctx) != tbar_map_by_circle_fold(u, ctx):
+        return f"monomial {m}"
+
+
+@law("renormalised T identities", cap=3, share=Fraction(1, 2), needs_symmetric=True)
+def law_tbar_identities(env: CheckEnv):
+    """Random u, with v one grading lower in the first identity,
     T(u) ro T(v) = sum Z(u_(1), v_(1)) T(u_(2)) o T(v_(2))."""
     ctx, z, L, one = env.tcontext(), env.scheme, env.L, Element.from_monomial
-    if m is not None:
-        u = one(m)
-        holds = tbar_map(u, ctx) == tbar_map_by_circle_fold(u, ctx)
-        return None if holds else f"circle-fold route at {m}"
     u = env.random_element(terms=2)
     v = env.random_element(max_grade=env.max_grade - 1, terms=2)
     lhs = circle_renorm(t_map(u, ctx), t_map(v, ctx), z, L)

@@ -8,9 +8,9 @@ every permanent on the Gaussian integers to which a :class:`PairingMatrix`
 converts its entries once.  The circle product u o v = sum u_(1) v v_(1)
 (u_(2)|v_(2)) deforms the symmetric product by a pairing: the time-ordered product for a
 symmetric form, the operator product for an antisymmetric one.  One Sweedler
-loop computes its memoised constants m1 o m2 for this Laplace pairing and a
-scheme's modified pairing (``renorm.circle_renorm``).  The oracles live in
-:mod:`wickalg.oracles`, but ``perfbench`` reads two here:
+loop computes its memoised constants m1 o m2 for the Laplace pairing; the
+renormalised product (``renorm.circle_renorm``) conjugates this one.  The
+oracles live in :mod:`wickalg.oracles`, but ``perfbench`` reads two here:
 :func:`permanent_by_permutations` and :func:`wick_expand`.
 """
 
@@ -47,7 +47,7 @@ class PairingMatrix:
         self.ints = tuple(map(tuple, ints))
         self.symmetric = self.ints == tuple(zip(*self.ints))
         self._laplace = Memo(self._laplace_value)
-        self._circle = Memo(_sweedler_monomials, self._laplace, True)
+        self._circle = Memo(_sweedler_monomials, self._laplace)
 
     def _laplace_value(self, key) -> Scalar:
         m1, m2 = key
@@ -233,15 +233,15 @@ def _bilinear(u: Element, v: Element, pair: Memo, graded: bool) -> Scalar:
     return total
 
 
-def _sweedler_monomials(pair: Memo, graded: bool, key) -> tuple:
+def _sweedler_monomials(pair: Memo, key) -> tuple:
     """m1 o m2 = sum m1_(1) v m2_(1) (m1_(2)|m2_(2)) as (monomial, coefficient)
-    pairs for a pairing memo, ``graded`` if it vanishes across gradings."""
+    pairs for a memo of the Laplace pairing, which vanishes across gradings."""
     m1, m2 = key
     out: dict[Monomial, Scalar] = {}
     right = monomial_splits(m2)
     for u1, u2, wu in monomial_splits(m1):
         for v1, v2, wv in right:
-            if graded and u2.grading != v2.grading:
+            if u2.grading != v2.grading:
                 continue
             p = pair[u2, v2]
             if p:
@@ -249,23 +249,19 @@ def _sweedler_monomials(pair: Memo, graded: bool, key) -> tuple:
     return tuple(out.items())
 
 
-def _circle_product(u: Element, v: Element, products: Memo) -> Element:
-    """sum c1 c2 (m1 o m2) over u and v; the memo's values are shared, never changed."""
+def circle(u: Element, v: Element, L: PairingMatrix) -> Element:
+    """The circle product: sum c1 c2 (m1 o m2) over the terms of u and v, m1 o m2
+    read from L's memo, shared and never changed; a letter outside 1..d is a
+    ``ValueError``."""
+    _check_letters(L.dim, u, v)
     out: dict[Monomial, Scalar] = {}
     for m1, c1 in u.terms.items():
         for m2, c2 in v.terms.items():
             c = c1 * c2
-            for m, p in products[m1, m2]:
+            for m, p in L._circle[m1, m2]:
                 prior = out.get(m)
                 out[m] = c * p if prior is None else prior + c * p
     return _wrap({m: x for m, x in out.items() if x})
-
-
-def circle(u: Element, v: Element, L: PairingMatrix) -> Element:
-    """The circle product: sum of u_(1) v v_(1) weighted by (u_(2)|v_(2)), read
-    from L's memo of m1 o m2; a letter outside 1..d is a ``ValueError``."""
-    _check_letters(L.dim, u, v)
-    return _circle_product(u, v, L._circle)
 
 
 def circle_fold(factors, L: PairingMatrix) -> Element:

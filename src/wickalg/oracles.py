@@ -1,8 +1,10 @@
 """Oracles: independent routes that tests and ``checks.LAWS`` compare with
 the one production algorithm for each quantity, on exact values.  No
 production module imports this module, and it calls none of the routes it
-checks: :func:`wick_step` checks ``laplace.circle`` by one generator, the
-circle folds ``tmaps.t_map`` and ``tbar_map``, :func:`t_closed_form` and
+checks, ``renorm.twist`` and ``circle_renorm`` among them: :func:`wick_step`
+checks ``laplace.circle`` by one generator, :func:`sweedler_product` over a
+scheme's modified pairing ``circle_renorm``, the circle folds
+``tmaps.t_map`` and ``tbar_map``, :func:`t_closed_form` and
 :func:`t_by_moments` ``t_scalar``, and :func:`tbar_scalar_by_modified_pairing`
 ``tbar_scalar``.  ``tmaps.exp_sigma``, reading no t route, is T's oracle, and ``perfbench``
 reads ``laplace.permanent_by_permutations``, ``laplace.wick_expand`` and
@@ -15,9 +17,8 @@ from collections import Counter
 from itertools import product
 from math import comb, factorial, prod
 
-from .algebra import Element, Monomial, _accumulate, _wrap, monomial_splits
+from .algebra import Element, Monomial, _accumulate, _wrap, monomial_splits, sweedler
 from .laplace import PairingMatrix, _gaussian_power, circle_fold
-from .renorm import circle_renorm
 from .scalars import ONE, ZERO, Scalar, common_denominator
 from .tmaps import TContext
 
@@ -39,6 +40,19 @@ def wick_step(u: Element, generator: int, L: PairingMatrix) -> Element:
     return _wrap(out)
 
 
+def sweedler_product(u: Element, v: Element, pair) -> Element:
+    """Oracle for a circle product: sum u_(1) v v_(1) pair(u_(2), v_(2)) over the
+    splits of the elements, ``pair`` a memo keyed (m1, m2), through no memo of
+    products m1 o m2; over a scheme's modified pairing, the ro product."""
+    out: dict[Monomial, Scalar] = {}
+    for u1, u2, cu in sweedler(u):
+        for v1, v2, cv in sweedler(v):
+            p = pair[u2, v2]
+            if p:
+                _accumulate(out, u1.vee(v1), cu * cv * p)
+    return _wrap(out)
+
+
 def t_map_by_circle_fold(u: Element, ctx: TContext) -> Element:
     """Oracle for T: left fold of the circle product over the letters."""
     out = Element.zero()
@@ -49,14 +63,14 @@ def t_map_by_circle_fold(u: Element, ctx: TContext) -> Element:
 
 
 def tbar_map_by_circle_fold(u: Element, ctx: TContext) -> Element:
-    """Oracle for Tbar: left fold of the renormalised circle product over the
-    letters, Tbar as the map multiplicative into that product."""
-    z = ctx.require_scheme()
+    """Oracle for Tbar: left fold of :func:`sweedler_product` over the modified
+    pairing along the letters, Tbar as the map multiplicative into ro."""
+    pair = ctx.require_scheme()._modified[ctx.pairing]
     out = Element.zero()
     for mono, coeff in u.items():
         prod = Element.one()
         for i in mono.indices():
-            prod = circle_renorm(prod, Element.generator(i), z, ctx.pairing)
+            prod = sweedler_product(prod, Element.generator(i), pair)
         out = out + coeff * prod
     return out
 

@@ -5,19 +5,20 @@ form a commutative group under convolution through the coproduct.  Out of a
 scheme, one pairing convolution (P * Q)(u, v) = sum P(u_(1), v_(1))
 Q(u_(2), v_(2)) builds the symmetric coupling pairing
 Z = (zeta^-1 (x) zeta^-1) * (zeta o vee) and the modified pairing
-Z * Laplace.  The renormalised circle product, the circle product's
-Sweedler loop over the modified pairing, is an associative deformation of
-the symmetric product with one free parameter per monomial of grading >= 2,
-and the group acts on it:
+Z * Laplace.  The renormalised circle product, the circle product over the
+modified pairing (``oracles.sweedler_product``), is an associative
+deformation of the symmetric product with one free parameter per monomial of
+grading >= 2.  The group acts on the product: by the coproduct lemma,
+twist(., zeta) maps o to o_zeta for any pairing, so :func:`circle_renorm` is
+the conjugate twist(twist(u, zeta^-1) o twist(v, zeta^-1), zeta); and
 Z_{z1*z2} = Z_{z1} * Z_{z2} and (.|.)_{z1*z2} = Z_{z1} * (.|.)_{z2}.
 
-A functional owns the memos of the pairings built from it: its values and
-its inverse's per monomial, Z per monomial pair, and per pairing matrix
-(keyed by value) memos of the modified pairing and of the circle product
-m1 o m2 over it.  They live as long as the functional and hold it weakly;
-element-level pairings and ``circle_renorm`` read them.  An inverse from
-:meth:`LinearFunctional.inverse` holds the functional and reads its memo, so
-there is no reference cycle.
+A functional owns four memos: its values and its inverse's per monomial, Z
+per monomial pair, and per pairing matrix (keyed by value) a memo of the
+modified pairing.  They live as long as the functional and hold it weakly;
+element-level pairings read them, and ``circle_renorm`` reads the inverse's
+values.  An inverse from :meth:`LinearFunctional.inverse` holds the
+functional and reads its memo, so there is no reference cycle.
 
 A :class:`Scheme`'s table ``values`` is both its rule and its support: the
 scheme vanishes off the unit and the table, so its action on numerator
@@ -31,7 +32,7 @@ from __future__ import annotations
 from math import comb
 
 from .algebra import FIELD, W, Element, Memo, Monomial, _check_letters, monomial_splits, sweedler
-from .laplace import PairingMatrix, _bilinear, _circle_product, _sweedler_monomials
+from .laplace import PairingMatrix, _bilinear, circle
 from .scalars import ONE, ZERO, Scalar, common_denominator
 
 
@@ -66,7 +67,6 @@ class LinearFunctional:
         self._inverse_values = Memo(self._inverse_value)
         self._coupling = Memo(self._coupling_value)
         self._modified = Memo(self._modified_memo)
-        self._circle = Memo(self._circle_memo)
 
     def __call__(self, m: Monomial) -> Scalar:
         if m.grading == 0:
@@ -108,9 +108,6 @@ class LinearFunctional:
 
     def _modified_memo(self, L: PairingMatrix) -> Memo:
         return Memo(self._modified_value, L)
-
-    def _circle_memo(self, L: PairingMatrix) -> Memo:
-        return Memo(_sweedler_monomials, self._modified[L], False)
 
     def _modified_value(self, L: PairingMatrix, key) -> Scalar:
         """Z * Laplace, read as Laplace * Z: Laplace vanishes across gradings."""
@@ -233,7 +230,8 @@ def modified_pairing(
 def circle_renorm(
     u: Element, v: Element, z: LinearFunctional, L: PairingMatrix
 ) -> Element:
-    """The renormalised circle product, m1 o m2 read from z's memo for L over
-    the modified pairing; a letter outside 1..d is a ``ValueError``."""
+    """The renormalised circle product twist(twist(u, z^-1) o twist(v, z^-1), z),
+    z^-1 read from z's inverse memo; a letter outside 1..d is a ``ValueError``."""
     _check_letters(L.dim, u, v)
-    return _circle_product(u, v, z._circle[L])
+    inv = z._inverse_values.__getitem__
+    return twist(circle(twist(u, inv), twist(v, inv), L), z)

@@ -209,14 +209,13 @@ def test_c08_renormalisation_identities():
     L = rand_pairing(rng, 3, symmetric=True)
     z = rand_scheme(rng, 3, max_grade=6)
     ctx = TContext(L, z)
-    # past the cap of 3: the circle-fold route (Pinter identity) on every
+    # past the caps: the circle-fold route (Pinter identity) on every
     # monomial of grading <= 6, then the first identity and the others on
     # TRIALS // 4 draws of u of grading <= 4, v <= 3
-    assert_laws([checks.law_tbar_identities], L, scheme=z, seed=SEED + 8, max_grade=6,
-                trials=1, cap=6, cases=sweep)
+    assert_laws([checks.law_tbar_circle_fold], L, scheme=z, seed=SEED + 8, max_grade=6,
+                trials=1, cap=6)
     assert_laws([checks.law_tbar_identities], L, scheme=z, seed=SEED + 8, max_grade=4,
-                trials=trials_for(checks.law_tbar_identities, TRIALS // 4), cap=4,
-                cases=lambda env: [Draws()])
+                trials=trials_for(checks.law_tbar_identities, TRIALS // 4), cap=4)
     t_fn = LinearFunctional(lambda m: t_scalar(Element.from_monomial(m), ctx))
     conv = convolve(z, t_fn)
     for m in monomials_upto(3, 6):

@@ -25,7 +25,6 @@ from wickalg import (
     pairing,
     permanent,
     permanent_by_permutations,
-    sweedler,
     vee,
     wick_expand,
 )
@@ -33,7 +32,7 @@ from wickalg.algebra import Memo
 from wickalg.config import load_config
 from wickalg.renorm import Scheme
 from wickalg.laplace import pairing_monomials
-from wickalg.oracles import wick_step
+from wickalg.oracles import sweedler_product, wick_step
 
 
 def naive_permanent(matrix):
@@ -312,18 +311,6 @@ class TestCircle:
                     seed=0, max_grade=3, trials=15)
 
 
-def sweedler_reference(u, v, pair):
-    """sum u_(1) v v_(1) pair(u_(2), v_(2)) over the splits of the whole
-    elements, the circle product read through no product memo."""
-    out = Element.zero()
-    for u1, u2, cu in sweedler(u):
-        for v1, v2, cv in sweedler(v):
-            p = pair(u2, v2)
-            if p:
-                out = out + (cu * cv * p) * Element.from_monomial(u1.vee(v1))
-    return out
-
-
 def repeating_elements(rng, d, count):
     """Elements of two terms drawn from a pool of four monomials of grading
     <= 3, so the monomial pairs of their products repeat."""
@@ -342,8 +329,8 @@ def circle_case(name):
 
 class TestCircleMemo:
     """The circle product reads m1 o m2 from a memo keyed (m1, m2), owned by
-    the matrix for the Laplace pairing and by the scheme, per matrix, for
-    the modified pairing.  Memo values are shared between calls."""
+    the matrix; the renormalised product conjugates it by the scheme's
+    twist.  Memo values are shared between calls."""
 
     @pytest.mark.parametrize("name", ["default.json", "asymmetric.json", "random"])
     def test_products_match_fresh_memos_and_wick_folds(self, name):
@@ -358,11 +345,9 @@ class TestCircleMemo:
                 requests += len(u.terms) * len(v.terms)
                 got = circle(u, v, L)
                 assert got == circle(u, v, fresh_L)
-                assert got == sweedler_reference(
-                    u, v, lambda a, b: pairing_monomials(a, b, L))
-                assert circle_renorm(u, v, z, L) == sweedler_reference(
-                    u, v, lambda a, b: modified_pairing(
-                        Element.from_monomial(a), Element.from_monomial(b), fresh_z, L))
+                assert got == sweedler_product(u, v, fresh_L._laplace)
+                assert circle_renorm(u, v, z, L) == sweedler_product(
+                    u, v, fresh_z._modified[L])
             by_circle = by_wick = u
             for b in [rng.randint(1, L.dim) for _ in range(3)]:
                 by_circle = circle(by_circle, e(b), L)
@@ -375,11 +360,14 @@ class TestCircleMemo:
         L, z = circle_case("random")
         rng = random.Random(11)
         u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
-        first, first_renorm = circle(u, v, L), circle_renorm(u, v, z, L)
-        sizes = [len(L._laplace), len(L._circle), len(z._modified[L]), len(z._circle[L])]
-        assert sizes[1] == len(u.terms) * len(v.terms)
+        first = circle(u, v, L)
+        assert len(L._circle) == len(u.terms) * len(v.terms)
+        first_renorm = circle_renorm(u, v, z, L)
+        sizes = [len(L._laplace), len(L._circle), len(z._inverse_values)]
         assert circle(u, v, L) == first and circle_renorm(u, v, z, L) == first_renorm
-        assert [len(L._laplace), len(L._circle), len(z._modified[L]), len(z._circle[L])] == sizes
+        assert [len(L._laplace), len(L._circle), len(z._inverse_values)] == sizes
+        # the conjugate reads no modified pairing
+        assert len(z._modified) == 0
 
     def test_shared_values_are_never_changed(self):
         L, z = circle_case("asymmetric.json")
@@ -391,12 +379,12 @@ class TestCircleMemo:
         def values(memo):
             return {key: dict(value) for key, value in memo.items()}
 
-        memos = values(L._circle), values(z._circle[L])
+        memos = values(L._circle)
         two = Scalar(2)
         assert circle(two * u, v, L) == two * first
         assert circle_renorm(u, two * v, z, L) == two * first_renorm
         assert (first.terms, first_renorm.terms) == kept
-        assert (values(L._circle), values(z._circle[L])) == memos
+        assert values(L._circle) == memos
 
 
 class TestWick:
@@ -550,6 +538,6 @@ def test_equal_matrices_share_one_modified_pairing(rng):
     b = PairingMatrix([list(row) for row in rows])
     z = rand_scheme(rng, 3)
     u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
-    assert circle_renorm(u, v, z, a) == circle_renorm(u, v, z, b)
+    assert modified_pairing(u, v, z, a) == modified_pairing(u, v, z, b)
     assert hash(a) == hash(b)
     assert len(z._modified) == 1 and z._modified[b] is z._modified[a]

@@ -19,7 +19,7 @@ from math import ceil
 import pytest
 
 from conftest import assert_laws, rand_scheme
-from wickalg import checks, laplace
+from wickalg import Element, checks, laplace
 from wickalg.checks import (LAWS, CheckEnv, Draws, law_permanent_kernels, law_vee_ring,
                             rand_pairing, run_checks, run_law)
 from wickalg.cli import main
@@ -137,6 +137,20 @@ def test_a_law_that_runs_no_trial_is_a_skip(monkeypatch, capsys):
     assert [line for line in out if line.startswith("skip")] == skipped
     ran = len(LAWS) - len(skipped)
     assert out[-1] == f"{ran}/{ran} laws passed"
+
+
+def test_check_sees_a_tbar_map_wrong_from_grading_four(monkeypatch):
+    # At its defaults, check reaches grading 4 only through the circle-fold
+    # law; the other Tbar identities stop at 3.
+    real = checks.tbar_map
+
+    def wrong(u, ctx):
+        return real(u, ctx) + (Element.one() if any(m.grading >= 4 for m in u.terms) else 0)
+
+    monkeypatch.setattr(checks, "tbar_map", wrong)
+    failed = [report.name for report in run_checks(CONFIGS["default.json"])
+              if report.status == "FAIL"]
+    assert failed == ["Tbar equals the renormalised circle fold"]
 
 
 def test_assert_laws_fails_on_a_law_that_runs_no_trial():

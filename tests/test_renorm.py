@@ -264,10 +264,10 @@ class TestMemoKeys:
         z = rand_scheme(rng, 3)
         L = rand_pairing(rng, 3, symmetric=True)
         u, v = Element.from_monomial(mono(1, 2, 3)), vee(e(1), e(2))
-        first = circle_renorm(u, v, z, L)
+        first = modified_pairing(u, v, z, L)
         computed = len(calls)
         assert computed > 0
-        again = circle_renorm(u, v, z, PairingMatrix(L.rows))
+        again = modified_pairing(u, v, z, PairingMatrix(L.rows))
         assert again == first
         assert len(calls) == computed
 

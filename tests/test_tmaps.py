@@ -11,7 +11,6 @@ from math import factorial
 import pytest
 
 from conftest import (
-    Draws,
     assert_laws,
     e,
     mono,
@@ -22,7 +21,6 @@ from conftest import (
     trials_for,
     rand_scalar,
     rand_scheme,
-    sweep,
 )
 from wickalg import checks
 from wickalg import (
@@ -654,17 +652,16 @@ class TestRenormalisedT:
             assert tbar_map(u, ctx) == t_map(u, ctx)
 
     def test_pinter_twist_route_to_grading_six(self, rng):
-        # the circle-fold route on every monomial on two letters, past the cap of 3
-        assert_laws([checks.law_tbar_identities], rand_pairing(rng, 2, symmetric=True),
+        # the circle-fold route on every monomial on two letters, past the cap of 4
+        assert_laws([checks.law_tbar_circle_fold], rand_pairing(rng, 2, symmetric=True),
                     scheme=rand_scheme(rng, 2, max_grade=5), seed=0, max_grade=6, trials=1,
-                    cap=6, cases=sweep)
+                    cap=6)
 
     def test_identities_to_grading_four(self, ctx):
         # the first identity, tbar = eps Tbar, Tbar from tbar and the coproduct
         # of Tbar on 10 draws of u of grading <= 4 (v <= 3), past the cap of 3
         assert_laws([checks.law_tbar_identities], ctx.pairing, scheme=ctx.scheme, seed=3,
-                    max_grade=4, trials=trials_for(checks.law_tbar_identities, 10), cap=4,
-                    cases=lambda env: [Draws()])
+                    max_grade=4, trials=trials_for(checks.law_tbar_identities, 10), cap=4)
 
     def test_first_identity_example(self, ctx):
         # T(e1) ro T(e2) = e1 ro e2 = e1 o e2 + Z(e1, e2)
