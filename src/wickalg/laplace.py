@@ -5,10 +5,16 @@ algebra: it vanishes across gradings and is a permanent within a grading,
 whose rows and columns repeat as often as the letters of the monomials.  One
 kernel, Glynn's formula summed over multiplicities (:func:`_glynn`), takes
 every permanent on the Gaussian integers to which a :class:`PairingMatrix`
-converts its entries once.  The circle product u o v = sum u_(1) v v_(1)
-(u_(2)|v_(2)) deforms the symmetric product by a pairing: the time-ordered product for a
-symmetric form, the operator product for an antisymmetric one.  One Sweedler
-loop computes its memoised constants m1 o m2 for the Laplace pairing; the
+converts its entries once, each a + b i packed as the one int a + b 2^K: 2^K
+is a square root of -1 modulo 2^(2K) + 1, so i -> 2^K maps Z[i] into that
+ring and each product of the formula is a product of ints.  At grading n,
+K = n (bits + bit_length(n) + 1), 2^bits above every |a| + |b| of the table,
+keeps both parts of the result below 2^(K-1) in size, so one reduction and a
+split of the balanced residue into two signed K-bit digits give it exactly.
+The circle product u o v = sum u_(1) v v_(1) (u_(2)|v_(2)) deforms the
+symmetric product by a pairing: the time-ordered product for a symmetric
+form, the operator product for an antisymmetric one.  One Sweedler loop
+computes its memoised constants m1 o m2 for the Laplace pairing; the
 renormalised product (``renorm.circle_renorm``) conjugates this one.  The
 oracles live in :mod:`wickalg.oracles`, but ``perfbench`` reads two here:
 :func:`permanent_by_permutations` and :func:`wick_expand`.
@@ -18,8 +24,9 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import prod
+from operator import add, mul, sub
 
-from .algebra import Element, Memo, Monomial, _accumulate, _check_letters, _wrap, monomial_splits
+from .algebra import W, Element, Memo, Monomial, _accumulate, _check_letters, _wrap, monomial_splits
 from .scalars import ONE, ZERO, Scalar, common_denominator
 
 
@@ -27,11 +34,12 @@ class PairingMatrix:
     """d x d matrix of generator pairings, entry[i][j] = (e_i|e_j), 1-based.
 
     An immutable value, converted once: ``rows`` holds the entries as
-    Scalars, ``den`` their least common denominator D and ``ints[i-1][j-1]``
+    Scalars, ``den`` their least common denominator D, ``ints[i-1][j-1]``
     the Gaussian integer D (e_i|e_j) as an ``(re, im)`` pair, which the
-    Laplace kernel and t's letter loop read.  Equality, hash and
-    ``symmetric`` (the circle product commutes) read ``(den, ints)``, so a
-    memo keyed on a matrix is keyed on its value.  The matrix owns its
+    Laplace kernel and t's letter loop read, and ``bits`` the bit length of
+    the largest |re| + |im|, which sizes the kernel's packed ints.
+    Equality, hash and ``symmetric`` (the circle product commutes) read
+    ``(den, ints)``, so a memo keyed on a matrix is keyed on its value.  The matrix owns its
     Laplace pairing and circle product m1 o m2 as memos keyed ``(m1, m2)``.
     """
 
@@ -45,6 +53,7 @@ class PairingMatrix:
         self.dim = d
         self.den, ints = common_denominator(rows)
         self.ints = tuple(map(tuple, ints))
+        self.bits = max([abs(a) + abs(b) for row in ints for a, b in row], default=0).bit_length()
         self.symmetric = self.ints == tuple(zip(*self.ints))
         self._laplace = Memo(self._laplace_value)
         self._circle = Memo(_sweedler_monomials, self._laplace)
@@ -75,66 +84,53 @@ class PairingMatrix:
 
 
 def permanent(matrix) -> Scalar:
-    """Exact permanent of a square matrix: :func:`_glynn` with every row and
-    column its own letter, 2^(n-1) * n arithmetic on Gaussian integers."""
-    n = len(matrix)
-    if n == 0:
-        return ONE
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("permanent needs a square matrix")
-    ones = [1] * n
-    return _glynn(*common_denominator(matrix), ones, ones)
+    """Exact permanent of a square matrix: the pairing of e1 v ... v en with
+    itself under the matrix, :func:`_glynn` with every row and column its own
+    letter, 2^(n-1) steps."""
+    word = Monomial.from_indices(range(1, len(matrix) + 1))
+    return pairing_monomials(word, word, PairingMatrix(matrix))
 
 
-def _glynn(D: int, rows, row_mults, col_mults) -> Scalar:
-    """The permanent of (1/D) A, A the n x n matrix that repeats row r of the
-    ``(re, im)`` table ``rows`` ``row_mults[r]`` times, column j ``col_mults[j]``.
+def _glynn(D: int, K: int, rows, row_mults, col_mults) -> Scalar:
+    """The permanent of (1/D) A, A the n x n matrix that repeats row r of
+    ``rows`` ``row_mults[r]`` times and column j ``col_mults[j]`` times.
 
-    Glynn's formula, perm A = 2^(1-n) sum (prod_k d_k) prod_r (sum_k d_k a_rk)
-    over the sign vectors d with one entry fixed at +1, grouped by k_j, the
-    number of copies of column j whose sign is flipped: C(c_j, k_j) vectors
-    share a term, where c_j counts the copies free to flip.  A reflected
-    mixed-radix Gray code walks the k_j, so each step moves one k_j by one,
-    the sign flips, the row sums move by -+2 column j and the weight by one
-    exact ratio.  The arithmetic runs on the integers of A, and the total is
-    divided by 2^(n-1) D^n.  Cost: prod (c_j + 1) steps over the distinct
-    rows, 2^(n-1) steps when every column is distinct.
+    ``rows`` holds the Gaussian integers a + b i of A as the ints a + b 2^K:
+    2^K is a square root of -1 modulo M = 2^(2K) + 1, so i -> 2^K maps Z[i]
+    into Z/M as a ring, and a product of Gaussian integers is one product of
+    ints.  Glynn's formula, perm A = 2^(1-n) sum (prod_k d_k) prod_r (sum_k
+    d_k a_rk) over the sign vectors d with one entry fixed at +1, is grouped
+    by k_j, the number of copies of column j whose sign is flipped: C(c_j,
+    k_j) vectors share a term, where c_j counts the copies free to flip.  A
+    reflected mixed-radix Gray code walks the k_j, so each step moves one
+    k_j by one, the signed weight by one exact ratio and each row sum by
+    -+2 column j; a step's term is one ``prod`` of the row sums, each raised
+    to its row's multiplicity.  The total is reduced modulo M once, and its
+    balanced residue splits into two signed K-bit digits, the real and
+    imaginary parts of 2^(n-1) D^n perm (1/D) A.  The split is exact when
+    both parts lie below 2^(K-1) in size; they are at most 2^(n-1) prod_r
+    R_r^(p_r), R_r = sum_j c_j (|a_rj| + |b_rj|), and the caller picks K
+    above that bound.  Cost: prod (c_j + 1) steps over the distinct rows,
+    2^(n-1) steps when every column is distinct.  A real table keeps the
+    ints at the size of its values; an imaginary part makes a row sum K
+    bits wide, and its power and the step's product n K bits.
     """
     n = sum(row_mults)
-    sums_re = [0] * len(rows)
-    sums_im = [0] * len(rows)
+    sums = [sum(map(mul, row, col_mults)) for row in rows]
     tops, steps = [], []
     for j, column in enumerate(zip(*rows)):
-        c = col_mults[j]
-        for r, (a, b) in enumerate(column):
-            sums_re[r] += c * a
-            sums_im[r] += c * b
-        top = c - (j == 0)  # one copy of column 0 keeps the sign +1
+        top = col_mults[j] - (j == 0)  # one copy of column 0 keeps the sign +1
         if top:
             tops.append(top)
-            steps.append(tuple((r, 2 * a, 2 * b) for r, (a, b) in enumerate(column)))
+            steps.append([x + x for x in column])
     m = len(tops)
     ks = [0] * m
     up = [True] * m
-    singles = [r for r, p in enumerate(row_mults) if p == 1]
-    powers = [(r, p) for r, p in enumerate(row_mults) if p > 1]
-    weight, positive = 1, True
-    total_re = total_im = 0
+    repeated = len(rows) < n
+    weight = 1
+    total = 0
     while True:
-        p_re, p_im = 1, 0
-        for r in singles:
-            a, b = sums_re[r], sums_im[r]
-            p_re, p_im = p_re * a - p_im * b, p_re * b + p_im * a
-        for r, p in powers:
-            a, b = _gaussian_power(sums_re[r], sums_im[r], p)
-            p_re, p_im = p_re * a - p_im * b, p_re * b + p_im * a
-        if positive:
-            total_re += weight * p_re
-            total_im += weight * p_im
-        else:
-            total_re -= weight * p_re
-            total_im -= weight * p_im
+        total += weight * (prod(map(pow, sums, row_mults)) if repeated else prod(sums))
         # The lowest k_j that can move on in its direction moves; the ones
         # below it turn round.
         j = 0
@@ -142,38 +138,26 @@ def _glynn(D: int, rows, row_mults, col_mults) -> Scalar:
             k, top = ks[j], tops[j]
             if up[j]:
                 if k < top:
-                    weight = weight * (top - k) // (k + 1)
+                    weight = weight * (k - top) // (k + 1)
                     ks[j] = k + 1
-                    for r, a, b in steps[j]:
-                        sums_re[r] -= a
-                        sums_im[r] -= b
+                    sums = list(map(sub, sums, steps[j]))
                     break
             elif k:
-                weight = weight * k // (top - k + 1)
+                weight = weight * -k // (top - k + 1)
                 ks[j] = k - 1
-                for r, a, b in steps[j]:
-                    sums_re[r] += a
-                    sums_im[r] += b
+                sums = list(map(add, sums, steps[j]))
                 break
             up[j] = not up[j]
             j += 1
         else:
-            return Scalar.from_integers(total_re, total_im, D**n << (n - 1))
-        positive = not positive
-
-
-def _gaussian_power(a: int, b: int, p: int) -> tuple[int, int]:
-    """(a + b i)^p for p >= 1, by repeated squaring."""
-    if not b:
-        return a**p, 0
-    r_re, r_im = 1, 0
-    while True:
-        if p & 1:
-            r_re, r_im = r_re * a - r_im * b, r_re * b + r_im * a
-        p >>= 1
-        if not p:
-            return r_re, r_im
-        a, b = a * a - b * b, 2 * a * b
+            break
+    M = (1 << 2 * K) + 1
+    total %= M
+    if total > M >> 1:
+        total -= M
+    half = 1 << (K - 1)
+    im, re = divmod(total + half, 1 << K)
+    return Scalar.from_integers(re - half, im, D**n << (n - 1))
 
 
 def permanent_by_permutations(matrix) -> Scalar:
@@ -193,23 +177,32 @@ def permanent_by_permutations(matrix) -> Scalar:
 def pairing_monomials(m1: Monomial, m2: Monomial, L: PairingMatrix) -> Scalar:
     """(m1|m2): zero across gradings, else the permanent of generator pairings.
 
-    The letters of m1 index the rows and those of m2 the columns, each
-    repeated as often as the letter; :func:`_glynn` reads the matrix's
-    integer table (``L.ints`` over ``L.den``) on the distinct letters, with
-    their counts.  Its Gray walk runs over the columns, so the monomial with
-    fewer states prod (c + 1) takes them: perm A = perm A^T.  A letter
-    outside 1..d is a ``ValueError``.
+    A letter outside 1..d is a ``ValueError``, across gradings too.  The
+    letters of m1 index the rows and those of m2 the columns, each repeated
+    as often as the letter; :func:`_glynn` reads the matrix's integer table
+    on the distinct letters, with their counts, packed at width K = n (bits
+    + bit_length(n) + 1), ``bits`` from the matrix: each R_r of its bound is
+    at most n max (|a| + |b|) < 2^(bits + bit_length(n)), so both parts of
+    the sum stay below 2^(K-1).  The Gray walk runs over the columns, so the
+    monomial with fewer states prod (c + 1) takes them: perm A = perm A^T.
     """
-    if m1.grading != m2.grading:
+    word = m1.word | m2.word
+    if word >> W * L.dim:
+        _check_letters(L.dim, top=(word.bit_length() - 1) // W + 1)
+    n = m1.grading
+    if n != m2.grading:
         return ZERO
-    if m1.grading == 0:
+    if not n:
         return ONE
     rows, cols, ints = m1.counts, m2.counts, L.ints
-    _check_letters(L.dim, top=max(rows[-1][0], cols[-1][0]))
+    K = n * (L.bits + n.bit_length() + 1)
     if prod(c + 1 for _, c in rows) < prod(c + 1 for _, c in cols):
-        rows, cols, ints = cols, rows, tuple(zip(*ints))
-    table = [[ints[a - 1][b - 1] for b, _ in cols] for a, _ in rows]
-    return _glynn(L.den, table, [c for _, c in rows], [c for _, c in cols])
+        table = [[ints[a - 1][b - 1] for a, _ in rows] for b, _ in cols]
+        rows, cols = cols, rows
+    else:
+        table = [[ints[a - 1][b - 1] for b, _ in cols] for a, _ in rows]
+    table = [[x + (y << K) for x, y in row] for row in table]
+    return _glynn(L.den, K, table, [c for _, c in rows], [c for _, c in cols])
 
 
 def pairing(u: Element, v: Element, L: PairingMatrix) -> Scalar:

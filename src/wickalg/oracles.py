@@ -18,7 +18,7 @@ from itertools import product
 from math import comb, factorial, prod
 
 from .algebra import Element, Monomial, _accumulate, _wrap, monomial_splits, sweedler
-from .laplace import PairingMatrix, _gaussian_power, circle_fold
+from .laplace import PairingMatrix, circle_fold
 from .scalars import ONE, ZERO, Scalar, common_denominator
 from .tmaps import TContext
 
@@ -124,10 +124,12 @@ def t_by_moments(generators, ctx: TContext) -> Scalar:
             for gj, (re, im) in zip(g, row):
                 q_re += gi * gj * re
                 q_im += gi * gj * im
-        q_re, q_im = _gaussian_power(q_re, q_im, r)
+        p_re, p_im = 1, 0
+        for _ in range(r):
+            p_re, p_im = p_re * q_re - p_im * q_im, p_re * q_im + p_im * q_re
         w = (-1) ** sum(v) * (1 if 2 * v[0] == s[0] else 2) * prod(map(comb, s, v))
-        total_re += w * q_re
-        total_im += w * q_im
+        total_re += w * p_re
+        total_im += w * p_im
     return Scalar.from_integers(total_re, total_im, factorial(r) * (8 * D) ** r)
 
 

@@ -294,8 +294,8 @@ class TestCheckCommand:
         cfg = load_config(DEFAULT)
         real = laplace_mod._glynn
 
-        def corrupted(D, rows, row_mults, col_mults):
-            value = real(D, rows, row_mults, col_mults)
+        def corrupted(D, K, rows, row_mults, col_mults):
+            value = real(D, K, rows, row_mults, col_mults)
             if sum(row_mults) == 2:
                 return value + Scalar(1)
             return value

@@ -86,6 +86,24 @@ def permanent_cases(rng):
         yield m
 
 
+def extremal_tables(rng):
+    """n x n tables for n <= 6 at the edge of the kernel's width: every entry
+    B + B i with B >= 2^64, entries of mixed signs in both parts, and purely
+    imaginary entries, all of size above 2^64."""
+
+    def big():
+        return rng.randint(2**64, 2**66)
+
+    def signed():
+        return rng.choice((-1, 1)) * big()
+
+    for n in range(1, 7):
+        B = big()
+        yield [[Scalar(B, B)] * n for _ in range(n)]
+        yield [[Scalar(signed(), signed()) for _ in range(n)] for _ in range(n)]
+        yield [[Scalar(0, signed()) for _ in range(n)] for _ in range(n)]
+
+
 class TestPermanent:
     def test_empty_and_identity(self):
         assert permanent([]) == 1
@@ -105,6 +123,20 @@ class TestPermanent:
             expected = naive_permanent(m)
             assert permanent(m) == expected
             assert permanent_by_permutations(m) == expected
+
+    def test_extremal_tables(self, rng):
+        # The same entries on two letters, repeated up to grading 6, take the
+        # kernel's powers; the results reach both signs in both parts.
+        signs = set()
+        for m in extremal_tables(rng):
+            want = permanent_by_permutations(m)
+            assert permanent(m) == want
+            signs.add((want.re < 0, want.im < 0))
+            n = len(m)
+            L = PairingMatrix([row[:2] for row in m[:2]] if n > 1 else [[m[0][0], 1], [1, 1]])
+            m1, m2 = (mono(*rng.choices((1, 2), k=n)) for _ in range(2))
+            assert pairing_monomials(m1, m2, L) == permanent_by_permutations(expanded(m1, m2, L))
+        assert signs == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_matches_sympy_per(self, rng):
         sympy = pytest.importorskip("sympy")
@@ -181,6 +213,31 @@ def expanded(m1, m2, L):
     return [[L.entry(a, b) for b in m2.indices()] for a in m1.indices()]
 
 
+def row_expansion(m1, m2, L):
+    """In-test oracle for (m1|m2): each copy of a letter of m1, in order,
+    takes a letter of m2 with copies left, weighted by how many are left,
+    memoised on the counts of m2 left."""
+    if m1.grading != m2.grading:
+        return Scalar(0)
+    rows, cols = m1.indices(), [b for b, _ in m2.counts]
+    memo = {}
+
+    def expand(left):
+        placed = len(rows) - sum(left)
+        if placed == len(rows):
+            return Scalar(1)
+        if left not in memo:
+            total = Scalar(0)
+            for j, r in enumerate(left):
+                if r:
+                    rest = left[:j] + (r - 1,) + left[j + 1:]
+                    total = total + Scalar(r) * L.entry(rows[placed], cols[j]) * expand(rest)
+            memo[left] = total
+        return memo[left]
+
+    return expand(tuple(c for _, c in m2.counts))
+
+
 class TestMultisetKernel:
     """``pairing_monomials`` reads letter counts; the expanded matrix is the oracle."""
 
@@ -202,6 +259,29 @@ class TestMultisetKernel:
         for n in range(12, 17):
             m1, m2 = (mono(*rng.choices((1, 2), k=n)) for _ in range(2))
             assert pairing_monomials(m1, m2, L) == permanent(expanded(m1, m2, L)), (m1, m2)
+
+    def test_row_expansion_to_grading_twenty_four(self, rng):
+        # Every entry has both parts nonzero.  m1 spreads over four letters
+        # and m2 over three, so m2 has fewer Gray states: the kernel walks it
+        # on the table as given for (m1|m2) and transposed for (m2|m1).
+        def entry():
+            return Scalar(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5)),
+                          Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5)))
+
+        L = PairingMatrix([[entry() for _ in range(4)] for _ in range(4)])
+        for n in (12, 16, 20, 24):
+            m1 = mono(1, 2, 3, 4, *rng.choices((1, 2, 3, 4), k=n - 4))
+            m2 = mono(1, 2, 3, *rng.choices((1, 2, 3), k=n - 3))
+            assert pairing_monomials(m1, m2, L) == row_expansion(m1, m2, L), (m1, m2)
+            assert pairing_monomials(m2, m1, L) == row_expansion(m2, m1, L), (m2, m1)
+
+    def test_row_expansion_is_the_permutation_sum(self, rng):
+        L = rand_pairing(rng, 3, symmetric=False)
+        for m1 in monomials_upto(3, 4):
+            for m2 in monomials_upto(3, 4):
+                if m1.grading == m2.grading:
+                    want = permanent_by_permutations(expanded(m1, m2, L))
+                    assert row_expansion(m1, m2, L) == want, (m1, m2)
 
     def test_rank_one_closed_form(self, rng):
         # L_ab = x_a y_b: every permutation contributes prod x prod y.
@@ -231,13 +311,16 @@ class TestMultisetKernel:
 
     def test_letter_outside_the_matrix(self, rng):
         # The kernel reads the integer table unchecked, so the pairing checks
-        # the letters once, in either orientation of the table, and the
-        # element pairing checks them before it skips keys across gradings.
+        # the letters once, in either orientation of the table, and both
+        # pairings check them before they skip keys across gradings.
         L = rand_pairing(rng, 2, symmetric=False)
         cases = [
             lambda: pairing_monomials(mono(3), mono(1), L),
             lambda: pairing_monomials(mono(1, 1, 1), mono(1, 2, 7), L),
             lambda: pairing_monomials(mono(1, 2, 7), mono(1, 1, 1), L),
+            lambda: pairing_monomials(mono(3), mono(1, 1), L),  # across gradings
+            lambda: pairing_monomials(mono(), mono(3), L),
+            lambda: pairing_monomials(mono(3), mono(), L),
             lambda: pairing(e(1) + e(3), e(1), L),
             lambda: pairing(e(3), e(1).vee(e(1)), L),  # across gradings
             lambda: pairing(e(1).vee(e(1)), e(3), L),
@@ -250,21 +333,24 @@ class TestMultisetKernel:
     def test_transposed_orientation(self, rng, monkeypatch):
         # e1^4 has 5 Gray states and e1 v e2 v e3 v e4 has 16, so e1^4's one
         # letter is walked: the kernel sees the transposed integer table,
-        # row b holding D (e1|e_b).
+        # row b holding D (e1|e_b) packed at the kernel's width K.
         L = rand_pairing(rng, 4, symmetric=False)
         m1, m2 = mono(1, 1, 1, 1), mono(1, 2, 3, 4)
         seen = []
         real = laplace_mod._glynn
 
-        def spy(D, rows, row_mults, col_mults):
-            seen.append((D, rows, row_mults, col_mults))
-            return real(D, rows, row_mults, col_mults)
+        def spy(D, K, rows, row_mults, col_mults):
+            seen.append((D, K, rows, row_mults, col_mults))
+            return real(D, K, rows, row_mults, col_mults)
 
         monkeypatch.setattr(laplace_mod, "_glynn", spy)
         assert pairing_monomials(m1, m2, L) == permanent_by_permutations(expanded(m1, m2, L))
-        assert seen == [(L.den, [[L.ints[0][b - 1]] for b in (1, 2, 3, 4)], [1, 1, 1, 1], [4])]
-        assert all(Scalar.from_integers(*L.ints[0][b - 1], L.den) == L.entry(1, b)
-                   for b in (1, 2, 3, 4))
+        [(D, K, rows, row_mults, col_mults)] = seen
+        column = [L.ints[0][b - 1] for b in (1, 2, 3, 4)]
+        assert (D, rows, row_mults, col_mults) == (L.den, [[re + (im << K)] for re, im in column],
+                                                   [1, 1, 1, 1], [4])
+        assert all(Scalar.from_integers(re, im, L.den) == L.entry(1, b)
+                   for (re, im), b in zip(column, (1, 2, 3, 4)))
 
 
 class TestCircle:
