@@ -13,11 +13,12 @@ keeps both parts of the result below 2^(K-1) in size, so one reduction and a
 split of the balanced residue into two signed K-bit digits give it exactly.
 The circle product u o v = sum u_(1) v v_(1) (u_(2)|v_(2)) deforms the
 symmetric product by a pairing: the time-ordered product for a symmetric
-form, the operator product for an antisymmetric one.  One Sweedler loop
-computes its memoised constants m1 o m2 for the Laplace pairing; the
-renormalised product (``renorm.circle_renorm``) conjugates this one.  The
-oracles live in :mod:`wickalg.oracles`, but ``perfbench`` reads two here:
-:func:`permanent_by_permutations` and :func:`wick_expand`.
+form, the operator product for an antisymmetric one.  :func:`circle` groups
+the Sweedler sum of whole elements by second factors and reads only the
+Laplace memo; the renormalised product (``renorm.circle_renorm``)
+conjugates it.  The oracles live in :mod:`wickalg.oracles`, but
+``perfbench`` reads two here: :func:`permanent_by_permutations` and
+:func:`wick_expand`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from itertools import permutations
 from math import prod
 from operator import add, mul, sub
 
-from .algebra import W, Element, Memo, Monomial, _accumulate, _check_letters, _wrap, monomial_splits
+from .algebra import (W, Element, Memo, Monomial, _accumulate, _canonical, _check_letters, _wrap,
+                      monomial_splits)
 from .scalars import ONE, ZERO, Scalar, common_denominator
 
 
@@ -39,8 +41,8 @@ class PairingMatrix:
     Laplace kernel and t's letter loop read, and ``bits`` the bit length of
     the largest |re| + |im|, which sizes the kernel's packed ints.
     Equality, hash and ``symmetric`` (the circle product commutes) read
-    ``(den, ints)``, so a memo keyed on a matrix is keyed on its value.  The matrix owns its
-    Laplace pairing and circle product m1 o m2 as memos keyed ``(m1, m2)``.
+    ``(den, ints)``, so a memo keyed on a matrix is keyed on its value.  The matrix owns one
+    memo, its Laplace pairing keyed ``(m1, m2)``.
     """
 
     def __init__(self, entries):
@@ -56,7 +58,6 @@ class PairingMatrix:
         self.bits = max([abs(a) + abs(b) for row in ints for a, b in row], default=0).bit_length()
         self.symmetric = self.ints == tuple(zip(*self.ints))
         self._laplace = Memo(self._laplace_value)
-        self._circle = Memo(_sweedler_monomials, self._laplace)
 
     def _laplace_value(self, key) -> Scalar:
         m1, m2 = key
@@ -226,35 +227,46 @@ def _bilinear(u: Element, v: Element, pair: Memo, graded: bool) -> Scalar:
     return total
 
 
-def _sweedler_monomials(pair: Memo, key) -> tuple:
-    """m1 o m2 = sum m1_(1) v m2_(1) (m1_(2)|m2_(2)) as (monomial, coefficient)
-    pairs for a memo of the Laplace pairing, which vanishes across gradings."""
-    m1, m2 = key
-    out: dict[Monomial, Scalar] = {}
-    right = monomial_splits(m2)
-    for u1, u2, wu in monomial_splits(m1):
-        for v1, v2, wv in right:
-            if u2.grading != v2.grading:
-                continue
-            p = pair[u2, v2]
-            if p:
-                _accumulate(out, u1.vee(v1), p * (wu * wv))
-    return tuple(out.items())
-
-
 def circle(u: Element, v: Element, L: PairingMatrix) -> Element:
-    """The circle product: sum c1 c2 (m1 o m2) over the terms of u and v, m1 o m2
-    read from L's memo, shared and never changed; a letter outside 1..d is a
-    ``ValueError``."""
-    _check_letters(L.dim, u, v)
-    out: dict[Monomial, Scalar] = {}
-    for m1, c1 in u.terms.items():
-        for m2, c2 in v.terms.items():
-            c = c1 * c2
-            for m, p in L._circle[m1, m2]:
-                prior = out.get(m)
-                out[m] = c * p if prior is None else prior + c * p
-    return _wrap({m: x for m, x in out.items() if x})
+    """The circle product u o v = sum u_(1) v v_(1) (u_(2)|v_(2)), grouped by
+    second factors; a letter outside 1..d is a ``ValueError``.
+
+    By bilinearity u o v = sum U[u2] v W[u2] over the u2 of u's splits: U[u2]
+    = sum c w u1 over the splits u1 (x) u2 of u's terms, V[v2] likewise for
+    v, and W[u2] = sum (u2|v2) V[v2] over the v2 of u2's grading.  One pass
+    over u's splits builds each W[u2] at its first u2 and adds c w u1 v W[u2]:
+    one Laplace memo lookup per pair (u2, v2), one word sum and one product of
+    coefficients per output pair, and nothing kept after the call.  A
+    coefficient 1 rides as its int split weight, so a unit factor is an int
+    in each product it enters.
+    """
+    top = W * L.dim
+    right: dict[Monomial, list] = {}  # V[v2] as (v1 word, c w) pairs
+    for m, c in v.terms.items():
+        if m.word >> top:
+            _check_letters(L.dim, u, v)
+        for v1, v2, w in monomial_splits(m):
+            right.setdefault(v2, []).append((v1.word, w if c is ONE else c * w))
+    pair, grouped, out = L._laplace, {}, {}
+    for m, c in u.terms.items():
+        if m.word >> top:
+            _check_letters(L.dim, u, v)
+        for u1, u2, w in monomial_splits(m):
+            ws = grouped.get(u2)
+            if ws is None:  # W[u2], keyed by v1 word
+                ws = grouped[u2] = {}
+                for v2, vs in right.items():
+                    p = v2.grading == u2.grading and pair[u2, v2]
+                    if p:
+                        for v1, x in vs:
+                            prior = ws.get(v1)
+                            ws[v1] = p * x if prior is None else prior + p * x
+            if ws:  # a word sum cannot overflow: a grading near FIELD has too many splits
+                a, word = w if c is ONE else c * w, u1.word
+                for v1, b in ws.items():
+                    prior = out.get(word + v1)
+                    out[word + v1] = b * a if prior is None else prior + b * a
+    return _wrap({_canonical(k): x for k, x in out.items() if x})
 
 
 def circle_fold(factors, L: PairingMatrix) -> Element:

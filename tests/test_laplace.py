@@ -28,9 +28,9 @@ from wickalg import (
     vee,
     wick_expand,
 )
-from wickalg.algebra import Memo
+from wickalg.algebra import Memo, Monomial
 from wickalg.config import load_config
-from wickalg.renorm import Scheme
+from wickalg.renorm import Scheme, twist
 from wickalg.laplace import pairing_monomials
 from wickalg.oracles import sweedler_product, wick_step
 
@@ -399,7 +399,7 @@ class TestCircle:
 
 def repeating_elements(rng, d, count):
     """Elements of two terms drawn from a pool of four monomials of grading
-    <= 3, so the monomial pairs of their products repeat."""
+    <= 3, so the elements share terms."""
     pool = [rand_monomial(rng, d, 3) for _ in range(4)]
     return [Element({m: rand_scalar(rng) for m in rng.sample(pool, 2)}) for _ in range(count)]
 
@@ -414,9 +414,10 @@ def circle_case(name):
 
 
 class TestCircleMemo:
-    """The circle product reads m1 o m2 from a memo keyed (m1, m2), owned by
-    the matrix; the renormalised product conjugates it by the scheme's
-    twist.  Memo values are shared between calls."""
+    """The circle product groups the Sweedler sum of whole elements by second
+    factors and reads only the matrix's Laplace memo, which is the one memo
+    the matrix owns; the renormalised product conjugates it by the scheme's
+    twist.  No product is kept, and memo values are never changed."""
 
     @pytest.mark.parametrize("name", ["default.json", "asymmetric.json", "random"])
     def test_products_match_fresh_memos_and_wick_folds(self, name):
@@ -424,11 +425,8 @@ class TestCircleMemo:
         fresh_L, fresh_z = PairingMatrix(L.rows), Scheme(z.values)
         rng = random.Random(809)
         elements = repeating_elements(rng, L.dim, 8)
-        asked, requests = set(), 0
         for u in elements:
             for v in elements[:4]:
-                asked.update(product(u.terms, v.terms))
-                requests += len(u.terms) * len(v.terms)
                 got = circle(u, v, L)
                 assert got == circle(u, v, fresh_L)
                 assert got == sweedler_product(u, v, fresh_L._laplace)
@@ -439,19 +437,34 @@ class TestCircleMemo:
                 by_circle = circle(by_circle, e(b), L)
                 by_wick = wick_step(by_wick, b, L)
             assert by_circle == by_wick
-        # products of elements over a pool of four monomials repeat their keys
-        assert len(asked) <= 16 < requests
+
+    @pytest.mark.parametrize("name", ["default.json", "asymmetric.json", "random"])
+    def test_twisted_words_match_the_sweedler_oracle(self, name):
+        # zeta^-1 twists of words have many terms: distinct terms share a
+        # second factor u2, and distinct v2 share a first factor v1
+        L, z = circle_case(name)
+        fresh_L, fresh_z = PairingMatrix(L.rows), Scheme(z.values)
+        if name == "random":
+            assert any(x.im for row in L.rows for x in row)
+
+        def twisted(grading, start):
+            word = Monomial.from_indices([1 + (start + k) % L.dim for k in range(grading)])
+            return twist(Element.from_monomial(word), z.inverse())
+
+        for u, v in [(twisted(6, 0), twisted(6, 1)), (twisted(8, 0), twisted(4, 1))]:
+            assert circle(u, v, L) == sweedler_product(u, v, fresh_L._laplace)
+            assert circle_renorm(u, v, z, L) == sweedler_product(
+                u, v, fresh_z._modified[fresh_L])
 
     def test_a_repeated_product_adds_no_memo_entry(self):
         L, z = circle_case("random")
+        assert [k for k, x in vars(L).items() if isinstance(x, Memo)] == ["_laplace"]
         rng = random.Random(11)
         u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
-        first = circle(u, v, L)
-        assert len(L._circle) == len(u.terms) * len(v.terms)
-        first_renorm = circle_renorm(u, v, z, L)
-        sizes = [len(L._laplace), len(L._circle), len(z._inverse_values)]
+        first, first_renorm = circle(u, v, L), circle_renorm(u, v, z, L)
+        sizes = [len(L._laplace), len(z._inverse_values)]
         assert circle(u, v, L) == first and circle_renorm(u, v, z, L) == first_renorm
-        assert [len(L._laplace), len(L._circle), len(z._inverse_values)] == sizes
+        assert [len(L._laplace), len(z._inverse_values)] == sizes
         # the conjugate reads no modified pairing
         assert len(z._modified) == 0
 
@@ -461,16 +474,12 @@ class TestCircleMemo:
         u, v = rand_element(rng, 2, 4), rand_element(rng, 2, 4)
         first, first_renorm = circle(u, v, L), circle_renorm(u, v, z, L)
         kept = dict(first.terms), dict(first_renorm.terms)
-
-        def values(memo):
-            return {key: dict(value) for key, value in memo.items()}
-
-        memos = values(L._circle)
+        pairings = dict(L._laplace)
         two = Scalar(2)
         assert circle(two * u, v, L) == two * first
         assert circle_renorm(u, two * v, z, L) == two * first_renorm
         assert (first.terms, first_renorm.terms) == kept
-        assert values(L._circle) == memos
+        assert all(L._laplace[key] is value for key, value in pairings.items())
 
 
 class TestWick:
