@@ -16,6 +16,7 @@ from wickalg import (
     Scheme,
     TContext,
     exp_sigma,
+    modified_pairing_by_convolution,
     sigma_apply,
     t_closed_form,
     t_map,
@@ -54,5 +55,6 @@ for n in (2, 4, 6, 8):
 
 # renormalised time ordering: T of the zeta twist vs the multiplicative route
 print("\nTbar(a v b), twist of T =", tbar_map(Element.from_monomial(m((1, 2))), ctx))
-print("   via the circle fold  =", tbar_map_by_circle_fold(Element.from_monomial(m((1, 2))), ctx))
+modified = modified_pairing_by_convolution(zeta, L)
+print("   via the circle fold  =", tbar_map_by_circle_fold(Element.from_monomial(m((1, 2))), modified))
 print("tbar(a v a v b v b) =", tbar_scalar(word, ctx))

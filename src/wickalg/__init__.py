@@ -40,6 +40,7 @@ from .laplace import (
     wick_expand,
 )
 from .oracles import (
+    modified_pairing_by_convolution,
     t_by_moments,
     t_closed_form,
     t_map_by_circle_fold,

@@ -155,9 +155,14 @@ def _unpack(word: int) -> tuple:
 
 
 def _check_letters(dim: int, *elements: "Element", top: int = 0) -> None:
-    """A letter above d, in an element or ``top``, is a ``ValueError`` that names d."""
-    top = max([top] + [m.counts[-1][0] for u in elements for m in u.terms if m.counts])
-    if top > dim:
+    """A letter above d, in an element or ``top``, is a ``ValueError`` that names d:
+    the terms' or-ed packed words hold one iff they shift past W d."""
+    word = 0
+    for u in elements:
+        for m in u.terms:
+            word |= m.word
+    if word >> W * dim or top > dim:
+        top = max(top, (word.bit_length() - 1) // W + 1)
         raise ValueError(f"generator index out of range: {top} with d={dim}")
 
 
@@ -167,24 +172,22 @@ class Memo(dict):
     The package's one caching mechanism.  Its owner creates it (in
     ``__init__``, or at module level) and it lives as long as the owner.  A
     bound-method ``compute`` holds its owner weakly, so dropping the owner
-    frees its memos by reference counting alone.  ``Memo(compute, *args)``
-    computes ``compute(*args, key)`` and holds ``args`` strongly.
+    frees its memos by reference counting alone.
     """
 
-    __slots__ = ("_function", "_owner", "_args")
+    __slots__ = ("_function", "_owner")
 
-    def __init__(self, compute, *args):
+    def __init__(self, compute):
         if isinstance(compute, MethodType):
             self._function, self._owner = compute.__func__, ref(compute.__self__)
         else:
             self._function, self._owner = compute, None
-        self._args = args
 
     def __missing__(self, key):
         if self._owner is None:
-            value = self[key] = self._function(*self._args, key)
+            value = self[key] = self._function(key)
         else:
-            value = self[key] = self._function(self._owner(), *self._args, key)
+            value = self[key] = self._function(self._owner(), key)
         return value
 
 

@@ -55,8 +55,9 @@ from .laplace import (
     pairing,
     wick_expand,
 )
-from .oracles import (sweedler_product, t_by_moments, t_closed_form, t_map_by_circle_fold,
-                      tbar_map_by_circle_fold, tbar_scalar_by_modified_pairing, wick_step)
+from .oracles import (modified_pairing_by_convolution, sweedler_product, t_by_moments,
+                      t_closed_form, t_map_by_circle_fold, tbar_map_by_circle_fold,
+                      tbar_scalar_by_modified_pairing, wick_step)
 from .renorm import Scheme, circle_renorm, modified_pairing, twist, z_pairing
 from .scalars import ONE, ZERO, Scalar
 from .series import (
@@ -646,6 +647,12 @@ def law_modified_coupling_identity(env: CheckEnv):
         return f"u={u}, v={v}, w={w}"
 
 
+def _with_oracle(env: CheckEnv, sweep=False):
+    """The scheme's modified pairing by convolution, built once per law run."""
+    pair = modified_pairing_by_convolution(env.scheme, env.L)
+    return [(m, pair) for m in _sweep(env)] if sweep else [Draws(pair)]
+
+
 @law("renormalised circle ring laws", cap=3, share=Fraction(1, 2))
 def law_circle_renorm_ring(env: CheckEnv):
     z, L = env.scheme, env.L
@@ -686,8 +693,9 @@ def law_circle_renorm_coproduct(env: CheckEnv):
         return f"u={u}, v={v}"
 
 
-@law("zeta twist maps circle to renormalised circle", cap=3, share=Fraction(1, 2))
-def law_twist_conjugates_circle(env: CheckEnv):
+@law("zeta twist maps circle to renormalised circle", cap=3, share=Fraction(1, 2),
+     cases=_with_oracle)
+def law_twist_conjugates_circle(env: CheckEnv, modified):
     """twist(u o v, z) = twist(u, z) ro twist(v, z), the right side by
     circle_renorm and by the Sweedler loop over the modified pairing."""
     z, L = env.scheme, env.L
@@ -696,8 +704,19 @@ def law_twist_conjugates_circle(env: CheckEnv):
     lhs = twist(circle(u, v, L), z)
     if lhs != circle_renorm(tu, tv, z, L):
         return f"circle_renorm: u={u}, v={v}"
-    if lhs != sweedler_product(tu, tv, z._modified[L]):
+    if lhs != sweedler_product(tu, tv, modified):
         return f"Sweedler product over the modified pairing: u={u}, v={v}"
+
+
+@law("coupling and modified pairings are pairing convolutions", cap=3, share=Fraction(1, 4),
+     cases=lambda env: [Draws(*(modified_pairing_by_convolution(env.scheme, L)
+                                for L in (PairingMatrix([[0] * env.d] * env.d), env.L)))])
+def law_pairings_by_convolution(env: CheckEnv, coupling, modified):
+    """Z and the modified pairing against the oracle, which holds Z under the zero matrix."""
+    z, u, v = env.scheme, env.random_element(), env.random_element()
+    for got, p in ((z_pairing(u, v, z), coupling), (modified_pairing(u, v, z, env.L), modified)):
+        if got != sum((c1 * c2 * p[m1, m2] for m1, c1 in u.items() for m2, c2 in v.items()), ZERO):
+            return f"{'Z' if p is coupling else 'modified pairing'}: u={u}, v={v}"
 
 
 def _two_schemes(env: CheckEnv):
@@ -809,16 +828,18 @@ def law_t_closed_forms(env: CheckEnv, n):
         return f"odd list not zero: {gens}"
 
 
-@law("Tbar equals the renormalised circle fold", cap=4, cases=_sweep, needs_symmetric=True)
-def law_tbar_circle_fold(env: CheckEnv, m):
-    ctx = env.tcontext()
+@law("Tbar equals the renormalised circle fold", cap=4, needs_symmetric=True,
+     cases=lambda env: _with_oracle(env, sweep=True))
+def law_tbar_circle_fold(env: CheckEnv, case):
+    m, modified = case
     u = Element.from_monomial(m)
-    if tbar_map(u, ctx) != tbar_map_by_circle_fold(u, ctx):
+    if tbar_map(u, env.tcontext()) != tbar_map_by_circle_fold(u, modified):
         return f"monomial {m}"
 
 
-@law("renormalised T identities", cap=3, share=Fraction(1, 2), needs_symmetric=True)
-def law_tbar_identities(env: CheckEnv):
+@law("renormalised T identities", cap=3, share=Fraction(1, 2), needs_symmetric=True,
+     cases=_with_oracle)
+def law_tbar_identities(env: CheckEnv, modified):
     """Random u, with v one grading lower in the first identity,
     T(u) ro T(v) = sum Z(u_(1), v_(1)) T(u_(2)) o T(v_(2))."""
     ctx, z, L, one = env.tcontext(), env.scheme, env.L, Element.from_monomial
@@ -828,13 +849,13 @@ def law_tbar_identities(env: CheckEnv):
     rhs, v_splits = Element.zero(), list(sweedler(v))
     for u1, u2, cu in sweedler(u):
         for v1, v2, cv in v_splits:
-            if f := z._coupling[u1, v1]:
+            if f := z_pairing(one(u1), one(v1), z):
                 rhs = rhs + (cu * cv * f) * circle(t_map(one(u2), ctx), t_map(one(v2), ctx), L)
     if lhs != rhs:
         return f"first identity: u={u}, v={v}"
     if tbar_scalar(u, ctx) != counit(tbar_map(u, ctx)):
         return f"tbar=eps Tbar: u={u}"
-    if tbar_scalar(u, ctx) != tbar_scalar_by_modified_pairing(u, ctx):
+    if tbar_scalar(u, ctx) != tbar_scalar_by_modified_pairing(u, modified):
         return f"tbar = modified-pairing recursion: u={u}"
     if twist(u, lambda m: tbar_scalar(one(m), ctx)) != tbar_map(u, ctx):
         return f"Tbar from tbar: u={u}"

@@ -124,8 +124,11 @@ def parse_config(data: dict) -> Config:
         if not (1 <= indices[0] and indices[-1] <= dimension):
             raise ConfigError(f"zeta key {key!r} has an index outside 1..{dimension}")
         # indices is in range, so the key is its packed word.
+        mono = _canonical(sum(1 << W * (i - 1) for i in indices))
+        if mono in values:
+            raise ConfigError(f"zeta key {key!r} names the same monomial as an earlier key")
         try:
-            values[_canonical(sum(1 << W * (i - 1) for i in indices))] = Scalar.parse(text)
+            values[mono] = Scalar.parse(text)
         except ValueError as exc:
             raise ConfigError(f"zeta value for {key!r}: {exc}") from exc
     scheme = Scheme(values)

@@ -210,21 +210,9 @@ def pairing(u: Element, v: Element, L: PairingMatrix) -> Scalar:
     """Bilinear extension of the generator pairing to whole elements; a
     letter outside 1..d is a ``ValueError``, across gradings too."""
     _check_letters(L.dim, u, v)
-    return _bilinear(u, v, L._laplace, True)
-
-
-def _bilinear(u: Element, v: Element, pair: Memo, graded: bool) -> Scalar:
-    """sum c_u c_v (m_u|m_v) over the terms of u and v for a pairing memo
-    keyed (m1, m2); a ``graded`` pairing skips keys across gradings."""
-    total = ZERO
-    for m1, c1 in u.items():
-        for m2, c2 in v.items():
-            if graded and m1.grading != m2.grading:
-                continue
-            p = pair[m1, m2]
-            if p:
-                total = total + c1 * c2 * p
-    return total
+    pair = L._laplace
+    return sum((c1 * c2 * p for m1, c1 in u.items() for m2, c2 in v.items()
+                if m1.grading == m2.grading and (p := pair[m1, m2])), ZERO)
 
 
 def circle(u: Element, v: Element, L: PairingMatrix) -> Element:

@@ -1,13 +1,14 @@
 """Oracles: independent routes that tests and ``checks.LAWS`` compare with
 the one production algorithm for each quantity, on exact values.  No
 production module imports this module, and it calls none of the routes it
-checks, ``renorm.twist`` and ``circle_renorm`` among them: :func:`wick_step`
-checks ``laplace.circle`` by one generator, :func:`sweedler_product` over a
-scheme's modified pairing ``circle_renorm``, the circle folds
-``tmaps.t_map`` and ``tbar_map``, :func:`t_closed_form` and
-:func:`t_by_moments` ``t_scalar``, and :func:`tbar_scalar_by_modified_pairing`
-``tbar_scalar``.  ``tmaps.exp_sigma``, reading no t route, is T's oracle, and ``perfbench``
-reads ``laplace.permanent_by_permutations``, ``laplace.wick_expand`` and
+checks, ``renorm.twist`` and its conjugates among them: :func:`wick_step`
+checks ``laplace.circle`` by one generator, :func:`modified_pairing_by_convolution`
+``z_pairing`` and ``modified_pairing``, :func:`sweedler_product` over it
+``circle_renorm``, the circle folds ``tmaps.t_map`` and ``tbar_map``,
+:func:`t_closed_form` and :func:`t_by_moments` ``t_scalar``, and
+:func:`tbar_scalar_by_modified_pairing` ``tbar_scalar``.  ``tmaps.exp_sigma``,
+reading no t route, is T's oracle, and ``perfbench`` reads
+``laplace.permanent_by_permutations``, ``laplace.wick_expand`` and
 ``FormalSeries.inverse_sqrt`` where they are.
 """
 
@@ -17,8 +18,9 @@ from collections import Counter
 from itertools import product
 from math import comb, factorial, prod
 
-from .algebra import Element, Monomial, _accumulate, _wrap, monomial_splits, sweedler
+from .algebra import Element, Memo, Monomial, _accumulate, _wrap, monomial_splits, sweedler
 from .laplace import PairingMatrix, circle_fold
+from .renorm import LinearFunctional
 from .scalars import ONE, ZERO, Scalar, common_denominator
 from .tmaps import TContext
 
@@ -38,6 +40,25 @@ def wick_step(u: Element, generator: int, L: PairingMatrix) -> Element:
             if f:
                 _accumulate(out, mono.remove_one(idx), coeff * mult * f)
     return _wrap(out)
+
+
+def modified_pairing_by_convolution(z: LinearFunctional, L: PairingMatrix) -> Memo:
+    """Oracle for the modified pairing: a memo keyed (m1, m2) of Z * Laplace,
+    (P * Q)(m1, m2) = sum P(m1_(1), m2_(1)) Q(m1_(2), m2_(2)), with Z =
+    (z^-1 (x) z^-1) * (z o vee) a memo of its own (Brouder, Fauser, Frabetti
+    and Oeckl, J. Phys. A 37 (2004) 5895); under the zero matrix, Laplace is
+    the unit eps (x) eps and the memo holds Z.  Build it once, read it often."""
+    inv = z.inverse()
+
+    def convolution(P, Q):
+        return Memo(lambda key: sum((wa * wb * p * Q(a2, b2)
+                                     for a1, a2, wa in monomial_splits(key[0])
+                                     for b1, b2, wb in monomial_splits(key[1])
+                                     if (p := P(a1, b1))), ZERO))
+
+    coupling = convolution(lambda a, b: inv(a) * inv(b), lambda a, b: z(a.vee(b)))
+    return convolution(lambda a, b: a.grading == b.grading and L._laplace[a, b],
+                       lambda a, b: coupling[a, b])
 
 
 def sweedler_product(u: Element, v: Element, pair) -> Element:
@@ -62,10 +83,9 @@ def t_map_by_circle_fold(u: Element, ctx: TContext) -> Element:
     return out
 
 
-def tbar_map_by_circle_fold(u: Element, ctx: TContext) -> Element:
-    """Oracle for Tbar: left fold of :func:`sweedler_product` over the modified
-    pairing along the letters, Tbar as the map multiplicative into ro."""
-    pair = ctx.require_scheme()._modified[ctx.pairing]
+def tbar_map_by_circle_fold(u: Element, pair) -> Element:
+    """Oracle for Tbar: left fold of :func:`sweedler_product` over ``pair``, the
+    modified pairing, along the letters, Tbar as the map multiplicative into ro."""
     out = Element.zero()
     for mono, coeff in u.items():
         prod = Element.one()
@@ -133,11 +153,10 @@ def t_by_moments(generators, ctx: TContext) -> Scalar:
     return Scalar.from_integers(total_re, total_im, factorial(r) * (8 * D) ** r)
 
 
-def tbar_scalar_by_modified_pairing(u: Element, ctx: TContext) -> Scalar:
-    """Oracle for tbar: the splitting recursion over the modified pairing,
-    x(e_a v rest) = sum over rest = r1 v r2 of w (e_a|r2) x(r1), a the
-    smallest letter; unmemoised, for small gradings."""
-    pair = ctx.require_scheme()._modified[ctx.pairing]
+def tbar_scalar_by_modified_pairing(u: Element, pair) -> Scalar:
+    """Oracle for tbar: the splitting recursion over ``pair``, the modified pairing,
+    x(e_a v rest) = sum over rest = r1 v r2 of w (e_a|r2) x(r1), a the smallest
+    letter; unmemoised, for small gradings."""
 
     def x(m: Monomial) -> Scalar:
         if m.grading == 0:

@@ -1,24 +1,23 @@
 """Renormalisation as a group of functionals acting on the product.
 
 A scheme is a unital linear functional vanishing on the generators; schemes
-form a commutative group under convolution through the coproduct.  Out of a
-scheme, one pairing convolution (P * Q)(u, v) = sum P(u_(1), v_(1))
-Q(u_(2), v_(2)) builds the symmetric coupling pairing
-Z = (zeta^-1 (x) zeta^-1) * (zeta o vee) and the modified pairing
-Z * Laplace.  The renormalised circle product, the circle product over the
-modified pairing (``oracles.sweedler_product``), is an associative
+form a commutative group under convolution through the coproduct, and the
+group acts on the product: by the coproduct lemma, twist(., zeta) maps o to
+o_zeta for any pairing, so :func:`circle_renorm` is the conjugate
+twist(twist(u, zeta^-1) o twist(v, zeta^-1), zeta), an associative
 deformation of the symmetric product with one free parameter per monomial of
-grading >= 2.  The group acts on the product: by the coproduct lemma,
-twist(., zeta) maps o to o_zeta for any pairing, so :func:`circle_renorm` is
-the conjugate twist(twist(u, zeta^-1) o twist(v, zeta^-1), zeta); and
-Z_{z1*z2} = Z_{z1} * Z_{z2} and (.|.)_{z1*z2} = Z_{z1} * (.|.)_{z2}.
+grading >= 2.  It acts on the pairings too.  Since Delta twist(u, f) =
+(twist(., f) (x) id) Delta u and eps o twist(., zeta) = zeta, the pairing
+convolutions Z = (zeta^-1 (x) zeta^-1) * (zeta o vee) and Z * Laplace, with
+(P * Q)(u, v) = sum P(u_(1), v_(1)) Q(u_(2), v_(2)), are the counits
+zeta(twist(u, zeta^-1) v twist(v, zeta^-1)) (:func:`z_pairing`) and
+zeta(twist(u, zeta^-1) o twist(v, zeta^-1)) = eps(u ro v)
+(:func:`modified_pairing`); the convolutions are an oracle.
 
-A functional owns four memos: its values and its inverse's per monomial, Z
-per monomial pair, and per pairing matrix (keyed by value) a memo of the
-modified pairing.  They live as long as the functional and hold it weakly;
-element-level pairings read them, and ``circle_renorm`` reads the inverse's
-values.  An inverse from :meth:`LinearFunctional.inverse` holds the
-functional and reads its memo, so there is no reference cycle.
+A functional owns two memos, its values and its inverse's per monomial;
+they live as long as the functional and hold it weakly, and the conjugates
+read the inverse's.  An inverse from :meth:`LinearFunctional.inverse` holds
+the functional and reads its memo, so there is no reference cycle.
 
 A :class:`Scheme`'s table ``values`` is both its rule and its support: the
 scheme vanishes off the unit and the table, so its action on numerator
@@ -31,42 +30,22 @@ from __future__ import annotations
 
 from math import comb
 
-from .algebra import FIELD, W, Element, Memo, Monomial, _check_letters, monomial_splits, sweedler
-from .laplace import PairingMatrix, _bilinear, circle
+from .algebra import FIELD, W, Element, Memo, Monomial, monomial_splits
+from .laplace import PairingMatrix, circle
 from .scalars import ONE, ZERO, Scalar, common_denominator
-
-
-def _convolve(P, Q, left, right) -> Scalar:
-    """(P * Q)(m1, m2) = sum P(m1_(1), m2_(1)) Q(m1_(2), m2_(2)) for pairings
-    ``P(a, b)``, ``Q(a, b)`` of monomials, over the splits ``left`` of m1 and
-    ``right`` of m2.  A caller may leave out splits on which P vanishes.
-    P * Q = Q * P (the coproduct is cocommutative); Q is read where P is
-    nonzero, so the sparser goes first."""
-    total = ZERO
-    for a1, a2, wa in left:
-        for b1, b2, wb in right:
-            p = P(a1, b1)
-            if not p:
-                continue
-            q = Q(a2, b2)
-            if q:
-                total = total + wa * wb * (p * q)
-    return total
 
 
 class LinearFunctional:
     """A linear functional on the symmetric algebra with zeta(1)=1, zeta(a)=0.
 
     Values on gradings 0 and 1 are structural; ``rule(m)`` gives the rest.
-    ``__init__`` declares every memo the functional owns (see the module
-    docstring); all are observationally pure.
+    ``__init__`` declares its two memos, its values and its inverse's (see
+    the module docstring); both are observationally pure.
     """
 
     def __init__(self, rule):
         self._memo = Memo(rule)
         self._inverse_values = Memo(self._inverse_value)
-        self._coupling = Memo(self._coupling_value)
-        self._modified = Memo(self._modified_memo)
 
     def __call__(self, m: Monomial) -> Scalar:
         if m.grading == 0:
@@ -95,27 +74,6 @@ class LinearFunctional:
             if b:
                 total = total - weight * (a * b)
         return total
-
-    def _coupling_value(self, key) -> Scalar:
-        """Z = (z^-1 (x) z^-1) * (z o vee), over the splits where z^-1 does
-        not vanish on either first factor."""
-        inv = self._inverse_values
-        m1, m2 = key
-        left = [s for s in monomial_splits(m1) if inv[s[0]]]
-        right = [s for s in monomial_splits(m2) if inv[s[0]]]
-        return _convolve(lambda a, b: inv[a] * inv[b],
-                         lambda a, b: self(a.vee(b)), left, right)
-
-    def _modified_memo(self, L: PairingMatrix) -> Memo:
-        return Memo(self._modified_value, L)
-
-    def _modified_value(self, L: PairingMatrix, key) -> Scalar:
-        """Z * Laplace, read as Laplace * Z: Laplace vanishes across gradings."""
-        laplace, coupling = L._laplace, self._coupling
-        m1, m2 = key
-        return _convolve(lambda a, b: a.grading == b.grading and laplace[a, b],
-                         lambda a, b: coupling[a, b],
-                         monomial_splits(m1), monomial_splits(m2))
 
 
 class Scheme(LinearFunctional):
@@ -158,10 +116,11 @@ def twist(u: Element, f) -> Element:
     if isinstance(f, Scheme):
         return Element.from_numerators(*twist_numerators(*u.numerators(), f))
     out: dict[Monomial, Scalar] = {}
-    for u1, u2, coeff in sweedler(u):
-        x = f(u1)
-        if x:
-            out[u2] = out.get(u2, ZERO) + coeff * x
+    for mono, coeff in u.items():
+        for u1, u2, weight in monomial_splits(mono):
+            x = f(u1)
+            if x:
+                out[u2] = out.get(u2, ZERO) + coeff * (weight * x)
     return Element(out)
 
 
@@ -216,22 +175,28 @@ def convolution_inverse(z: LinearFunctional) -> LinearFunctional:
 
 
 def z_pairing(u: Element, v: Element, z: LinearFunctional) -> Scalar:
-    """The coupling pairing built from a scheme and its inverse; symmetric."""
-    return _bilinear(u, v, z._coupling, False)
+    """The coupling pairing z(twist(u, z^-1) v twist(v, z^-1)), z^-1 read from
+    z's inverse memo; symmetric."""
+    inv = z._inverse_values.__getitem__
+    a, b = twist(u, inv), twist(v, inv)
+    return sum((c1 * c2 * x for m1, c1 in a.items() for m2, c2 in b.items()
+                if (x := z(m1.vee(m2)))), ZERO)
 
 
 def modified_pairing(
     u: Element, v: Element, z: LinearFunctional, L: PairingMatrix
 ) -> Scalar:
-    """Coupling pairing convolved with the Laplace pairing."""
-    return _bilinear(u, v, z._modified[L], False)
+    """The modified pairing z(twist(u, z^-1) o twist(v, z^-1)) = eps(u ro v);
+    a letter outside 1..d is a ``ValueError``."""
+    inv = z._inverse_values.__getitem__
+    w = circle(twist(u, inv), twist(v, inv), L)
+    return sum((c * x for m, c in w.items() if (x := z(m))), ZERO)
 
 
 def circle_renorm(
     u: Element, v: Element, z: LinearFunctional, L: PairingMatrix
 ) -> Element:
-    """The renormalised circle product twist(twist(u, z^-1) o twist(v, z^-1), z),
-    z^-1 read from z's inverse memo; a letter outside 1..d is a ``ValueError``."""
-    _check_letters(L.dim, u, v)
+    """The renormalised circle product twist(twist(u, z^-1) o twist(v, z^-1), z);
+    a letter outside 1..d is a ``ValueError``."""
     inv = z._inverse_values.__getitem__
     return twist(circle(twist(u, inv), twist(v, inv), L), z)

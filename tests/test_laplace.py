@@ -21,7 +21,6 @@ from wickalg import (
     circle_renorm,
     counit,
     divided_power,
-    modified_pairing,
     pairing,
     permanent,
     permanent_by_permutations,
@@ -32,7 +31,7 @@ from wickalg.algebra import Memo, Monomial
 from wickalg.config import load_config
 from wickalg.renorm import Scheme, twist
 from wickalg.laplace import pairing_monomials
-from wickalg.oracles import sweedler_product, wick_step
+from wickalg.oracles import modified_pairing_by_convolution, sweedler_product, wick_step
 
 
 def naive_permanent(matrix):
@@ -425,13 +424,13 @@ class TestCircleMemo:
         fresh_L, fresh_z = PairingMatrix(L.rows), Scheme(z.values)
         rng = random.Random(809)
         elements = repeating_elements(rng, L.dim, 8)
+        modified = modified_pairing_by_convolution(fresh_z, L)
         for u in elements:
             for v in elements[:4]:
                 got = circle(u, v, L)
                 assert got == circle(u, v, fresh_L)
                 assert got == sweedler_product(u, v, fresh_L._laplace)
-                assert circle_renorm(u, v, z, L) == sweedler_product(
-                    u, v, fresh_z._modified[L])
+                assert circle_renorm(u, v, z, L) == sweedler_product(u, v, modified)
             by_circle = by_wick = u
             for b in [rng.randint(1, L.dim) for _ in range(3)]:
                 by_circle = circle(by_circle, e(b), L)
@@ -451,22 +450,21 @@ class TestCircleMemo:
             word = Monomial.from_indices([1 + (start + k) % L.dim for k in range(grading)])
             return twist(Element.from_monomial(word), z.inverse())
 
+        modified = modified_pairing_by_convolution(fresh_z, fresh_L)
         for u, v in [(twisted(6, 0), twisted(6, 1)), (twisted(8, 0), twisted(4, 1))]:
             assert circle(u, v, L) == sweedler_product(u, v, fresh_L._laplace)
-            assert circle_renorm(u, v, z, L) == sweedler_product(
-                u, v, fresh_z._modified[fresh_L])
+            assert circle_renorm(u, v, z, L) == sweedler_product(u, v, modified)
 
     def test_a_repeated_product_adds_no_memo_entry(self):
         L, z = circle_case("random")
         assert [k for k, x in vars(L).items() if isinstance(x, Memo)] == ["_laplace"]
+        assert [k for k, x in vars(z).items() if isinstance(x, Memo)] == ["_memo", "_inverse_values"]
         rng = random.Random(11)
         u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
         first, first_renorm = circle(u, v, L), circle_renorm(u, v, z, L)
         sizes = [len(L._laplace), len(z._inverse_values)]
         assert circle(u, v, L) == first and circle_renorm(u, v, z, L) == first_renorm
         assert [len(L._laplace), len(z._inverse_values)] == sizes
-        # the conjugate reads no modified pairing
-        assert len(z._modified) == 0
 
     def test_shared_values_are_never_changed(self):
         L, z = circle_case("asymmetric.json")
@@ -623,16 +621,3 @@ def test_value_semantics(rng):
     # One imaginary part apart: same denominator, unequal matrices.
     other = PairingMatrix.from_strings([["1", "1/2"], ["1/2", "0+1/6 i"]])
     assert other.den == 6 and other != same[0] and other not in laplace_memos
-
-
-def test_equal_matrices_share_one_modified_pairing(rng):
-    # Equal matrices hash equal, so a scheme keeps one modified pairing for
-    # them.
-    rows = [[rand_scalar(rng) for _ in range(3)] for _ in range(3)]
-    a = PairingMatrix(rows)
-    b = PairingMatrix([list(row) for row in rows])
-    z = rand_scheme(rng, 3)
-    u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
-    assert modified_pairing(u, v, z, a) == modified_pairing(u, v, z, b)
-    assert hash(a) == hash(b)
-    assert len(z._modified) == 1 and z._modified[b] is z._modified[a]

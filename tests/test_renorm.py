@@ -3,7 +3,6 @@ import weakref
 
 import pytest
 
-import wickalg.renorm as renorm_mod
 from conftest import (assert_laws, e, mono, monomials_upto, rand_element, rand_pairing, rand_scheme,
                       trials_for)
 from wickalg import checks
@@ -234,8 +233,8 @@ class TestRenormalisedCircle:
 
 
 class TestMemoKeys:
-    """A scheme's pairing memos are keyed on the pairing matrix by value:
-    matrices with equal entries are equal and share one memo."""
+    """A scheme shared by several matrices gives, under each, what a fresh
+    scheme gives: its memos hold nothing keyed by a matrix."""
 
     def test_shared_scheme_matches_fresh_scheme_per_pairing(self, rng):
         values = rand_scheme(rng, 3).values
@@ -250,44 +249,13 @@ class TestMemoKeys:
                 assert modified_pairing(u, v, shared, M) == modified_pairing(u, v, fresh, M)
                 assert tbar_map(u, ctx_shared) == tbar_map(u, ctx_fresh)
 
-    def test_equal_pairing_hits_the_memo(self, rng, monkeypatch):
-        # A memo miss of the coupling or the modified pairing runs the
-        # module-level _convolve, so a rebound name sees every computation.
-        calls = []
-        real = renorm_mod._convolve
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(renorm_mod, "_convolve", counting)
-        z = rand_scheme(rng, 3)
-        L = rand_pairing(rng, 3, symmetric=True)
-        u, v = Element.from_monomial(mono(1, 2, 3)), vee(e(1), e(2))
-        first = modified_pairing(u, v, z, L)
-        computed = len(calls)
-        assert computed > 0
-        again = modified_pairing(u, v, z, PairingMatrix(L.rows))
-        assert again == first
-        assert len(calls) == computed
-
-    def test_one_modified_memo_per_matrix_value(self, rng):
-        z = rand_scheme(rng, 3)
-        L = rand_pairing(rng, 3, symmetric=True)
-        u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
-        for M in (L, PairingMatrix(L.rows), doubled(L)):
-            circle_renorm(u, v, z, M)
-            modified_pairing(u, v, z, M)
-            tbar_map(u, TContext(M, z))
-        assert len(z._modified) == 2
-
 
 class TestLifetime:
     """A scheme and its inverse form no reference cycle."""
 
     def test_matrix_and_scheme_freed_without_the_cycle_collector(self, rng):
-        # The matrix's Laplace memo and the scheme's modified-pairing memos
-        # hold their owners weakly, so reference counting frees both.
+        # The matrix's Laplace memo and the scheme's two memos hold their
+        # owners weakly, so reference counting frees both.
         u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
         L = rand_pairing(rng, 3, symmetric=True)
         z = rand_scheme(rng, 3)
