@@ -21,6 +21,7 @@ from wickalg import (
     circle_renorm,
     counit,
     divided_power,
+    modified_pairing,
     pairing,
     permanent,
     permanent_by_permutations,
@@ -621,3 +622,16 @@ def test_value_semantics(rng):
     # One imaginary part apart: same denominator, unequal matrices.
     other = PairingMatrix.from_strings([["1", "1/2"], ["1/2", "0+1/6 i"]])
     assert other.den == 6 and other != same[0] and other not in laplace_memos
+
+
+def test_equal_matrices_share_one_modified_pairing(rng):
+    # Equal matrices give one modified pairing, and the scheme keeps no memo
+    # keyed by a matrix: it owns its values and its inverse's values only.
+    rows = [[rand_scalar(rng) for _ in range(3)] for _ in range(3)]
+    a = PairingMatrix(rows)
+    b = PairingMatrix([list(row) for row in rows])
+    z = rand_scheme(rng, 3)
+    u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
+    assert hash(a) == hash(b)
+    assert modified_pairing(u, v, z, a) == modified_pairing(u, v, z, b)
+    assert [k for k, x in vars(z).items() if isinstance(x, Memo)] == ["_memo", "_inverse_values"]

@@ -23,10 +23,17 @@ from wickalg import (
     vee,
     z_pairing,
 )
+from wickalg.oracles import modified_pairing_by_convolution
 
 
 def doubled(L):
     return PairingMatrix([[Scalar(2) * x for x in row] for row in L.rows])
+
+
+def paired_by(oracle, u, v):
+    """The bilinear extension of an oracle memo keyed (m1, m2)."""
+    return sum((c1 * c2 * oracle[m1, m2] for m1, c1 in u.items() for m2, c2 in v.items()),
+               Scalar(0))
 
 
 class TestScheme:
@@ -123,6 +130,15 @@ class TestZPairing:
                     u, v = Element.from_monomial(m1), Element.from_monomial(m2)
                     assert z_pairing(u, v, z) == want, (m1, m2)
 
+    def test_matches_convolution_oracle_under_zero_matrix(self, rng):
+        # Under the zero matrix the oracle's Laplace pairing is eps (x) eps,
+        # so its memo holds Z by the convolution definition.
+        z = rand_scheme(rng, 3)
+        oracle = modified_pairing_by_convolution(z, PairingMatrix([[0] * 3] * 3))
+        for _ in range(10):
+            u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
+            assert z_pairing(u, v, z) == paired_by(oracle, u, v), (u, v)
+
     def test_symmetry(self, rng):
         # also the unit: (1|u)_Z = eps(u)
         assert_laws([checks.law_z_pairing_symmetry], rand_pairing(rng, 3, symmetric=False),
@@ -155,6 +171,20 @@ class TestModifiedPairing:
             u = rand_element(rng, 3, 3)
             assert modified_pairing(u, Element.one(), z, L) == counit(u)
             assert modified_pairing(Element.one(), u, z, L) == counit(u)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_matches_convolution_oracle(self, rng, symmetric):
+        z, L = rand_scheme(rng, 3), rand_pairing(rng, 3, symmetric=symmetric)
+        oracle = modified_pairing_by_convolution(z, L)
+        for _ in range(10):
+            u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
+            assert modified_pairing(u, v, z, L) == paired_by(oracle, u, v), (u, v)
+
+    def test_is_counit_of_renormalised_circle(self, rng):
+        z, L = rand_scheme(rng, 3), rand_pairing(rng, 3, symmetric=False)
+        for _ in range(10):
+            u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
+            assert modified_pairing(u, v, z, L) == counit(circle_renorm(u, v, z, L)), (u, v)
 
     def test_three_one_is_z_pairing(self, rng):
         z = rand_scheme(rng, 4)
@@ -248,6 +278,14 @@ class TestMemoKeys:
                 assert circle_renorm(u, v, shared, M) == circle_renorm(u, v, fresh, M)
                 assert modified_pairing(u, v, shared, M) == modified_pairing(u, v, fresh, M)
                 assert tbar_map(u, ctx_shared) == tbar_map(u, ctx_fresh)
+
+    def test_repeated_pairings_add_no_memo_entry(self, rng):
+        z, L = rand_scheme(rng, 3), rand_pairing(rng, 3, symmetric=False)
+        u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
+        first = z_pairing(u, v, z), modified_pairing(u, v, z, L)
+        sizes = len(z._memo), len(z._inverse_values), len(L._laplace)
+        assert (z_pairing(u, v, z), modified_pairing(u, v, z, PairingMatrix(L.rows))) == first
+        assert (len(z._memo), len(z._inverse_values), len(L._laplace)) == sizes
 
 
 class TestLifetime:
