@@ -9,7 +9,9 @@ every law at the grading min(cap, requested), so ``--max-grade`` bounds every
 draw; it runs each drawn case ceil(share x requested trials) times and each
 fixed case (a ``monomials_upto`` sweep, a worked instance) once, stops at the
 first counterexample, and counts the trials it ran: ``LawReport.trials_run``.
-A law that ran no trial is a skip, never a pass.
+A law that ran no trial is a skip, never a pass.  A law that sums over
+Sweedler splits states its summand: :func:`_sweedler_sum` is the one place
+where the laws expand a Sweedler sum.
 
 A law lives only here: tests/test_laws.py runs each over shipped and random
 configs, and the acceptance criteria and unit tests run it through run_law at
@@ -22,11 +24,12 @@ production modules state no law.
 from __future__ import annotations
 
 import random
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from itertools import permutations, product
-from math import ceil, comb, factorial
+from itertools import combinations_with_replacement, permutations, product
+from math import ceil, comb, factorial, prod
 from typing import Callable, NamedTuple
 
 from . import laplace, renorm
@@ -120,22 +123,10 @@ def rand_pairing(rng, d, symmetric: bool) -> PairingMatrix:
 
 
 def monomials_upto(d, max_grade):
-    """All monomials over 1..d with grading <= max_grade."""
-    out = [Monomial.unit()]
-    frontier = [Monomial.unit()]
-    for _ in range(max_grade):
-        nxt = []
-        seen = set()
-        for m in frontier:
-            start = m.counts[-1][0] if m.counts else 1
-            for i in range(start, d + 1):
-                mm = m.vee(Monomial.generator(i))
-                if mm not in seen:
-                    seen.add(mm)
-                    nxt.append(mm)
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    """All monomials over 1..d with grading <= max_grade, by grading, each
+    grading in lexicographic order of its index lists."""
+    return [Monomial.from_indices(c) for g in range(max_grade + 1)
+            for c in combinations_with_replacement(range(1, d + 1), g)]
 
 
 class CheckEnv:
@@ -266,6 +257,41 @@ def _sweep(env: CheckEnv):
     return monomials_upto(env.d, env.max_grade)
 
 
+_el = Element.from_monomial  # a monomial as a one-term element
+
+
+def _splits(*elements):
+    """(firsts, seconds, coeffs) over the Sweedler splits of the elements, one
+    split of each: its monomial factors and its coefficients."""
+    for split in product(*(sweedler(u) for u in elements)):
+        firsts, seconds, coeffs = zip(*split)
+        yield firsts, seconds, coeffs
+
+
+def _sweedler_sum(term, *elements, zero=ZERO):
+    """The sum of c term(*firsts, *seconds) over :func:`_splits` of the
+    elements, c the product of the coeffs; a term that returns None adds
+    nothing and costs no product.  ``zero`` types the sum: a Scalar, an
+    Element or a TensorElement, or a tuple of them for a term that returns
+    one summand per slot.  An element or tensor sum grows one term table."""
+    tupled = type(zero) is tuple
+    sums = [z if type(z) is Scalar else copy(z) for z in (zero if tupled else (zero,))]
+    for z in sums:  # each copy owns its table
+        if type(z) is not Scalar:
+            z.terms = dict(z.terms)
+    for firsts, seconds, coeffs in _splits(*elements):
+        value = term(*firsts, *seconds)
+        if value is not None:
+            c = prod(coeffs)
+            for k, x in enumerate(value if tupled else (value,)):
+                if type(x) is Scalar:
+                    sums[k] = sums[k] + c * x
+                else:
+                    for key, y in x.items():
+                        _accumulate(sums[k].terms, key, c * y)
+    return tuple(sums) if tupled else sums[0]
+
+
 # -- algebra laws ------------------------------------------------------------
 
 @law("vee is an associative commutative unital product")
@@ -313,11 +339,7 @@ def law_coproduct_morphism(env: CheckEnv):
 @law("antipode law and antipode morphism")
 def law_antipode(env: CheckEnv, m=None):
     u = env.random_element() if m is None else Element.from_monomial(m)
-    acc = Element.zero()
-    for m1, m2, c in sweedler(u):
-        acc = acc + c * antipode(Element.from_monomial(m1)).vee(
-            Element.from_monomial(m2)
-        )
+    acc = _sweedler_sum(lambda m1, m2: antipode(_el(m1)).vee(_el(m2)), u, zero=Element.zero())
     if acc != counit(u) * Element.one():
         return f"u={u}"
     v = env.random_element()
@@ -374,24 +396,12 @@ def law_permanent_kernels(env: CheckEnv, n, other):
 
 @law("Laplace expansion identities", cap=3)
 def law_laplace_identities(env: CheckEnv):
-    u, v, w = (env.random_element() for _ in range(3))
-    lhs = pairing(vee(u, v), w, env.L)
-    rhs = ZERO
-    for w1, w2, c in sweedler(w):
-        rhs = rhs + c * (
-            pairing(u, Element.from_monomial(w1), env.L)
-            * pairing(v, Element.from_monomial(w2), env.L)
-        )
-    if lhs != rhs:
+    u, v, w, L = *(env.random_element() for _ in range(3)), env.L
+    rhs = _sweedler_sum(lambda w1, w2: pairing(u, _el(w1), L) * pairing(v, _el(w2), L), w)
+    if pairing(vee(u, v), w, L) != rhs:
         return f"(u v v|w): u={u}, v={v}, w={w}"
-    lhs = pairing(u, vee(v, w), env.L)
-    rhs = ZERO
-    for u1, u2, c in sweedler(u):
-        rhs = rhs + c * (
-            pairing(Element.from_monomial(u1), v, env.L)
-            * pairing(Element.from_monomial(u2), w, env.L)
-        )
-    if lhs != rhs:
+    rhs = _sweedler_sum(lambda u1, u2: pairing(_el(u1), v, L) * pairing(_el(u2), w, L), u)
+    if pairing(u, vee(v, w), L) != rhs:
         return f"(u|v v w): u={u}, v={v}, w={w}"
 
 
@@ -413,21 +423,12 @@ def law_circle_counit(env: CheckEnv):
 
 @law("coproduct of circle product lemma", cap=3)
 def law_circle_coproduct(env: CheckEnv):
-    u, v = env.random_element(), env.random_element()
-    lhs = coproduct(circle(u, v, env.L))
-    rhs1 = TensorElement(rank=2)
-    rhs2 = TensorElement(rank=2)
-    for u1, u2, cu in sweedler(u):
-        for v1, v2, cv in sweedler(v):
-            c = cu * cv
-            rhs1 = rhs1 + c * tensor_product(
-                Element.from_monomial(u1.vee(v1)),
-                circle(Element.from_monomial(u2), Element.from_monomial(v2), env.L),
-            )
-            rhs2 = rhs2 + c * tensor_product(
-                circle(Element.from_monomial(u1), Element.from_monomial(v1), env.L),
-                Element.from_monomial(u2.vee(v2)),
-            )
+    u, v, L = env.random_element(), env.random_element(), env.L
+    lhs = coproduct(circle(u, v, L))
+    rhs1, rhs2 = _sweedler_sum(
+        lambda u1, v1, u2, v2: (tensor_product(_el(u1.vee(v1)), circle(_el(u2), _el(v2), L)),
+                                tensor_product(circle(_el(u1), _el(v1), L), _el(u2.vee(v2)))),
+        u, v, zero=(TensorElement(rank=2),) * 2)
     if lhs != rhs1 or lhs != rhs2:
         return f"u={u}, v={v}"
 
@@ -447,38 +448,23 @@ def antipode_sign(m: Monomial) -> int:
 @law("symmetric product recovered from circle", cap=3)
 def law_recover_vee(env: CheckEnv):
     """u v v = sum (-1)^|u_(1)| (u_(1)|v_(1)) u_(2) o v_(2)."""
-    u, v = env.random_element(), env.random_element()
-    out = Element.zero()
-    v_splits = list(sweedler(v))
-    for u1, u2, cu in sweedler(u):
-        sign = antipode_sign(u1)
-        for v1, v2, cv in v_splits:
-            if u1.grading != v1.grading:
-                continue
-            p = env.L._laplace[u1, v1]
-            if not p:
-                continue
-            coeff = cu * cv * p * sign
-            out = out + coeff * circle(
-                Element.from_monomial(u2), Element.from_monomial(v2), env.L
-            )
-    if out != vee(u, v):
+    u, v, L = env.random_element(), env.random_element(), env.L
+
+    def term(u1, v1, u2, v2):
+        if u1.grading == v1.grading and (p := L._laplace[u1, v1]):
+            return p * antipode_sign(u1) * circle(_el(u2), _el(v2), L)
+
+    if _sweedler_sum(term, u, v, zero=Element.zero()) != vee(u, v):
         return f"u={u}, v={v}"
 
 
 @law("pairing recovered from circle", cap=3)
 def law_recover_pairing(env: CheckEnv):
     """(u|v) 1 = sum (-1)^|u_(1) v v_(1)| u_(1) v v_(1) v (u_(2) o v_(2))."""
-    u, v = env.random_element(), env.random_element()
-    out = Element.zero()
-    v_splits = list(sweedler(v))
-    for u1, u2, cu in sweedler(u):
-        for v1, v2, cv in v_splits:
-            head = u1.vee(v1)
-            sign = antipode_sign(head)
-            prod = circle(Element.from_monomial(u2), Element.from_monomial(v2), env.L)
-            out = out + (cu * cv * sign) * Element.from_monomial(head).vee(prod)
-    if out != pairing(u, v, env.L) * Element.one():
+    u, v, L = env.random_element(), env.random_element(), env.L
+    out = _sweedler_sum(lambda u1, v1, u2, v2: antipode_sign(head := u1.vee(v1))
+                        * _el(head).vee(circle(_el(u2), _el(v2), L)), u, v, zero=Element.zero())
+    if out != pairing(u, v, L) * Element.one():
         return f"u={u}, v={v}"
 
 
@@ -603,20 +589,11 @@ def law_z_pairing_symmetry(env: CheckEnv):
 
 
 def _coupling_check(pair_fn, u, v, w):
-    lhs = ZERO
-    for u1, u2, cu in sweedler(u):
-        for v1, v2, cv in sweedler(v):
-            lhs = lhs + cu * cv * (
-                pair_fn(Element.from_monomial(u1.vee(v1)), w)
-                * pair_fn(Element.from_monomial(u2), Element.from_monomial(v2))
-            )
-    rhs = ZERO
-    for v1, v2, cv in sweedler(v):
-        for w1, w2, cw in sweedler(w):
-            rhs = rhs + cv * cw * (
-                pair_fn(u, Element.from_monomial(v1.vee(w1)))
-                * pair_fn(Element.from_monomial(v2), Element.from_monomial(w2))
-            )
+    """sum (u_(1) v v_(1)|w) (u_(2)|v_(2)) = sum (u|v_(1) v w_(1)) (v_(2)|w_(2))."""
+    lhs = _sweedler_sum(lambda u1, v1, u2, v2:
+                        pair_fn(_el(u1.vee(v1)), w) * pair_fn(_el(u2), _el(v2)), u, v)
+    rhs = _sweedler_sum(lambda v1, w1, v2, w2:
+                        pair_fn(u, _el(v1.vee(w1))) * pair_fn(_el(v2), _el(w2)), v, w)
     return lhs == rhs
 
 
@@ -677,18 +654,11 @@ def law_circle_renorm_trivial(env: CheckEnv):
 
 @law("coproduct of renormalised circle lemma", cap=3, share=Fraction(1, 2))
 def law_circle_renorm_coproduct(env: CheckEnv):
-    z = env.scheme
+    z, L = env.scheme, env.L
     u, v = env.random_element(terms=2), env.random_element(terms=2)
-    lhs = coproduct(circle_renorm(u, v, z, env.L))
-    rhs = TensorElement(rank=2)
-    for u1, u2, cu in sweedler(u):
-        for v1, v2, cv in sweedler(v):
-            rhs = rhs + (cu * cv) * tensor_product(
-                Element.from_monomial(u1.vee(v1)),
-                circle_renorm(
-                    Element.from_monomial(u2), Element.from_monomial(v2), z, env.L
-                ),
-            )
+    lhs = coproduct(circle_renorm(u, v, z, L))
+    rhs = _sweedler_sum(lambda u1, v1, u2, v2: tensor_product(
+        _el(u1.vee(v1)), circle_renorm(_el(u2), _el(v2), z, L)), u, v, zero=TensorElement(rank=2))
     if lhs != rhs:
         return f"u={u}, v={v}"
 
@@ -729,16 +699,14 @@ def law_group_action(env: CheckEnv, z1, z2, z12):
     """Z_{z1*z2} = Z_{z1} * Z_{z2} and (.|.)_{z1*z2} = Z_{z1} * (.|.)_{z2},
     where (P * Q)(u, v) = sum P(u_(1), v_(1)) Q(u_(2), v_(2)); the schemes
     reach the grading in force, u and v one grading lower."""
-    one = Element.from_monomial
     u, v = (env.random_element(max_grade=env.max_grade - 1, terms=2) for _ in range(2))
-    z_rhs = modified_rhs = ZERO
-    for u1, u2, cu in sweedler(u):
-        for v1, v2, cv in sweedler(v):
-            left = cu * cv * z_pairing(one(u1), one(v1), z1)
-            if left:
-                a, b = one(u2), one(v2)
-                z_rhs = z_rhs + left * z_pairing(a, b, z2)
-                modified_rhs = modified_rhs + left * modified_pairing(a, b, z2, env.L)
+
+    def term(u1, v1, u2, v2):
+        if left := z_pairing(_el(u1), _el(v1), z1):
+            a, b = _el(u2), _el(v2)
+            return left * z_pairing(a, b, z2), left * modified_pairing(a, b, z2, env.L)
+
+    z_rhs, modified_rhs = _sweedler_sum(term, u, v, zero=(ZERO, ZERO))
     if z_pairing(u, v, z12) != z_rhs:
         return f"Z of z1*z2: u={u}, v={v}"
     if modified_pairing(u, v, z12, env.L) != modified_rhs:
@@ -763,15 +731,9 @@ def law_t_coproduct(env: CheckEnv):
     ctx = env.tcontext()
     u = env.random_element()
     lhs = coproduct(t_map(u, ctx))
-    rhs1 = TensorElement(rank=2)
-    rhs2 = TensorElement(rank=2)
-    for u1, u2, c in sweedler(u):
-        rhs1 = rhs1 + c * tensor_product(
-            Element.from_monomial(u1), t_map(Element.from_monomial(u2), ctx)
-        )
-        rhs2 = rhs2 + c * tensor_product(
-            t_map(Element.from_monomial(u1), ctx), Element.from_monomial(u2)
-        )
+    rhs1, rhs2 = _sweedler_sum(lambda u1, u2: (tensor_product(_el(u1), t_map(_el(u2), ctx)),
+                                               tensor_product(t_map(_el(u1), ctx), _el(u2))),
+                               u, zero=(TensorElement(rank=2),) * 2)
     if lhs != rhs1 or lhs != rhs2:
         return f"u={u}"
 
@@ -842,27 +804,26 @@ def law_tbar_circle_fold(env: CheckEnv, case):
 def law_tbar_identities(env: CheckEnv, modified):
     """Random u, with v one grading lower in the first identity,
     T(u) ro T(v) = sum Z(u_(1), v_(1)) T(u_(2)) o T(v_(2))."""
-    ctx, z, L, one = env.tcontext(), env.scheme, env.L, Element.from_monomial
+    ctx, z, L = env.tcontext(), env.scheme, env.L
     u = env.random_element(terms=2)
     v = env.random_element(max_grade=env.max_grade - 1, terms=2)
+
+    def term(u1, v1, u2, v2):
+        if f := z_pairing(_el(u1), _el(v1), z):
+            return f * circle(t_map(_el(u2), ctx), t_map(_el(v2), ctx), L)
+
     lhs = circle_renorm(t_map(u, ctx), t_map(v, ctx), z, L)
-    rhs, v_splits = Element.zero(), list(sweedler(v))
-    for u1, u2, cu in sweedler(u):
-        for v1, v2, cv in v_splits:
-            if f := z_pairing(one(u1), one(v1), z):
-                rhs = rhs + (cu * cv * f) * circle(t_map(one(u2), ctx), t_map(one(v2), ctx), L)
-    if lhs != rhs:
+    if lhs != _sweedler_sum(term, u, v, zero=Element.zero()):
         return f"first identity: u={u}, v={v}"
     if tbar_scalar(u, ctx) != counit(tbar_map(u, ctx)):
         return f"tbar=eps Tbar: u={u}"
     if tbar_scalar(u, ctx) != tbar_scalar_by_modified_pairing(u, modified):
         return f"tbar = modified-pairing recursion: u={u}"
-    if twist(u, lambda m: tbar_scalar(one(m), ctx)) != tbar_map(u, ctx):
+    if twist(u, lambda m: tbar_scalar(_el(m), ctx)) != tbar_map(u, ctx):
         return f"Tbar from tbar: u={u}"
-    lhs, rhs = coproduct(tbar_map(u, ctx)), TensorElement(rank=2)
-    for u1, u2, c in sweedler(u):
-        rhs = rhs + c * tensor_product(one(u1), tbar_map(one(u2), ctx))
-    if lhs != rhs:
+    rhs = _sweedler_sum(lambda u1, u2: tensor_product(_el(u1), tbar_map(_el(u2), ctx)), u,
+                        zero=TensorElement(rank=2))
+    if coproduct(tbar_map(u, ctx)) != rhs:
         return f"coproduct of Tbar: u={u}"
 
 

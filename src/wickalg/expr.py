@@ -19,9 +19,10 @@ A scalar is one token, read by ``Scalar.parse`` with its whitespace removed
 and the atom's leading ``-`` (which negates the real part only) prefixed, so
 it means what the same literal means in a config.  The functions, with their
 arities and bodies, are the table ``FUNCTIONS``; the operators are
-``OPERATORS``.  Input nested too deeply for the parser is an
-``ExprSyntaxError``; the parser and ``evaluate`` both read operator and
-scalar chains in loops, so only parentheses and calls nest their frames.
+``OPERATORS``; a scalar chain ``s1 * s2 * ... * atom`` is the left-nested
+``BinOp("*", ...)`` of its factors.  Input nested too deeply for the parser
+is an ``ExprSyntaxError``; the parser and ``evaluate`` both read operator
+chains in loops, so only parentheses and calls nest their frames.
 """
 
 from __future__ import annotations
@@ -68,12 +69,6 @@ class BinOp:
     op: str
     left: object
     right: object
-
-
-@dataclass(frozen=True)
-class ScalarMul:
-    scalar: Scalar
-    operand: object
 
 
 @dataclass(frozen=True)
@@ -161,18 +156,14 @@ class _Parser:
             self.expect_op(")")
             return node
         if self.at_scalar():
-            # s1 * s2 * ... * atom in a loop; a chain ending in a scalar ends in a Lit
-            scalars = [self.parse_scalar()]
+            # s1 * s2 * ... * atom folded to the left in a loop; an atom that
+            # is not a scalar ends the chain
+            node = Lit(self.parse_scalar())
             while self.peek()[1] == "*":
                 self.advance()
                 if not self.at_scalar():
-                    node = self.parse_atom()
-                    break
-                scalars.append(self.parse_scalar())
-            else:
-                node = Lit(scalars.pop())
-            for scalar in reversed(scalars):
-                node = ScalarMul(scalar, node)
+                    return BinOp("*", node, self.parse_atom())
+                node = BinOp("*", node, Lit(self.parse_scalar()))
             return node
         if kind == "name":
             if re.fullmatch(r"e\d+", value):
@@ -288,6 +279,7 @@ def _additive(op):
 OPERATORS = {
     "+": _additive(operator.add),
     "-": _additive(operator.sub),
+    "*": lambda s, u, env: s * u,  # a scalar chain: s is a Scalar
     "v": lambda u, v, env: as_element(u).vee(as_element(v)),
     "o": lambda u, v, env: circle(as_element(u), as_element(v), env.pairing),
     "ro": lambda u, v, env: circle_renorm(
@@ -337,8 +329,8 @@ def _dispatch(body, *args):
 def evaluate(node, env: EvalEnv):
     """Evaluate an AST to a Scalar, Element or FormalSeries.
 
-    A left-nested operator chain and a nested ``scalar * ...`` chain are each
-    walked in a loop, so a long sum or product costs no Python frames.
+    A left-nested operator chain, a scalar chain among them, is walked in
+    a loop, so a long sum or product costs no Python frames.
     Operators and functions run through :func:`_dispatch`.
     """
     if isinstance(node, BinOp):
@@ -349,15 +341,6 @@ def evaluate(node, env: EvalEnv):
         value = evaluate(node, env)
         for link in reversed(chain):
             value = _dispatch(OPERATORS[link.op], value, evaluate(link.right, env), env)
-        return value
-    if isinstance(node, ScalarMul):
-        factors = []
-        while isinstance(node, ScalarMul):
-            factors.append(node.scalar)
-            node = node.operand
-        value = evaluate(node, env)
-        for factor in reversed(factors):
-            value = factor * value
         return value
     if isinstance(node, Lit):
         return node.value

@@ -35,11 +35,11 @@ from .scalars import ONE, ZERO, Scalar, common_denominator
 class PairingMatrix:
     """d x d matrix of generator pairings, entry[i][j] = (e_i|e_j), 1-based.
 
-    An immutable value, converted once: ``rows`` holds the entries as
-    Scalars, ``den`` their least common denominator D, ``ints[i-1][j-1]``
-    the Gaussian integer D (e_i|e_j) as an ``(re, im)`` pair, which the
-    Laplace kernel and t's letter loop read, and ``bits`` the bit length of
-    the largest |re| + |im|, which sizes the kernel's packed ints.
+    An immutable value, converted once: ``den`` is the entries' least common
+    denominator D, ``ints[i-1][j-1]`` the Gaussian integer D (e_i|e_j) as an
+    ``(re, im)`` pair, which the Laplace kernel, t's letter loop and
+    :meth:`entry` read, and ``bits`` the bit length of the largest
+    |re| + |im|, which sizes the kernel's packed ints.
     Equality, hash and ``symmetric`` (the circle product commutes) read
     ``(den, ints)``, so a memo keyed on a matrix is keyed on its value.  The matrix owns one
     memo, its Laplace pairing keyed ``(m1, m2)``.
@@ -51,7 +51,6 @@ class PairingMatrix:
         for row in rows:
             if len(row) != d:
                 raise ValueError("pairing matrix must be square")
-        self.rows = rows
         self.dim = d
         self.den, ints = common_denominator(rows)
         self.ints = tuple(map(tuple, ints))
@@ -70,7 +69,7 @@ class PairingMatrix:
     def entry(self, i: int, j: int) -> Scalar:
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
             raise ValueError(f"generator index out of range: ({i},{j}) with d={self.dim}")
-        return self.rows[i - 1][j - 1]
+        return Scalar.from_integers(*self.ints[i - 1][j - 1], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, PairingMatrix):

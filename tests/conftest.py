@@ -31,6 +31,11 @@ def rational(p, q=1):
     return Scalar(Fraction(p, q))
 
 
+def entries(L):
+    """The entries of a pairing matrix as rows of Scalars, read by entry()."""
+    return [[L.entry(i, j) for j in range(1, L.dim + 1)] for i in range(1, L.dim + 1)]
+
+
 def rand_scheme(rng, dim, max_grade=4):
     values = {}
     for _ in range(rng.randint(3, 7)):

@@ -14,7 +14,6 @@ from wickalg.expr import (
     ExprSyntaxError,
     Gen,
     Lit,
-    ScalarMul,
     evaluate,
     format_value,
     parse_expr,
@@ -52,7 +51,7 @@ class TestParser:
 
     def test_complex_scalar_multiplier(self):
         got = parse_expr("1/2+3/4i * e1")
-        assert got == ScalarMul(Scalar(Fraction(1, 2), Fraction(3, 4)), Gen(1))
+        assert got == BinOp("*", Lit(Scalar(Fraction(1, 2), Fraction(3, 4))), Gen(1))
 
     def test_scalar_sum_vs_complex_literal(self):
         assert parse_expr("1/2 + 3/4") == BinOp(
@@ -71,9 +70,9 @@ class TestParser:
         assert got == BinOp("o", Gen(1), BinOp("v", Gen(2), Gen(3)))
 
     def test_negative_scalar_atom(self):
-        assert parse_expr("-1 * e1") == ScalarMul(Scalar(-1), Gen(1))
+        assert parse_expr("-1 * e1") == BinOp("*", Lit(Scalar(-1)), Gen(1))
         assert parse_expr("e1 - 1/2 * e2") == BinOp(
-            "-", Gen(1), ScalarMul(Scalar(Fraction(1, 2)), Gen(2))
+            "-", Gen(1), BinOp("*", Lit(Scalar(Fraction(1, 2))), Gen(2))
         )
 
     def test_renorm_circle_token(self):

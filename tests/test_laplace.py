@@ -8,7 +8,7 @@ import pytest
 
 import wickalg.laplace as laplace_mod
 from conftest import (
-    assert_laws, e, mono, monomials_upto, rand_element, rand_monomial, rand_pairing,
+    assert_laws, e, entries, mono, monomials_upto, rand_element, rand_monomial, rand_pairing,
     rand_scalar, rand_scheme, trials_for,
 )
 from wickalg import checks
@@ -422,7 +422,7 @@ class TestCircleMemo:
     @pytest.mark.parametrize("name", ["default.json", "asymmetric.json", "random"])
     def test_products_match_fresh_memos_and_wick_folds(self, name):
         L, z = circle_case(name)
-        fresh_L, fresh_z = PairingMatrix(L.rows), Scheme(z.values)
+        fresh_L, fresh_z = PairingMatrix(entries(L)), Scheme(z.values)
         rng = random.Random(809)
         elements = repeating_elements(rng, L.dim, 8)
         modified = modified_pairing_by_convolution(fresh_z, L)
@@ -443,9 +443,9 @@ class TestCircleMemo:
         # zeta^-1 twists of words have many terms: distinct terms share a
         # second factor u2, and distinct v2 share a first factor v1
         L, z = circle_case(name)
-        fresh_L, fresh_z = PairingMatrix(L.rows), Scheme(z.values)
+        fresh_L, fresh_z = PairingMatrix(entries(L)), Scheme(z.values)
         if name == "random":
-            assert any(x.im for row in L.rows for x in row)
+            assert any(x.im for row in entries(L) for x in row)
 
         def twisted(grading, start):
             word = Monomial.from_indices([1 + (start + k) % L.dim for k in range(grading)])
@@ -596,7 +596,8 @@ def test_value_semantics(rng):
     assert a is not b and a == b and hash(a) == hash(b)
     assert {a: "hit"}[b] == "hit"
     assert PairingMatrix([[Scalar(2) * x for x in row] for row in rows]) != a
-    assert isinstance(a.rows, tuple) and all(isinstance(row, tuple) for row in a.rows)
+    assert isinstance(a.ints, tuple) and all(isinstance(row, tuple) for row in a.ints)
+    assert entries(a) == rows
     # The entries are the whole value: no setting splits equal entries.
     parsed = PairingMatrix.from_strings([["1", "1/2"], ["1/2", "1"]])
     coerced = PairingMatrix([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])

@@ -18,10 +18,11 @@ from math import ceil
 
 import pytest
 
-from conftest import assert_laws, rand_scheme
-from wickalg import Element, checks, laplace
-from wickalg.checks import (LAWS, CheckEnv, Draws, law_permanent_kernels, law_vee_ring,
-                            rand_pairing, run_checks, run_law)
+from conftest import assert_laws, rand_element, rand_scheme
+from wickalg import (Element, Monomial, Scalar, TensorElement, checks, circle, laplace, pairing,
+                     sweedler, tensor_product)
+from wickalg.checks import (LAWS, CheckEnv, Draws, _sweedler_sum, law_permanent_kernels,
+                            law_vee_ring, rand_pairing, run_checks, run_law)
 from wickalg.cli import main
 from wickalg.config import Config, load_config
 from wickalg.fock import FockStructure
@@ -212,3 +213,52 @@ def test_no_law_draws_above_its_grading(name, max_grade):
         env.drawn = 0
         assert run_law(entry, env)[0] is None, entry.name
         assert env.drawn <= min(max_grade, entry.cap or max_grade), entry.name
+
+
+def sum_by_loops(term, zero, *elements, firsts=(), seconds=(), c=Scalar(1)):
+    """The Sweedler sum as one nested sweedler loop per element, summed with +."""
+    if not elements:
+        value = term(*firsts, *seconds)
+        return zero if value is None else zero + c * value
+    total = zero
+    for m1, m2, cm in sweedler(elements[0]):
+        total = total + sum_by_loops(term, zero, *elements[1:], firsts=(*firsts, m1),
+                                     seconds=(*seconds, m2), c=c * cm)
+    return total
+
+
+@pytest.mark.parametrize("factors", [1, 2, 3])
+def test_sweedler_sum_matches_nested_loops(factors):
+    """checks._sweedler_sum against nested loops on random elements: Scalar,
+    Element and TensorElement sums and a two-slot sum, whose terms return None
+    on the splits whose first factors have odd total grading; a zero factor
+    gives the typed zero."""
+    rng = random.Random(33 + factors)
+    L = rand_pairing(rng, 3, symmetric=False)
+
+    def words(ms):  # the first factors' product and the second factors'
+        return [Element.from_monomial(functools.reduce(Monomial.vee, part))
+                for part in (ms[:factors], ms[factors:])]
+
+    def kept(term):
+        return lambda *ms: None if sum(m.grading for m in ms[:factors]) % 2 else term(*ms)
+
+    def place(ms):  # a nonzero scalar that tells each factor's place apart
+        return Scalar(sum(k * m.grading + 1 for k, m in enumerate(ms, 1)))
+
+    kinds = [
+        (Scalar(0), kept(lambda *ms: place(ms) + pairing(*words(ms), L))),
+        (Element.zero(), kept(lambda *ms: place(ms) * circle(*words(ms), L))),
+        (TensorElement(rank=2), kept(lambda *ms: tensor_product(*words(ms)))),
+    ]
+    for _ in range(4):
+        elements = [rand_element(rng, 3, 3 if factors < 3 else 2) for _ in range(factors)]
+        for zero, term in kinds:
+            want = sum_by_loops(term, zero, *elements)
+            assert want and _sweedler_sum(term, *elements, zero=zero) == want
+            assert _sweedler_sum(lambda *ms: None, *elements, zero=zero) == zero
+            got = _sweedler_sum(term, *elements[:-1], Element.zero(), zero=zero)
+            assert type(got) is type(zero) and not got
+        (s0, s), (e0, e) = kinds[:2]
+        pair = _sweedler_sum(kept(lambda *ms: (s(*ms), e(*ms))), *elements, zero=(s0, e0))
+        assert pair == (sum_by_loops(s, s0, *elements), sum_by_loops(e, e0, *elements))

@@ -3,8 +3,8 @@ import weakref
 
 import pytest
 
-from conftest import (assert_laws, e, mono, monomials_upto, rand_element, rand_pairing, rand_scheme,
-                      trials_for)
+from conftest import (assert_laws, e, entries, mono, monomials_upto, rand_element, rand_pairing,
+                      rand_scheme, trials_for)
 from wickalg import checks
 from wickalg import (
     Element,
@@ -27,7 +27,7 @@ from wickalg.oracles import modified_pairing_by_convolution
 
 
 def doubled(L):
-    return PairingMatrix([[Scalar(2) * x for x in row] for row in L.rows])
+    return PairingMatrix([[Scalar(2) * x for x in row] for row in entries(L)])
 
 
 def paired_by(oracle, u, v):
@@ -284,7 +284,7 @@ class TestMemoKeys:
         u, v = rand_element(rng, 3, 3), rand_element(rng, 3, 3)
         first = z_pairing(u, v, z), modified_pairing(u, v, z, L)
         sizes = len(z._memo), len(z._inverse_values), len(L._laplace)
-        assert (z_pairing(u, v, z), modified_pairing(u, v, z, PairingMatrix(L.rows))) == first
+        assert (z_pairing(u, v, z), modified_pairing(u, v, z, PairingMatrix(entries(L)))) == first
         assert (len(z._memo), len(z._inverse_values), len(L._laplace)) == sizes
 
 
